@@ -76,8 +76,7 @@ from .reducer import (
     plane_reduce,
     reduce,
     reduce_baseline,
-    vector_reduce_nosign,
-    vector_reduce_sign,
+    vector_reduce,
 )
 
 __all__ = [
@@ -135,7 +134,6 @@ __all__ = [
     "signature_via_gso",
     "signature_via_sturm",
     "theta_vector",
-    "vector_reduce_sign",
-    "vector_reduce_nosign",
+    "vector_reduce",
     "verify_theorem_bound",
 ]

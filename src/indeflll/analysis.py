@@ -8,7 +8,7 @@ doubling embedding, and the hyperbolic-plane removal basis change.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .errors import InternalInvariantError
 from .gram import (
@@ -196,14 +196,10 @@ def _count_roots_half_lines(p: list[Fraction]) -> tuple[int, int]:
 def _integral_scale(gram: GramMatrix) -> tuple[GramMatrix, Fraction]:
     """Scale a rational Gram matrix by a positive integer making it
     integral; scaling preserves the signature."""
-    lcm = 1
-    for row in gram.rows:
-        for x in row:
-            den = Fraction(x).denominator
-            lcm = lcm * den // gcd(lcm, den)
-    if lcm == 1:
+    scale = lcm(*[Fraction(x).denominator for row in gram.rows for x in row])
+    if scale == 1:
         return gram, Fraction(1)
-    return GramMatrix([[Fraction(x) * lcm for x in row] for row in gram.rows]), Fraction(lcm)
+    return GramMatrix([[Fraction(x) * scale for x in row] for row in gram.rows]), Fraction(scale)
 
 
 def signature_via_sturm(gram: GramMatrix) -> LatticeInvariants:
@@ -251,26 +247,10 @@ def signature_via_gso(gram: GramMatrix, params: ReducerParams | None = None) -> 
     """
     gram, lam = _integral_scale(gram)
     res = reduce(gram, params)
-    gso = auto_gso(res.reduced, res.rank)
-    n_pos = n_neg = n_hyp = 0
-    i = 0
-    while i < res.rank:
-        if i in gso.bad:
-            n_hyp += 1
-            i += 2
-        else:
-            if gso.star_norms[i] > 0:
-                n_pos += 1
-            else:
-                n_neg += 1
-            i += 1
+    n_plus, n_minus = auto_gso(res.reduced, res.rank).sign_counts()
     det = res.reduced.leading(res.rank).det() / lam**res.rank if res.rank else Fraction(0)
     return LatticeInvariants(
-        dim=gram.dim,
-        rank=res.rank,
-        n_plus=n_pos + n_hyp,
-        n_minus=n_neg + n_hyp,
-        nondeg_det=det,
+        dim=gram.dim, rank=res.rank, n_plus=n_plus, n_minus=n_minus, nondeg_det=det
     )
 
 
@@ -324,11 +304,8 @@ def verify_theorem_bound(result: ReductionResult, gram_in: GramMatrix) -> BoundR
     holds = lhs <= rhs
     slack = rhs / lhs if lhs else None
     heur_lhs = first**ell
-    # signature read off the reduced block structure (scalar signs plus
-    # one of each sign per hyperbolic plane)
-    gso = auto_gso(result.reduced, ell)
-    n_pos = sum(1 for i in range(ell) if gso.is_scalar(i) and gso.star_norms[i] > 0)
-    n_neg = sum(1 for i in range(ell) if gso.is_scalar(i) and gso.star_norms[i] < 0)
+    # signature read off the reduced block structure
+    n_pos, n_neg = auto_gso(result.reduced, ell).sign_counts()
     sig = abs(n_pos - n_neg)
     heur_rhs = Fraction(4, 3) ** (sig * (sig - 1)) * abs(det)
     return BoundReport(

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .analysis import kernel_split, signature_via_sturm, verify_theorem_bound
 from .errors import InternalInvariantError, IsotropicVectorError, LatticeError, ParseError
-from .gram import GramMatrix, mat_det
+from .gram import GramMatrix, auto_gso, mat_det
 from .generators import (
     gen_hyperbolic_stack,
     gen_large_signature,
@@ -27,9 +27,16 @@ from .generators import (
     gen_worstcase,
 )
 from .numerics import format_rational, parse_rational
-from .qform import BQForm, is_reduced as qf_is_reduced, reduce_definite, reduce_indefinite, reduce_square_disc
-from .numerics import is_rational_square
-from .reducer import ReducerParams, ReductionResult, reduce, reduce_baseline
+from .qform import BQForm, reduce_definite, reduce_indefinite
+from .reducer import (
+    ReducerParams,
+    ReductionResult,
+    ReductionStats,
+    block_kinds,
+    first_unreduced_block,
+    reduce,
+    reduce_baseline,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -345,21 +352,21 @@ def cmd_verify(args) -> int:
     bound_ok = True
     detail = ""
     if congruent and abs(det) == 1:
+        # the rank of the input, so a nonzero row past it fails the tail
+        rank = kernel_split(gram).rank
+        tail_ok = all(x == 0 for row in reduced.rows[rank:] for x in row)
         try:
-            from .gram import auto_gso
-            from .reducer import ReductionStats
-
-            rank = _observed_rank(reduced)
-            for i in range(rank, reduced.dim):
-                if any(reduced.rows[i][j] != 0 for j in range(reduced.dim)):
-                    tail_ok = False
-            blocks_ok, detail = _blocks_reduced(reduced, rank)
+            gso = auto_gso(reduced, rank)
+            p = first_unreduced_block(gso)
+            if p is not None:
+                blocks_ok = False
+                detail = f"block at positions {p + 1}, {p + 2}"
             result = ReductionResult(
                 transform=u_rows,
                 reduced=reduced,
                 rank=rank,
-                trace=auto_gso(reduced, rank).trace(),
-                block_kinds=_block_kinds(reduced, rank),
+                trace=gso.trace(),
+                block_kinds=block_kinds(gso),
                 stats=ReductionStats(),
                 params=ReducerParams(gamma0=gamma0),
             )
@@ -380,53 +387,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 
-def _observed_rank(reduced: GramMatrix) -> int:
-    rank = reduced.dim
-    while rank > 0 and all(reduced.rows[rank - 1][j] == 0 for j in range(reduced.dim)):
-        rank -= 1
-    return rank
-
-
-def _blocks_reduced(reduced: GramMatrix, rank: int) -> tuple[bool, str]:
-    from .gram import auto_gso
-
-    gso = auto_gso(reduced, rank)
-    plane = set()
-    for j in gso.bad:
-        plane.update((j, j + 1))
-    for p in range(rank - 1):
-        if p in plane or (p + 1) in plane:
-            continue
-        n1 = gso.star_norms[p]
-        s = Fraction(
-            sum(n * reduced.rows[p + 1][m] for m, n in enumerate(gso.star_num[p]) if n),
-            gso.star_den[p],
-        )
-        n2 = gso.star_norms[p + 1] + s * s / n1
-        if not qf_is_reduced(BQForm(n1, 2 * s, n2)):
-            return False, f"block at positions {p + 1}, {p + 2}"
-    return True, ""
-
-
-def _block_kinds(reduced: GramMatrix, rank: int) -> list[str]:
-    from .gram import auto_gso
-    from .numerics import sign as _sign
-
-    gso = auto_gso(reduced, rank)
-    plane = set()
-    for j in gso.bad:
-        plane.update((j, j + 1))
-    kinds = []
-    for p in range(rank - 1):
-        if p in plane or (p + 1) in plane:
-            kinds.append("hyperbolic-adjacent")
-        elif _sign(gso.star_norms[p]) == _sign(gso.star_norms[p + 1]):
-            kinds.append("definite")
-        else:
-            kinds.append("indefinite")
-    return kinds
-
-
 def cmd_qform_reduce(args) -> int:
     a = parse_rational(args.a)
     b = parse_rational(args.b)
@@ -436,11 +396,7 @@ def cmd_qform_reduce(args) -> int:
     sys.stdout.write(f"form ({format_rational(a)}, {format_rational(b)}, {format_rational(c)})"
                      f"  disc {format_rational(d)}\n")
     if d <= 0:
-        g, t = reduce_definite(f)
-        trajectory = [(g, t)]
-    elif is_rational_square(d) is not None and args.max_extra == 0:
-        g, t = reduce_square_disc(f)
-        trajectory = [(g, t)]
+        trajectory = [reduce_definite(f)]
     else:
         trajectory = reduce_indefinite(f, args.max_extra)
     for g, t in trajectory:

@@ -10,7 +10,14 @@ class ParseError(LatticeError):
 
 
 class InadmissiblePrefixError(LatticeError):
-    """A zero Gram-Schmidt norm was met outside a declared hyperbolic pair."""
+    """A zero Gram-Schmidt norm was met outside a declared hyperbolic pair.
+
+    `index` is the position where the GSO stopped, when there is one.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        self.index = index
+        super().__init__(message)
 
 
 class IsotropicVectorError(LatticeError):

@@ -14,6 +14,18 @@ from .errors import ParseError
 Rational = int | Fraction
 
 
+def normalize(x: Rational) -> Rational:
+    """x as an int when it is integral, otherwise as a Fraction.
+
+    Integral entries then take plain int arithmetic, which is much
+    cheaper than Fraction arithmetic and gives the same values.
+    """
+    if isinstance(x, int):
+        return x
+    f = Fraction(x)
+    return f.numerator if f.denominator == 1 else f
+
+
 def sign(x: Rational) -> int:
     if x > 0:
         return 1
@@ -126,14 +138,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(int(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational literal: {text!r}") from exc
-
-
-def parse_integer(text: str) -> int:
-    s = text.strip()
-    try:
-        return int(s)
-    except ValueError as exc:
-        raise ParseError(f"not an integer literal: {text!r}") from exc
 
 
 def format_rational(x: Rational) -> str:

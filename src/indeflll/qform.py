@@ -28,6 +28,7 @@ from .numerics import (
     floor_mixed,
     is_rational_square,
     nearest_int,
+    normalize,
     sign,
 )
 
@@ -77,20 +78,22 @@ def translate_left(lam: int) -> Transform2:
 
 @dataclass(frozen=True)
 class BQForm:
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    """Coefficients are stored normalized: int when integral, else Fraction."""
+
+    a: Rational
+    b: Rational
+    c: Rational
 
     def __init__(self, a: Rational, b: Rational, c: Rational):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "c", Fraction(c))
+        object.__setattr__(self, "a", normalize(a))
+        object.__setattr__(self, "b", normalize(b))
+        object.__setattr__(self, "c", normalize(c))
 
     @property
-    def disc(self) -> Fraction:
+    def disc(self) -> Rational:
         return self.b * self.b - 4 * self.a * self.c
 
-    def coeffs(self) -> tuple[Fraction, Fraction, Fraction]:
+    def coeffs(self) -> tuple[Rational, Rational, Rational]:
         return (self.a, self.b, self.c)
 
     def scaled(self, lam: Rational) -> "BQForm":
@@ -100,7 +103,7 @@ class BQForm:
         return f"BQForm({self.a}, {self.b}, {self.c})"
 
 
-def discriminant(f: BQForm) -> Fraction:
+def discriminant(f: BQForm) -> Rational:
     return f.disc
 
 
@@ -211,13 +214,13 @@ def _indefinite_delta(f: BQForm) -> int:
     d = f.disc
     b, c = f.b, f.c
     if cmp_with_sqrt(abs(c), 1, d) > 0:
-        x = (b + abs(c)) / (2 * c)
+        x = Fraction(b + abs(c), 2 * c)
         return floor_frac(x) if c > 0 else ceil_frac(x)
     r = is_rational_square(d)
     if r is not None:
-        x = (b + r) / (2 * c)
+        x = Fraction(b + r, 2 * c)
         return floor_frac(x) if c > 0 else ceil_frac(x)
-    n = floor_mixed(b / (2 * c), Fraction(1) / (2 * c), d)
+    n = floor_mixed(Fraction(b, 2 * c), Fraction(1, 2 * c), d)
     return n if c > 0 else n + 1
 
 
@@ -243,7 +246,7 @@ def _square_move(f: BQForm) -> tuple[BQForm, Transform2]:
         # disc = b^2, so |b| plays the square root
         if b > 0:
             # (a, r, 0): bring a into 2|a| <= b, then shear the boundary
-            lam = nearest_int(-a / b)
+            lam = nearest_int(Fraction(-a, b))
             if lam != 0:
                 t = translate_left(lam)
                 return apply(f, t), t
@@ -254,14 +257,14 @@ def _square_move(f: BQForm) -> tuple[BQForm, Transform2]:
         if a == 0:
             return apply(f, SWAP), SWAP  # (0, b, 0) with b < 0
         # b < 0: push b into |b| <= |a|, falling back to the swap when stuck
-        lam = nearest_int(-b / (2 * a))
+        lam = nearest_int(Fraction(-b, 2 * a))
         if lam != 0:
             t = translate(lam)
             return apply(f, t), t
         return apply(f, SWAP), SWAP
     if a == 0:
         # (0, b, c): shrink c modulo b, then swap it in front
-        lam = nearest_int(-c / b)
+        lam = nearest_int(Fraction(-c, b))
         if lam != 0:
             t = translate(lam)
             return apply(f, t), t
@@ -331,25 +334,12 @@ def reduce_indefinite(f: BQForm, max_extra: int = 0) -> list[tuple[BQForm, Trans
 def reduce_square_disc(f: BQForm) -> tuple[BQForm, Transform2]:
     """Reduce a form whose positive discriminant is a rational square.
 
-    Terminal shapes follow the square-disc conventions; should the move
-    loop revisit a form without reaching one (a fixed cycle of the
-    modified step rule), that form is treated as reduced by convention.
+    The walk is that of :func:`reduce_indefinite`: terminal shapes
+    follow the square-disc conventions, and a form revisited without
+    reaching one (a fixed cycle of the modified step rule) is treated
+    as reduced by convention.
     """
     d = f.disc
-    r = is_rational_square(d)
-    if d <= 0 or r is None:
+    if d <= 0 or is_rational_square(d) is None:
         raise ValueError("reduce_square_disc requires a positive square discriminant")
-    t = Transform2.identity()
-    budget = _step_budget(f)
-    seen: set[tuple[Fraction, Fraction, Fraction]] = set()
-    while not is_reduced(f):
-        key = f.coeffs()
-        if key in seen:
-            break
-        seen.add(key)
-        f, step = _square_move(f)
-        t = t.compose(step)
-        budget -= 1
-        if budget < 0:
-            raise InternalInvariantError("square-disc reduction exceeded its step budget")
-    return f, t
+    return reduce_indefinite(f)[0]

@@ -15,13 +15,15 @@ orthogonalized vectors.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .errors import InternalInvariantError, IsotropicVectorError
+from .errors import InadmissiblePrefixError, InternalInvariantError, IsotropicVectorError
 from .gram import (
     AdmissibleTrace,
     GramMatrix,
     GsoState,
     auto_gso,
+    generalized_gso,
     local_potential,
     mat_det,
     mat_identity,
@@ -45,12 +47,6 @@ from .qform import (
 )
 
 IMPROPER_SWAP = Transform2(0, 1, 1, 0)  # (a, b, c) -> (c, b, a), det -1
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass
@@ -366,21 +362,14 @@ def _place_transformed_pair(state: ReducerState, k: int, t: Transform2) -> int:
     state.col_transform2(prev, pos, t)
     short = state.gso.truncated(prev)
     theta, rnorm = cleanup_size_reduce(state, prev, gso=short)
-    is_gzero = rnorm == 0 and all(x.denominator == 1 for x in theta)
-    if not is_gzero:
-        if not state.columns_match_pm(prev, pos, old_p, old_q):
-            state.stats.swaps += 1
-            state.stats.backward_steps += 1
-            return -1
+    if rnorm == 0 and all(x.denominator == 1 for x in theta):
+        state.col_swap(prev, pos)
+    if state.columns_match_pm(prev, pos, old_p, old_q):
         state.restore(snap)
         return +1
-    state.col_swap(prev, pos)
-    if not state.columns_match_pm(prev, pos, old_p, old_q):
-        state.stats.swaps += 1
-        state.stats.backward_steps += 1
-        return -1
-    state.restore(snap)
-    return +1
+    state.stats.swaps += 1
+    state.stats.backward_steps += 1
+    return -1
 
 
 def _lovasz_definite(state: ReducerState, k: int, n1: Fraction, s: Fraction, n2: Fraction) -> int:
@@ -458,12 +447,9 @@ def _indefinite_candidates(
     """
     # the engines are scale invariant: clear denominators once so the
     # walk below runs on integers (much cheaper exact arithmetic)
-    lcm = 1
-    for x in form.coeffs():
-        den = x.denominator
-        lcm = lcm * den // _gcd_int(lcm, den)
-    if lcm != 1:
-        form = form.scaled(lcm)
+    scale = lcm(*[x.denominator for x in form.coeffs()])
+    if scale != 1:
+        form = form.scaled(scale)
     a0 = abs(form.a)
     disc = form.disc
 
@@ -542,18 +528,19 @@ def _indefinite_candidates(
     return first + second + repair
 
 
-def _vector_reduce(state: ReducerState, k: int, use_sign: bool, rnorm: Fraction | None = None) -> int:
-    gso = state.gso
-    prev = k - 2
+def vector_reduce(state: ReducerState, k: int, rnorm: Fraction | None = None) -> int:
+    """Reduce the projected block at (k-1, k).
+
+    Under the sign strategy the new leading star norm is steered toward
+    the sign opposite the previous scalar one.
+    """
     n1, s, n2, rnorm = _block_data(state, k, rnorm)
     disc_alg = s * s - n1 * n2
     if disc_alg < 0:
         return _lovasz_definite(state, k, n1, s, n2)
     if disc_alg == 0:
         return integrate_adherent(state, k)
-    want = None
-    if use_sign:
-        want = _sign_target(gso, prev)
+    want = _sign_target(state.gso, k - 2) if state.params.sign_strategy else None
     form = BQForm(n1, 2 * s, n2)
     candidates = _indefinite_candidates(form, state.params.gamma0, state.params.max_extra, want)
     for cand, t in candidates:
@@ -565,17 +552,6 @@ def _vector_reduce(state: ReducerState, k: int, use_sign: bool, rnorm: Fraction 
                     state.stats.repairs += 1
             return -1
     return +1
-
-
-def vector_reduce_nosign(state: ReducerState, k: int, rnorm: Fraction | None = None) -> int:
-    """Reduce the projected block at (k-1, k) without the sign strategy."""
-    return _vector_reduce(state, k, use_sign=False, rnorm=rnorm)
-
-
-def vector_reduce_sign(state: ReducerState, k: int, rnorm: Fraction | None = None) -> int:
-    """Reduce the projected block at (k-1, k), steering the new leading
-    star norm toward the sign opposite the previous scalar one."""
-    return _vector_reduce(state, k, use_sign=True, rnorm=rnorm)
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +639,39 @@ def _track_potential(state: ReducerState, prefix: int) -> None:
     state._pot_last = pot
 
 
+def block_kinds(gso: GsoState) -> list[str]:
+    """Kind of each adjacent block (p, p+1) of the prefix held in `gso`:
+    hyperbolic-adjacent when either position is in a plane, otherwise
+    definite or indefinite by the signs of the two star norms."""
+    kinds = []
+    for p in range(gso.upto - 1):
+        if not (gso.is_scalar(p) and gso.is_scalar(p + 1)):
+            kinds.append("hyperbolic-adjacent")
+        elif sign(gso.star_norms[p]) == sign(gso.star_norms[p + 1]):
+            kinds.append("definite")
+        else:
+            kinds.append("indefinite")
+    return kinds
+
+
+def first_unreduced_block(gso: GsoState) -> int | None:
+    """First position p whose scalar/scalar projected block (p, p+1)
+    is not a reduced binary form, or None when every such block is."""
+    rows = gso.gram.rows
+    for p in range(gso.upto - 1):
+        if not (gso.is_scalar(p) and gso.is_scalar(p + 1)):
+            continue
+        n1 = gso.star_norms[p]
+        s = Fraction(
+            sum(n * rows[p + 1][m] for m, n in enumerate(gso.star_num[p]) if n),
+            gso.star_den[p],
+        )
+        n2 = gso.star_norms[p + 1] + s * s / n1
+        if not qf_is_reduced(BQForm(n1, 2 * s, n2)):
+            return p
+    return None
+
+
 def _finalize(state: ReducerState, rank: int) -> ReductionResult:
     gram_out = state.current_gram()
     check = state.g_in.congruence(state.u)
@@ -674,26 +683,12 @@ def _finalize(state: ReducerState, rank: int) -> ReductionResult:
         if any(gram_out.rows[i][j] != 0 for j in range(state.d)):
             raise InternalInvariantError(f"tail row {i} is not exactly zero")
     gso = auto_gso(gram_out, rank)
-    blocks = gso.blocks()
-    plane_members = set()
-    for b in blocks:
-        if b.kind.value == "hyperbolic":
-            plane_members.add(b.index)
-            plane_members.add(b.index + 1)
-    kinds = []
-    for p in range(rank - 1):
-        if p in plane_members or (p + 1) in plane_members:
-            kinds.append("hyperbolic-adjacent")
-        elif sign(gso.star_norms[p]) == sign(gso.star_norms[p + 1]):
-            kinds.append("definite")
-        else:
-            kinds.append("indefinite")
     return ReductionResult(
         transform=state.u,
         reduced=gram_out,
         rank=rank,
         trace=gso.trace(),
-        block_kinds=kinds,
+        block_kinds=block_kinds(gso),
         stats=state.stats,
         params=state.params,
     )
@@ -758,10 +753,8 @@ def reduce(gram: GramMatrix, params: ReducerParams | None = None) -> ReductionRe
                 continue
             if k >= 3 and (k - 3) in state.gso.bad:
                 k = plane_reduce(state, k, incoming_pair=False)
-            elif params.sign_strategy:
-                k = k + vector_reduce_sign(state, k, reported_rnorm)
             else:
-                k = k + vector_reduce_nosign(state, k, reported_rnorm)
+                k = k + vector_reduce(state, k, reported_rnorm)
         else:
             state.stats.pair_reports += 1
             i, j = reported_pair
@@ -773,6 +766,15 @@ def reduce(gram: GramMatrix, params: ReducerParams | None = None) -> ReductionRe
             k = plane_reduce(state, k, incoming_pair=True)
         k = max(1, k)
     return _finalize(state, rank)
+
+
+def _strict_gso(state: ReducerState, upto: int) -> GsoState:
+    """Plain GSO of the leading `upto` positions (no hyperbolic pairs);
+    the first zero star norm aborts with IsotropicVectorError."""
+    try:
+        return generalized_gso(state.current_gram(), upto, frozenset())
+    except InadmissiblePrefixError as exc:
+        raise IsotropicVectorError(exc.index) from None
 
 
 def reduce_baseline(gram: GramMatrix, gamma0: Rational = Fraction(99, 100)) -> ReductionResult:
@@ -792,57 +794,24 @@ def reduce_baseline(gram: GramMatrix, gamma0: Rational = Fraction(99, 100)) -> R
     state = ReducerState(gram, params)
     if d == 0:
         return _finalize(state, 0)
-
-    def standard_gso(upto: int) -> tuple[list[list[Fraction]], list[Fraction]]:
-        rows = state.gc
-        star: list[list[Fraction]] = []
-        norms: list[Fraction] = []
-        for i in range(upto):
-            vec = [Fraction(0)] * upto
-            vec[i] = Fraction(1)
-            for j in range(len(star)):
-                if norms[j] == 0:
-                    raise IsotropicVectorError(j)
-                p = sum((c * rows[i][m] for m, c in enumerate(star[j]) if c), Fraction(0))
-                if p:
-                    mu = p / norms[j]
-                    for m in range(j + 1):
-                        vec[m] -= mu * star[j][m]
-            norm = Fraction(0)
-            for a, xa in enumerate(vec):
-                if xa:
-                    norm += xa * sum((xb * rows[a][b] for b, xb in enumerate(vec) if xb), Fraction(0))
-            star.append(vec)
-            norms.append(norm)
-        return star, norms
-
     cap = 1000 + 80 * d * d * _max_bits(gram)
     k = 2
     while k <= d:
         state.stats.loop_iterations += 1
         if state.stats.loop_iterations > cap:
             raise InternalInvariantError(f"baseline loop exceeded {cap} iterations")
-        star, norms = standard_gso(k)
+        gso = state.gso = _strict_gso(state, k - 1)
         pos = k - 1
         for j in range(k - 2, -1, -1):
-            if norms[j] == 0:
-                raise IsotropicVectorError(j)
-            p = sum((c * state.gc[pos][m] for m, c in enumerate(star[j]) if c), Fraction(0))
-            lam = nearest_int(p / norms[j])
+            lam = nearest_int(state.star_product(gso, j, pos) / gso.star_norms[j])
             if lam:
                 state.col_addmul(pos, j, -lam)
-        n_prev = norms[k - 2]
-        if n_prev == 0:
-            raise IsotropicVectorError(k - 2)
-        s = sum((c * state.gc[pos][m] for m, c in enumerate(star[k - 2]) if c), Fraction(0))
-        proj = norms[k - 1] + s * s / n_prev
+        n_prev, _, proj, _ = _block_data(state, k)
         if abs(proj) < gamma0 * abs(n_prev):
             state.col_swap(k - 2, k - 1)
             state.stats.swaps += 1
             k = max(2, k - 1)
         else:
             k += 1
-    final_star, final_norms = standard_gso(d)
-    if any(n == 0 for n in final_norms):
-        raise IsotropicVectorError(final_norms.index(Fraction(0)))
+    _strict_gso(state, d)
     return _finalize(state, d)

@@ -32,7 +32,7 @@ from indeflll.qform import (
 )
 from indeflll.analysis import automorphy_check, remove_hyperbolic_plane
 from indeflll.numerics import is_rational_square
-from indeflll.reducer import ReducerParams, reduce, reduce_baseline
+from indeflll.reducer import ReducerParams, first_unreduced_block, reduce, reduce_baseline
 
 WORSTCASE_10_VERBATIM = GramMatrix([
     [32768, 16384, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -49,22 +49,7 @@ WORSTCASE_10_VERBATIM = GramMatrix([
 
 
 def blocks_all_reduced(result) -> bool:
-    gso = auto_gso(result.reduced, result.rank)
-    plane = set()
-    for j in gso.bad:
-        plane.update((j, j + 1))
-    for p in range(result.rank - 1):
-        if p in plane or (p + 1) in plane:
-            continue
-        n1 = gso.star_norms[p]
-        s = Fraction(
-            sum(n * result.reduced.rows[p + 1][m] for m, n in enumerate(gso.star_num[p]) if n),
-            gso.star_den[p],
-        )
-        n2 = gso.star_norms[p + 1] + s * s / n1
-        if not qf_is_reduced(BQForm(n1, 2 * s, n2)):
-            return False
-    return True
+    return first_unreduced_block(auto_gso(result.reduced, result.rank)) is None
 
 
 def test_criterion_1_worstcase_fixed_point():

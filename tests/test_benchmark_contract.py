@@ -1,0 +1,45 @@
+"""The names the benchmark under perfbench/ relies on.
+
+perfbench/tracing.py wraps library functions by name and
+perfbench/selftest.py runs the certificate self-test against the
+package; a rename in the library would break both silently.  The
+benchmark files are only imported here, never changed.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+import indeflll
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield importlib.import_module("tracing"), importlib.import_module("selftest")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_trace_targets_resolve(perfbench):
+    tracing, _ = perfbench
+    missing = []
+    for name, mod, owner, attr in tracing.TARGETS:
+        home = importlib.import_module(f"{tracing.PACKAGE}.{mod}")
+        if owner is None:
+            found = callable(getattr(home, attr, None))
+        else:
+            found = attr in vars(getattr(home, owner, object))
+        if not found:
+            missing.append(name)
+    assert missing == []
+
+
+def test_benchmark_selftest_passes(perfbench):
+    _, selftest = perfbench
+    assert selftest.run(indeflll) == []

@@ -106,6 +106,29 @@ def test_cli_verify_identity(tmp_path, capsys):
     assert main(["verify", str(f), str(f), str(f)]) == EXIT_OK
 
 
+def test_cli_verify_tail_uses_input_rank(tmp_path, capsys):
+    # rank 1 input: the nonzero second row of G' is a tail row
+    g = tmp_path / "g.txt"
+    g.write_text("2\n0 0\n0 1\n")
+    u = tmp_path / "u.txt"
+    u.write_text("2\n1 0\n0 1\n")
+    assert main(["verify", str(g), str(u), str(g)]) == EXIT_VERIFY_FAILED
+    assert "FAIL tail rows exactly zero" in capsys.readouterr().out
+
+
+def test_cli_verify_reports_unreduced_block(tmp_path, capsys):
+    g = tmp_path / "g.txt"
+    g.write_text("2\n1 0\n0 1\n")
+    u = tmp_path / "u.txt"
+    u.write_text("2\n1 1\n0 1\n")
+    red = tmp_path / "red.txt"
+    red.write_text("2\n1 1\n1 2\n")
+    assert main(["verify", str(g), str(u), str(red)]) == EXIT_VERIFY_FAILED
+    out = capsys.readouterr().out
+    assert "FAIL adjacent blocks reduced  (block at positions 1, 2)" in out
+    assert "ok   tail rows exactly zero" in out
+
+
 def test_cli_analyze(tmp_path, capsys):
     f = tmp_path / "g.txt"
     f.write_text("2\n1 1\n1 1\n")
