@@ -11,14 +11,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InternalInvariantError
-from .gram import (
-    GramMatrix,
-    auto_gso,
-    mat_det,
-    mat_identity,
-    mat_mul,
-    mat_transpose,
-)
+from .gram import GramMatrix, auto_gso, mat_identity
 from .numerics import Rational, sign
 from .reducer import ReducerParams, ReductionResult, reduce
 

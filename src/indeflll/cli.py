@@ -196,6 +196,7 @@ def build_report(name: str, gram: GramMatrix, result: ReductionResult, wall: flo
         "bound_holds": bound.holds,
         "heuristic_holds": bound.heuristic_holds,
         "loop_iterations": result.stats.loop_iterations,
+        "gso_positions": result.stats.gso_positions,
         "swaps": result.stats.swaps,
         "adherent_integrations": result.stats.adherent_integrations,
         "repairs": result.stats.repairs,

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import InadmissiblePrefixError, InternalInvariantError
 from .numerics import Rational, format_rational, normalize
@@ -95,6 +96,15 @@ class GramMatrix:
                 if norm[i][j] != norm[j][i]:
                     raise ValueError(f"matrix is not symmetric at ({i}, {j})")
         self.rows = norm
+
+    @classmethod
+    def trusted(cls, rows: list[list[Rational]]) -> "GramMatrix":
+        """A copy of `rows` taken without normalizing or checking them:
+        the caller guarantees a square symmetric matrix of normalized
+        entries (the working Gram of a reduction, say)."""
+        gram = cls.__new__(cls)
+        gram.rows = [row[:] for row in rows]
+        return gram
 
     @property
     def dim(self) -> int:
@@ -188,7 +198,8 @@ class GsoState:
     star_num[i] over the common positive denominator star_den[i]
     (coordinates are in the basis of the Gram matrix, support inside
     positions 0..i); this keeps the hot inner products in integer
-    arithmetic.
+    arithmetic.  `reused` counts the leading positions a build took over
+    from a previous state instead of computing them.
     """
 
     gram: GramMatrix
@@ -198,6 +209,7 @@ class GsoState:
     star_norms: list[Fraction]
     bad: frozenset[int]
     cross: dict[int, Fraction] = field(default_factory=dict)
+    reused: int = field(default=0, compare=False)
 
     def is_scalar(self, i: int) -> bool:
         return i not in self.bad and (i - 1) not in self.bad
@@ -245,25 +257,20 @@ class GsoState:
             cross={j: a for j, a in self.cross.items() if j + 1 < upto},
         )
 
-    def star_products(self, raw_products: list) -> list[Fraction]:
-        """b(w, star_j) for each j, given raw products b(w, v_m).
+    def star_product(self, raw_products: list, j: int) -> Fraction:
+        """b(w, star_j), given raw products b(w, v_m) (ints or Fractions)."""
+        return Fraction(self._scaled_star_product(raw_products, j), self.star_den[j])
 
-        Exact whether the raw products are ints or Fractions.
-        """
-        out = []
-        for j in range(self.upto):
-            num = self.star_num[j]
-            acc = sum(n * raw_products[m] for m, n in enumerate(num) if n)
-            out.append(Fraction(acc, self.star_den[j]) if isinstance(acc, int) else acc / self.star_den[j])
-        return out
+    def _scaled_star_product(self, raw_products: list, j: int):
+        """star_den[j] * b(w, star_j), in the type of the raw products."""
+        return sum(map(mul, self.star_num[j], raw_products))
 
     def theta_and_residual_norm(
         self, raw_products: list, norm
     ) -> tuple[list[Fraction], Fraction]:
         """Coefficients of w - w* in the basis, and b(w*, w*)."""
-        ps = self.star_products(raw_products)
+        ps = [self.star_product(raw_products, j) for j in range(self.upto)]
         theta = [Fraction(0)] * self.upto
-        residual = Fraction(norm)
         i = 0
         while i < self.upto:
             if i in self.bad:
@@ -278,7 +285,6 @@ class GsoState:
                     for m, n in enumerate(self.star_num[i + 1]):
                         if n:
                             theta[m] += c_second * n
-                residual -= 2 * ps[i] * ps[i + 1] / alpha
                 i += 2
             else:
                 mu = ps[i] / (self.star_norms[i] * self.star_den[i])
@@ -286,9 +292,36 @@ class GsoState:
                     for m, n in enumerate(self.star_num[i]):
                         if n:
                             theta[m] += mu * n
-                residual -= ps[i] * ps[i] / self.star_norms[i]
                 i += 1
-        return theta, residual
+        return theta, self.residual_norm(raw_products, norm)
+
+    def residual_norm(self, raw_products: list, norm) -> Fraction:
+        """b(w*, w*) alone, without the coefficient vector.  Adding
+        prefix vectors to w leaves it unchanged.
+
+        That is b(w, w) less b(w, star_i)^2 / N_i per scalar position
+        and 2 b(w, star_j) b(w, star_j+1) / alpha_j per plane.  The terms
+        are summed as one integer fraction, normalized once at the end.
+        """
+        num, den = 0, 1
+        i = 0
+        while i < self.upto:
+            p = self._scaled_star_product(raw_products, i)
+            if i in self.bad:
+                q = self._scaled_star_product(raw_products, i + 1)
+                alpha = self.cross[i]
+                t_num = 2 * p.numerator * q.numerator * alpha.denominator
+                t_den = p.denominator * q.denominator * self.star_den[i] * self.star_den[i + 1] * alpha.numerator
+                i += 2
+            else:
+                n_i = self.star_norms[i]
+                t_num = p.numerator * p.numerator * n_i.denominator
+                t_den = (p.denominator * self.star_den[i]) ** 2 * n_i.numerator
+                i += 1
+            if t_num:
+                num = num * t_den + t_num * den
+                den *= t_den
+        return Fraction(norm) - Fraction(num, den)
 
 
 def _to_num_den(vec: list[Fraction]) -> tuple[list[int], int]:
@@ -314,21 +347,53 @@ def _num_bilinear(rows, x_num: list[int], y_num: list[int]):
 
 
 def _num_row_dot(rows, i: int, num: list[int]):
-    ri = rows[i]
-    acc = 0
-    for m, n in enumerate(num):
-        if n:
-            acc += n * ri[m]
-    return acc
+    return sum(map(mul, num, rows[i]))
 
 
-def _build_gso(gram: GramMatrix, upto: int, declared: frozenset[int] | None) -> GsoState:
+def _reusable(
+    previous: GsoState | None, gram: GramMatrix, upto: int, declared: frozenset[int] | None
+) -> int:
+    """How many leading positions of `previous` a build of `gram` would
+    reproduce exactly.
+
+    Star vector i depends only on the leading (i+1)x(i+1) block, so the
+    count stops at the first row whose leading part changed, one place
+    earlier when that would split a hyperbolic pair.  A declared bad set
+    that disagrees with the previous pairs below that point reuses
+    nothing.
+    """
+    if previous is None:
+        return 0
+    keep = min(upto, previous.upto)
+    old, new = previous.gram.rows, gram.rows
+    for i in range(keep):
+        if new[i][: i + 1] != old[i][: i + 1]:
+            keep = i
+            break
+    if keep and (keep - 1) in previous.bad:
+        keep -= 1
+    if declared is not None and any((j in declared) != (j in previous.bad) for j in range(keep)):
+        return 0
+    return keep
+
+
+def _build_gso(
+    gram: GramMatrix, upto: int, declared: frozenset[int] | None, previous: GsoState | None = None
+) -> GsoState:
     rows = gram.rows
-    star_num: list[list[int]] = []
-    star_den: list[int] = []
-    norms: list[Fraction] = []
-    cross: dict[int, Fraction] = {}
-    bad: set[int] = set()
+    keep = _reusable(previous, gram, upto, declared)
+    if keep:
+        # star vectors are stored at the length of the prefix; their
+        # support ends at their own position, so resizing is exact
+        star_num = [
+            v[:upto] if len(v) >= upto else v + [0] * (upto - len(v)) for v in previous.star_num[:keep]
+        ]
+        star_den = previous.star_den[:keep]
+        norms = previous.star_norms[:keep]
+        bad = {j for j in previous.bad if j < keep}
+        cross = {j: previous.cross[j] for j in bad}
+    else:
+        star_num, star_den, norms, cross, bad = [], [], [], {}, set()
 
     def orthogonalize(i: int, pending: int | None = None) -> tuple[list[int], int]:
         vec = [Fraction(0)] * upto
@@ -366,7 +431,7 @@ def _build_gso(gram: GramMatrix, upto: int, declared: frozenset[int] | None) -> 
                 j += 1
         return _to_num_den(vec)
 
-    i = 0
+    i = keep
     while i < upto:
         num, den = orthogonalize(i)
         norm = Fraction(_num_bilinear(rows, num, num)) / (den * den)
@@ -411,16 +476,23 @@ def _build_gso(gram: GramMatrix, upto: int, declared: frozenset[int] | None) -> 
         star_norms=norms,
         bad=frozenset(bad),
         cross=cross,
+        reused=keep,
     )
 
 
-def generalized_gso(gram: GramMatrix, upto: int | None = None, bad: frozenset[int] | set[int] | None = None) -> GsoState:
+def generalized_gso(
+    gram: GramMatrix,
+    upto: int | None = None,
+    bad: frozenset[int] | set[int] | None = None,
+    previous: GsoState | None = None,
+) -> GsoState:
     """Generalized GSO with an explicitly declared bad-index set.
 
     Every position below `upto` must either carry a nonzero star norm
     or belong to a declared pair (j, j+1) with both star norms zero and
     a nonzero cross product; anything else reports an inadmissible
-    prefix.
+    prefix.  Positions that `previous` (a GSO of an earlier Gram)
+    provably shares with this one are taken over, not recomputed.
     """
     if upto is None:
         upto = gram.dim
@@ -428,14 +500,15 @@ def generalized_gso(gram: GramMatrix, upto: int | None = None, bad: frozenset[in
     for j in declared:
         if j + 1 >= upto:
             raise InadmissiblePrefixError(f"declared bad index {j} has no partner below {upto}")
-    return _build_gso(gram, upto, declared)
+    return _build_gso(gram, upto, declared, previous)
 
 
-def auto_gso(gram: GramMatrix, upto: int | None = None) -> GsoState:
-    """Generalized GSO that detects hyperbolic pairs on the fly."""
+def auto_gso(gram: GramMatrix, upto: int | None = None, previous: GsoState | None = None) -> GsoState:
+    """Generalized GSO that detects hyperbolic pairs on the fly, taking
+    over what `previous` provably shares with it (see `generalized_gso`)."""
     if upto is None:
         upto = gram.dim
-    return _build_gso(gram, upto, None)
+    return _build_gso(gram, upto, None, previous)
 
 
 def prefix_determinant(state: GsoState, upto: int) -> Fraction:
@@ -498,6 +571,12 @@ def theta_vector(prefix: GramMatrix, w_products: list[Rational]) -> list[Fractio
     return theta
 
 
+def _prefix_products(state: GsoState, raw_products: list[Rational]) -> list[Fraction]:
+    if len(raw_products) != state.upto:
+        raise ValueError("product vector length does not match prefix dimension")
+    return [Fraction(p) for p in raw_products]
+
+
 def classify(
     state: GsoState, raw_products: list[Rational], norm: Rational
 ) -> Classification:
@@ -508,10 +587,10 @@ def classify(
     is isotropic; a G-zero additionally has an integral coefficient
     vector.
     """
-    products = [Fraction(p) for p in raw_products]
-    theta, residual = state.theta_and_residual_norm(products, Fraction(norm))
-    if residual != 0:
+    products = _prefix_products(state, raw_products)
+    if state.residual_norm(products, norm) != 0:
         return Classification.NON_ADHERENT
+    theta, _ = state.theta_and_residual_norm(products, norm)
     if all(t.denominator == 1 for t in theta):
         return Classification.G_ZERO
     return Classification.ADHERENT
@@ -528,8 +607,7 @@ def extend_admissible(
     Returns the extended trace and the new prefix determinant, which is
     the old determinant times the residual norm of the vector.
     """
-    products = [Fraction(p) for p in raw_products]
-    _, residual = state.theta_and_residual_norm(products, Fraction(norm))
+    residual = state.residual_norm(_prefix_products(state, raw_products), norm)
     if residual == 0:
         raise ValueError("cannot extend an admissible prefix by an adherent vector")
     old_det = prefix_determinant(state, state.upto)

@@ -29,7 +29,6 @@ from .numerics import (
     is_rational_square,
     nearest_int,
     normalize,
-    sign,
 )
 
 

@@ -93,6 +93,7 @@ class ReductionStats:
     worthwhile_c_zero: int = 0
     potential_drops: int = 0
     potential_violations: int = 0
+    gso_positions: int = 0  # star vectors computed by prefix GSO refreshes
 
 
 @dataclass
@@ -205,20 +206,30 @@ class ReducerState:
     # -- views -------------------------------------------------------------
 
     def current_gram(self) -> GramMatrix:
-        return GramMatrix(self.gc)
+        return GramMatrix.trusted(self.gc)  # integer column operations keep gc normalized
 
-    def refresh_prefix_gso(self, prefix: int) -> GsoState:
-        self.gso = auto_gso(self.current_gram(), prefix)
+    def refresh_prefix_gso(self, prefix: int, strict: bool = False) -> GsoState:
+        """Hold the GSO of the leading `prefix` positions of the current
+        Gram in `self.gso`.
+
+        Star vector i depends only on the leading (i+1)x(i+1) block, so
+        the previously held state is kept up to the first row whose
+        leading part changed (one place earlier when that would split a
+        hyperbolic pair), and only the positions from there on are
+        computed; `stats.gso_positions` counts them.  `strict` admits no
+        hyperbolic pairs: the first zero star norm raises.
+        """
+        gram = self.current_gram()
+        if strict:
+            self.gso = generalized_gso(gram, prefix, frozenset(), self.gso)
+        else:
+            self.gso = auto_gso(gram, prefix, self.gso)
+        self.stats.gso_positions += prefix - self.gso.reused
         return self.gso
 
     def star_product(self, gso: GsoState, j: int, pos: int) -> Fraction:
         """b(v_pos, star_j) against the current Gram."""
-        row = self.gc[pos]
-        acc = 0
-        for m, n in enumerate(gso.star_num[j]):
-            if n:
-                acc += n * row[m]
-        return Fraction(acc, gso.star_den[j])
+        return gso.star_product(self.gc[pos], j)
 
     def raw_products(self, prefix: int, pos: int) -> list:
         return self.gc[pos][:prefix]
@@ -261,59 +272,59 @@ def _cleanup_lambda(n1: Fraction, s: Fraction, n2: Fraction) -> int:
 
 def cleanup_size_reduce(
     state: ReducerState, pos: int, gso: GsoState | None = None
-) -> tuple[list[Fraction], Fraction]:
+) -> tuple[Fraction, bool]:
     """Size-reduce the vector at `pos` against the prefix held in `gso`.
 
     The last prefix position, when scalar, is handled by the clean-up
     rule above (anticipating that the vector lands right after it); all
     earlier scalar positions get plain nearest-integer reduction and
     hyperbolic pairs get the pair rule on both cross coefficients.
-    Afterwards, a prefix zero has its full integral coefficient vector
-    subtracted, leaving it exactly orthogonal to the prefix.  Returns
-    the final coefficient vector and residual norm of the vector.
+    Adding prefix vectors leaves the residual norm b(w*, w*) unchanged,
+    so it is computed once, up front; only a zero residual can belong to
+    a prefix zero, so only then is the coefficient vector built, and a
+    prefix zero has it subtracted, leaving it exactly orthogonal to the
+    prefix.  Returns the residual norm and whether the vector is a
+    prefix zero.
     """
     gso = gso or state.gso
     kappa = gso.upto
+    rnorm = gso.residual_norm(state.raw_products(kappa, pos), state.gc[pos][pos])
     if kappa == 0:
-        return [], Fraction(state.gc[pos][pos])
-    last = kappa - 1
-    handled_last = False
-    if gso.is_scalar(last):
-        n1 = gso.star_norms[last]
-        s = state.star_product(gso, last, pos)
-        raw = state.raw_products(kappa, pos)
-        _, rnorm = gso.theta_and_residual_norm(raw, Fraction(state.gc[pos][pos]))
+        return rnorm, rnorm == 0
+    j = kappa - 1
+    if gso.is_scalar(j):
+        n1 = gso.star_norms[j]
+        s = state.star_product(gso, j, pos)
         n2 = rnorm + s * s / n1
         lam = _cleanup_lambda(n1, s, n2)
         if lam:
-            state.col_addmul(pos, last, lam)
-        handled_last = True
-    for block in reversed(gso.blocks()):
-        j = block.index
-        if block.kind.value == "scalar":
-            if handled_last and j == last:
-                continue
-            p = state.star_product(gso, j, pos)
-            lam = nearest_int(p / gso.star_norms[j])
+            state.col_addmul(pos, j, lam)
+        j -= 1
+    while j >= 0:
+        if (j - 1) in gso.bad:  # the plane (j - 1, j)
+            alpha = gso.cross[j - 1]
+            n_first = nearest_int(state.star_product(gso, j, pos) / alpha)
+            n_second = nearest_int(state.star_product(gso, j - 1, pos) / alpha)
+            if n_first:
+                state.col_addmul(pos, j - 1, -n_first)
+            if n_second:
+                state.col_addmul(pos, j, -n_second)
+            j -= 2
+        else:
+            lam = nearest_int(state.star_product(gso, j, pos) / gso.star_norms[j])
             if lam:
                 state.col_addmul(pos, j, -lam)
-        else:
-            alpha = gso.cross[j]
-            n_first = nearest_int(state.star_product(gso, j + 1, pos) / alpha)
-            n_second = nearest_int(state.star_product(gso, j, pos) / alpha)
-            if n_first:
-                state.col_addmul(pos, j, -n_first)
-            if n_second:
-                state.col_addmul(pos, j + 1, -n_second)
+            j -= 1
+    if rnorm != 0:
+        return rnorm, False
     # a prefix zero is straightened out entirely
-    raw = state.raw_products(kappa, pos)
-    theta, rnorm = gso.theta_and_residual_norm(raw, Fraction(state.gc[pos][pos]))
-    if rnorm == 0 and all(t.denominator == 1 for t in theta) and any(theta):
-        for j, tj in enumerate(theta):
-            if tj:
-                state.col_addmul(pos, j, -int(tj))
-        theta = [Fraction(0)] * kappa
-    return theta, rnorm
+    theta, _ = gso.theta_and_residual_norm(state.raw_products(kappa, pos), rnorm)
+    if not all(t.denominator == 1 for t in theta):
+        return rnorm, False
+    for j, tj in enumerate(theta):
+        if tj:
+            state.col_addmul(pos, j, -int(tj))
+    return rnorm, True
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +352,7 @@ def _block_data(
     n1 = gso.star_norms[prev]
     s = state.star_product(gso, prev, pos)
     if rnorm is None:
-        raw = state.raw_products(k - 1, pos)
-        _, rnorm = gso.theta_and_residual_norm(raw, Fraction(state.gc[pos][pos]))
+        rnorm = gso.residual_norm(state.raw_products(k - 1, pos), state.gc[pos][pos])
     n2 = rnorm + s * s / n1
     return n1, s, n2, rnorm
 
@@ -361,8 +371,7 @@ def _place_transformed_pair(state: ReducerState, k: int, t: Transform2) -> int:
     old_q = [snap[0][r][pos] for r in range(state.d)]
     state.col_transform2(prev, pos, t)
     short = state.gso.truncated(prev)
-    theta, rnorm = cleanup_size_reduce(state, prev, gso=short)
-    if rnorm == 0 and all(x.denominator == 1 for x in theta):
+    if cleanup_size_reduce(state, prev, gso=short)[1]:
         state.col_swap(prev, pos)
     if state.columns_match_pm(prev, pos, old_p, old_q):
         state.restore(snap)
@@ -662,10 +671,7 @@ def first_unreduced_block(gso: GsoState) -> int | None:
         if not (gso.is_scalar(p) and gso.is_scalar(p + 1)):
             continue
         n1 = gso.star_norms[p]
-        s = Fraction(
-            sum(n * rows[p + 1][m] for m, n in enumerate(gso.star_num[p]) if n),
-            gso.star_den[p],
-        )
+        s = gso.star_product(rows[p + 1], p)
         n2 = gso.star_norms[p + 1] + s * s / n1
         if not qf_is_reduced(BQForm(n1, 2 * s, n2)):
             return p
@@ -682,7 +688,7 @@ def _finalize(state: ReducerState, rank: int) -> ReductionResult:
     for i in range(rank, state.d):
         if any(gram_out.rows[i][j] != 0 for j in range(state.d)):
             raise InternalInvariantError(f"tail row {i} is not exactly zero")
-    gso = auto_gso(gram_out, rank)
+    gso = auto_gso(gram_out, rank, state.gso)
     return ReductionResult(
         transform=state.u,
         reduced=gram_out,
@@ -724,8 +730,8 @@ def reduce(gram: GramMatrix, params: ReducerParams | None = None) -> ReductionRe
         reported_pair = None
         reported_rnorm = None
         for i in range(prefix, d):
-            theta, rnorm = cleanup_size_reduce(state, i)
-            if not (rnorm == 0 and all(x.denominator == 1 for x in theta)):
+            rnorm, prefix_zero = cleanup_size_reduce(state, i)
+            if not prefix_zero:
                 reported_pos = i
                 reported_rnorm = rnorm
                 break
@@ -772,7 +778,7 @@ def _strict_gso(state: ReducerState, upto: int) -> GsoState:
     """Plain GSO of the leading `upto` positions (no hyperbolic pairs);
     the first zero star norm aborts with IsotropicVectorError."""
     try:
-        return generalized_gso(state.current_gram(), upto, frozenset())
+        return state.refresh_prefix_gso(upto, strict=True)
     except InadmissiblePrefixError as exc:
         raise IsotropicVectorError(exc.index) from None
 
@@ -800,7 +806,7 @@ def reduce_baseline(gram: GramMatrix, gamma0: Rational = Fraction(99, 100)) -> R
         state.stats.loop_iterations += 1
         if state.stats.loop_iterations > cap:
             raise InternalInvariantError(f"baseline loop exceeded {cap} iterations")
-        gso = state.gso = _strict_gso(state, k - 1)
+        gso = _strict_gso(state, k - 1)
         pos = k - 1
         for j in range(k - 2, -1, -1):
             lam = nearest_int(state.star_product(gso, j, pos) / gso.star_norms[j])

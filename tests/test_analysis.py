@@ -15,7 +15,7 @@ from indeflll.analysis import (
 )
 from indeflll.gram import GramMatrix, mat_det, mat_mul
 from indeflll.generators import gen_random_symmetric, gen_random_unimodular
-from indeflll.reducer import ReducerParams, reduce
+from indeflll.reducer import reduce
 
 # the closing example: diag(1,-1,1,-1) admits a transform of infinite order
 AUTOMORPHIC_G = GramMatrix([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])

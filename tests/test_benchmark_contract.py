@@ -43,3 +43,26 @@ def test_trace_targets_resolve(perfbench):
 def test_benchmark_selftest_passes(perfbench):
     _, selftest = perfbench
     assert selftest.run(indeflll) == []
+
+
+def test_traced_reduce_attributes_gso_work(perfbench):
+    """The traced run cross-checks one prefix GSO refresh per loop
+    iteration and attributes GSO time to gram.auto_gso; uninstalling
+    puts every original back."""
+    tracing, _ = perfbench
+    from indeflll import gram, reducer
+    from indeflll.generators import gen_hyperbolic_stack, gen_random_unimodular
+
+    g = gen_hyperbolic_stack(3, [2, -2, 3]).congruence(gen_random_unimodular(9, 20, 31))
+    originals = (reducer.ReducerState.__dict__["refresh_prefix_gso"], gram.auto_gso, reducer.auto_gso)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert reducer.auto_gso is not originals[2]
+        r = reducer.reduce(g)
+    finally:
+        tracer.uninstall()
+    refreshes, builds = tracer.counts("reducer.refresh_prefix_gso", "gram.auto_gso")
+    assert refreshes == r.stats.loop_iterations > 0
+    assert builds >= refreshes
+    assert (reducer.ReducerState.__dict__["refresh_prefix_gso"], gram.auto_gso, reducer.auto_gso) == originals

@@ -180,3 +180,14 @@ def test_cli_qform_rational_coeffs(capsys):
 
 def test_cli_missing_file(capsys):
     assert main(["reduce", "/nonexistent/file.txt"]) == EXIT_INPUT
+
+
+def test_cli_reduce_reports_gso_positions(tmp_path, capsys):
+    from indeflll.reducer import reduce
+
+    g = gen_random_symmetric(5, 20, 8)
+    f = tmp_path / "g.txt"
+    f.write_text(format_matrix_text(g.rows))
+    assert main(["reduce", str(f), "--out", str(tmp_path / "r.txt"), "--report", "structured"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["gso_positions"] == reduce(g).stats.gso_positions > 0

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from indeflll.errors import InadmissiblePrefixError, InternalInvariantError
+from indeflll.errors import InadmissiblePrefixError
 from indeflll.gram import (
     Classification,
     GramMatrix,
@@ -223,6 +223,12 @@ def test_classify_examples():
     assert classify(two, [1], Fraction(1, 2)) is Classification.ADHERENT
     # all-zero vector is a prefix zero against anything
     assert classify(two, [0], 0) is Classification.G_ZERO
+    # one raw product per prefix position
+    plane = auto_gso(GramMatrix([[0, 5], [5, 0]]))
+    with pytest.raises(ValueError):
+        classify(plane, [1], 0)
+    with pytest.raises(ValueError):
+        extend_admissible(plane.trace(), plane, [1, 2, 3], 1)
 
 
 def test_classify_invariances():
@@ -280,3 +286,79 @@ def test_congruence_helper():
     out = g.congruence(u)
     ut = mat_transpose(u)
     assert out.rows == mat_mul(ut, mat_mul(g.rows, u))
+
+
+def _flagged_prefix(rng, d):
+    """Block diagonal of hyperbolic planes and nonzero scalars, congruent
+    by a unit upper-triangular integer matrix that adds no plane vector
+    to its partner: each position keeps its star vector, so the prefix
+    stays admissible with the same planes."""
+    rows = [[0] * d for _ in range(d)]
+    u = [[1 if r == c else (rng.randrange(-2, 3) if r < c else 0) for c in range(d)] for r in range(d)]
+    i = 0
+    while i < d:
+        if i + 1 < d and rng.random() < 0.4:
+            rows[i][i + 1] = rows[i + 1][i] = rng.choice((-3, -2, -1, 1, 2, 3))
+            u[i][i + 1] = 0
+            i += 2
+        else:
+            rows[i][i] = rng.choice((-5, -3, -2, -1, 1, 2, 3, 5))
+            i += 1
+    return GramMatrix(rows).congruence(u)
+
+
+def test_residual_norm_matches_theta_path():
+    rng = random.Random(17)
+    planes = 0
+    for _ in range(80):
+        d = rng.randrange(1, 7)
+        st = auto_gso(_flagged_prefix(rng, d))
+        planes += len(st.bad)
+        for _ in range(5):
+            raw = [Fraction(rng.randrange(-9, 10), rng.choice((1, 1, 2, 3))) for _ in range(d)]
+            norm = rng.choice((rng.randrange(-20, 21), Fraction(rng.randrange(-20, 21), 3)))
+            assert st.residual_norm(raw, norm) == st.theta_and_residual_norm(raw, norm)[1]
+        # a combination of prefix vectors has residual 0 on both paths
+        coeffs = [rng.randrange(-3, 4) for _ in range(d)]
+        rows = st.gram.rows
+        raw = [sum(coeffs[j] * rows[j][i] for j in range(d)) for i in range(d)]
+        norm = sum(coeffs[i] * raw[i] for i in range(d))
+        assert st.residual_norm(raw, norm) == 0 == st.theta_and_residual_norm(raw, norm)[1]
+    assert planes > 20
+
+
+def test_gso_from_previous_state_matches_fresh():
+    rng = random.Random(23)
+    reused = 0
+    for _ in range(150):
+        d = rng.randrange(2, 8)
+        g = _flagged_prefix(rng, d)
+        # change the rows from `start` on, keeping the matrix symmetric
+        start = rng.randrange(0, d + 1)
+        rows = g.copy_rows()
+        for i in range(start, d):
+            for j in range(d):
+                if rng.random() < 0.5:
+                    rows[i][j] = rows[j][i] = rows[i][j] + rng.randrange(-2, 3)
+        g2 = GramMatrix(rows)
+        full = auto_gso(g)
+        cuts = [u for u in range(d + 1) if not (u > 0 and (u - 1) in full.bad)]
+        previous = auto_gso(g, rng.choice(cuts))
+        for upto in range(d + 1):
+            try:
+                fresh = auto_gso(g2, upto)
+            except InadmissiblePrefixError as exc:
+                with pytest.raises(InadmissiblePrefixError) as again:
+                    auto_gso(g2, upto, previous)
+                assert (str(again.value), again.value.index) == (str(exc), exc.index)
+                continue
+            built = auto_gso(g2, upto, previous)
+            assert built == fresh  # every field but `reused`
+            assert built.reused <= min(upto, previous.upto)
+            reused += built.reused
+            if not fresh.bad:
+                strict = generalized_gso(g2, upto, frozenset(), previous)
+                assert strict == fresh
+            declared = generalized_gso(g2, upto, fresh.bad, previous)
+            assert declared == fresh
+    assert reused > 100

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from indeflll.analysis import verify_theorem_bound
-from indeflll.errors import InadmissiblePrefixError, IsotropicVectorError
-from indeflll.generators import gen_hyperbolic_stack, gen_random_unimodular
-from indeflll.gram import GramMatrix, auto_gso, mat_det, mat_mul, mat_transpose
+from indeflll.errors import InadmissiblePrefixError, IsotropicVectorError, LatticeError
+from indeflll.generators import gen_hyperbolic_stack, gen_random_unimodular, gen_worstcase
+from indeflll.gram import GramMatrix, auto_gso, generalized_gso, mat_det, mat_mul, mat_transpose
 from indeflll.qform import BQForm, is_reduced as qf_is_reduced
 from indeflll.reducer import (
     ReducerParams,
@@ -296,6 +296,96 @@ def test_alternate_parameters_keep_invariants():
             for i in range(r.rank, d):
                 assert all(x == 0 for x in r.reduced.rows[i])
             assert r.stats.potential_violations == 0
+
+
+def _exactness_corpus():
+    """Criterion 2 inputs, dense B^T diag(+-1) B, scrambled hyperbolic
+    stacks and rank-deficient M C M^T."""
+    rng = random.Random(2024)
+    out = [gen_worstcase(5).congruence(gen_random_unimodular(10, 30, seed)) for seed in range(2)]
+    d = 12
+    for q in (0, 2, 5):
+        b = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+        signs = [1] * (d - q) + [-1] * q
+        out.append(GramMatrix([[sum(signs[k] * b[k][i] * b[k][j] for k in range(d)) for j in range(d)] for i in range(d)]))
+    for i in range(8):
+        n = 1 + i % 3
+        alphas = [rng.choice((1, 2, 3, -2)) for _ in range(n)]
+        out.append(gen_hyperbolic_stack(n, alphas).congruence(gen_random_unimodular(3 * n, 20, 700 + i)))
+    for i in range(8):
+        d = rng.randrange(3, 7)
+        rk = rng.randrange(1, d)
+        m = [[rng.randint(-2, 2) for _ in range(rk)] for _ in range(d)]
+        core = [[0] * rk for _ in range(rk)]
+        for a in range(rk):
+            for c in range(a, rk):
+                core[a][c] = core[c][a] = rng.randint(-6, 6)
+        out.append(GramMatrix(mat_mul(m, mat_mul(core, mat_transpose(m)))))
+    return out
+
+
+@pytest.fixture
+def checked_refresh(monkeypatch):
+    """After every prefix GSO refresh, compare the held state with a GSO
+    built from scratch on the same Gram (strict for the baseline), and an
+    inadmissible prefix with the error a fresh build raises."""
+    original = ReducerState.refresh_prefix_gso
+    seen = {"refreshes": 0, "positions": 0, "computed": 0}
+
+    def fresh(state, prefix, strict):
+        gram = state.current_gram()
+        return generalized_gso(gram, prefix, frozenset()) if strict else auto_gso(gram, prefix)
+
+    def refresh(self, prefix, strict=False):
+        try:
+            held = original(self, prefix, strict)
+        except InadmissiblePrefixError as exc:
+            with pytest.raises(InadmissiblePrefixError) as again:
+                fresh(self, prefix, strict)
+            assert (str(again.value), again.value.index) == (str(exc), exc.index)
+            raise
+        # dataclass equality: the Gram, star vectors, denominators, norms,
+        # planes and cross products, all but the `reused` count
+        assert held == fresh(self, prefix, strict)
+        assert held is self.gso
+        seen["refreshes"] += 1
+        seen["positions"] += prefix
+        seen["computed"] += prefix - held.reused
+        return held
+
+    monkeypatch.setattr(ReducerState, "refresh_prefix_gso", refresh)
+    return seen
+
+
+def test_incremental_prefix_gso_is_exact(checked_refresh):
+    for g in _exactness_corpus():
+        for params in (ReducerParams(), ReducerParams(sign_strategy=False)):
+            before = checked_refresh["computed"]
+            r = reduce(g, params)
+            assert g.congruence(r.transform) == r.reduced
+            assert r.stats.gso_positions == checked_refresh["computed"] - before
+        try:
+            reduce_baseline(g)
+        except LatticeError:
+            pass
+    assert checked_refresh["refreshes"] > 1000
+    # rebuilding every prefix in full would compute `positions` star vectors
+    assert 3 * checked_refresh["computed"] < checked_refresh["positions"]
+
+
+def test_incremental_prefix_gso_keeps_fault_b(checked_refresh):
+    g = gen_hyperbolic_stack(4, [1, 2, 3, -2]).congruence(gen_random_unimodular(12, 20, 5000))
+    with pytest.raises(InadmissiblePrefixError) as exc:
+        reduce(g)
+    assert exc.value.index == 10
+    assert str(exc.value) == "inadmissible prefix: isolated isotropic star vector at position 10"
+
+
+def test_gso_positions_counts_computed_star_vectors():
+    g = GramMatrix.identity(4)
+    r = reduce(g)
+    # prefixes 0..3 of an unchanged Gram: each star vector is computed once
+    assert r.stats.loop_iterations == 4 and r.stats.gso_positions == 3
 
 
 # Known faults of the sign strategy, kept as exact reproducers until the
