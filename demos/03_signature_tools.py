@@ -25,7 +25,7 @@ g = GramMatrix([
 ])
 a = signature_via_sturm(g)
 b = signature_via_gso(g)
-print(f"  Sturm sequences:   n+ = {a.n_plus}, n- = {a.n_minus}, det = {a.nondeg_det}")
+print(f"  exact elimination: n+ = {a.n_plus}, n- = {a.n_minus}, det = {a.nondeg_det}")
 print(f"  reduction output:  n+ = {b.n_plus}, n- = {b.n_minus}, det = {b.nondeg_det}")
 
 print()

@@ -1,9 +1,10 @@
 """Lattice invariants and verifications independent of the reducer.
 
 Kernel splitting via integer column elimination, signature counting
-both through the reduction output and through exact Sturm sequences on
-the characteristic polynomial, quality-bound checking, the Hermitian
-doubling embedding, and the hyperbolic-plane removal basis change.
+both through the reduction output and through exact fraction-free
+congruence elimination (Sylvester's law of inertia), quality-bound
+checking, the Hermitian doubling embedding, and the hyperbolic-plane
+removal basis change.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ from math import lcm
 
 from .errors import InternalInvariantError
 from .gram import GramMatrix, auto_gso, mat_identity
-from .numerics import Rational, sign
+from .numerics import Rational
 from .reducer import ReducerParams, ReductionResult, reduce
 
 
@@ -93,14 +94,15 @@ def kernel_split(gram: GramMatrix) -> KernelSplit:
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial and Sturm counting
+# exact inertia
 # ---------------------------------------------------------------------------
 
 
 def char_poly(gram: GramMatrix) -> list[Fraction]:
     """Coefficients of det(x*I - G), constant term first (exact).
 
-    Faddeev-LeVerrier recursion over rationals.
+    Faddeev-LeVerrier recursion over rationals.  The signature oracle
+    does not use it; the tests check that oracle against it.
     """
     d = gram.dim
     g = [[Fraction(x) for x in row] for row in gram.rows]
@@ -114,76 +116,45 @@ def char_poly(gram: GramMatrix) -> list[Fraction]:
     return list(reversed(cs))
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _congruent_leading_minors(a: list[list[int]]) -> list[int]:
+    """Leading principal minors D_1..D_r of an integer matrix congruent
+    to the nonsingular symmetric `a`, by fraction-free (Bareiss)
+    symmetric elimination; `a` is overwritten.
 
-
-def _poly_deriv(p: list[Fraction]) -> list[Fraction]:
-    return [p[i] * i for i in range(1, len(p))]
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = _poly_trim(num[:])
-    dlen = len(den)
-    q = [Fraction(0)] * max(0, len(num) - dlen + 1)
-    while len(num) >= dlen:
-        coef = num[-1] / den[-1]
-        shift = len(num) - dlen
-        q[shift] = coef
-        for i, dc in enumerate(den):
-            num[shift + i] -= coef * dc
-        num.pop()
-        _poly_trim(num)
-    return q, num
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _poly_trim(a[:]), _poly_trim(b[:])
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a
-
-
-def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
-    chain = [p[:], _poly_deriv(p)]
-    while len(chain[-1]) > 1:
-        _, r = _poly_divmod(chain[-2][:], chain[-1])
-        if not r:
-            break
-        chain.append([-x for x in r])
-    return [c for c in chain if c]
-
-
-def _sign_changes(values: list[int]) -> int:
-    seq = [v for v in values if v != 0]
-    return sum(1 for x, y in zip(seq, seq[1:]) if x * y < 0)
-
-
-def _eval_sign_at_zero(p: list[Fraction]) -> int:
-    return sign(p[0]) if p else 0
-
-
-def _sign_at_infinity(p: list[Fraction], positive: bool) -> int:
-    lead = p[-1]
-    n = len(p) - 1
-    if positive:
-        return sign(lead)
-    return sign(lead) * (1 if n % 2 == 0 else -1)
-
-
-def _count_roots_half_lines(p: list[Fraction]) -> tuple[int, int]:
-    """Distinct real roots of squarefree p in (0, inf) and (-inf, 0)."""
-    chain = _sturm_chain(p)
-    v_zero = _sign_changes([_eval_sign_at_zero(c) for c in chain])
-    v_pos = _sign_changes([_sign_at_infinity(c, True) for c in chain])
-    v_neg = _sign_changes([_sign_at_infinity(c, False) for c in chain])
-    return v_zero - v_pos, v_neg - v_zero
+    Step k pivots on a remaining nonzero diagonal entry, moved to place
+    k by a symmetric swap.  When every remaining diagonal entry is zero,
+    the unimodular step e_i += e_j with a_ij != 0 first makes the new
+    a_ii = 2 a_ij.  Both congruences act only on indices k and up, where
+    the Bareiss entries are bordered minors and so transform the same
+    way; D_1..D_k stay as found and D_r = det(a).
+    """
+    r = len(a)
+    minors = []
+    prev = 1
+    for k in range(r):
+        p = next((i for i in range(k, r) if a[i][i]), None)
+        if p is None:
+            p, j = next(((i, j) for i in range(k, r) for j in range(i + 1, r) if a[i][j]), (None, None))
+            if p is None:
+                raise InternalInvariantError("singular block in the inertia count")
+            ap, aj = a[p], a[j]
+            for t in range(k, r):
+                ap[t] += aj[t]
+            for row in a[k:]:
+                row[p] += row[j]
+        a[k], a[p] = a[p], a[k]
+        for row in a[k:]:
+            row[k], row[p] = row[p], row[k]
+        ak = a[k]
+        piv = ak[k]
+        for i in range(k + 1, r):
+            ai = a[i]
+            aik = ai[k]
+            for j in range(i, r):
+                ai[j] = a[j][i] = (ai[j] * piv - aik * ak[j]) // prev
+        minors.append(piv)
+        prev = piv
+    return minors
 
 
 def _integral_scale(gram: GramMatrix) -> tuple[GramMatrix, Fraction]:
@@ -198,35 +169,24 @@ def _integral_scale(gram: GramMatrix) -> tuple[GramMatrix, Fraction]:
 def signature_via_sturm(gram: GramMatrix) -> LatticeInvariants:
     """Count positive and negative eigenvalues exactly.
 
-    Builds the characteristic polynomial, strips the zero eigenvalues,
-    peels square-free layers so multiplicities are respected, and
-    counts the roots on each half line via Sturm sequences.  The
-    nondegenerate determinant comes from the integer kernel split.
+    By Sylvester's law of inertia any congruent matrix has the same
+    counts.  Rational input is scaled to integral, the integer kernel
+    split gives the rank and a nonsingular block, and fraction-free
+    symmetric elimination of that block gives the leading principal
+    minors D_1..D_rank of a congruent matrix (D_0 = 1).  The sign
+    changes of this Sturm sequence at 0 count n_minus: the k-th
+    diagonal entry of the congruent diagonal form is D_k / D_(k-1).
+    The last minor is the block's determinant, so the nondegenerate
+    determinant is D_rank / scale^rank.
     """
-    d = gram.dim
-    p = char_poly(gram)
-    zero_mult = 0
-    while p and p[0] == 0:
-        p.pop(0)
-        zero_mult += 1
-    n_plus = n_minus = 0
-    rest = _poly_trim(p[:])
-    while rest and len(rest) > 1:
-        g = _poly_gcd(rest, _poly_deriv(rest))
-        sqfree, _ = _poly_divmod(rest, g)
-        sqfree = _poly_trim(sqfree)
-        if len(sqfree) > 1:
-            pos, neg = _count_roots_half_lines(sqfree)
-            n_plus += pos
-            n_minus += neg
-        rest = g
-    rank = d - zero_mult
-    det_nondeg = Fraction(0)
-    if rank:
-        scaled, lam = _integral_scale(gram)
-        det_nondeg = kernel_split(scaled).nondegenerate.det() / lam**rank
+    scaled, lam = _integral_scale(gram)
+    split = kernel_split(scaled)
+    minors = _congruent_leading_minors(split.nondegenerate.copy_rows())
+    n_minus = sum((x < 0) != (y < 0) for x, y in zip([1] + minors, minors))
+    rank = split.rank
+    det_nondeg = minors[-1] / lam**rank if rank else Fraction(0)
     return LatticeInvariants(
-        dim=d, rank=rank, n_plus=n_plus, n_minus=n_minus, nondeg_det=det_nondeg
+        dim=gram.dim, rank=rank, n_plus=rank - n_minus, n_minus=n_minus, nondeg_det=det_nondeg
     )
 
 

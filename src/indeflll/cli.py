@@ -259,7 +259,6 @@ def cmd_analyze(args) -> int:
     rows = load_matrix(args.file)
     gram = GramMatrix(rows)
     inv = signature_via_sturm(gram)
-    split = kernel_split(gram)
     lines = {
         "dim": inv.dim,
         "rank": inv.rank,
@@ -267,7 +266,7 @@ def cmd_analyze(args) -> int:
         "n_minus": inv.n_minus,
         "signature": inv.signature,
         "nondeg_det": format_rational(inv.nondeg_det),
-        "kernel_dim": inv.dim - split.rank,
+        "kernel_dim": inv.dim - inv.rank,
     }
     if inv.rank:
         mag = abs(inv.nondeg_det)

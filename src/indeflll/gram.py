@@ -31,7 +31,7 @@ def mat_transpose(m: list[list]) -> list[list]:
 
 
 def mat_mul(a: list[list], b: list[list]) -> list[list]:
-    n, k, p = len(a), len(b), len(b[0])
+    n, k, p = len(a), len(b), len(b[0]) if b else 0
     out = [[0] * p for _ in range(n)]
     for i in range(n):
         ai = a[i]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -13,8 +14,12 @@ from indeflll.analysis import (
     signature_via_sturm,
     verify_theorem_bound,
 )
-from indeflll.gram import GramMatrix, mat_det, mat_mul
-from indeflll.generators import gen_random_symmetric, gen_random_unimodular
+from indeflll.gram import GramMatrix, mat_det, mat_mul, mat_transpose
+from indeflll.generators import (
+    gen_hyperbolic_stack,
+    gen_random_symmetric,
+    gen_random_unimodular,
+)
 from indeflll.reducer import reduce
 
 # the closing example: diag(1,-1,1,-1) admits a transform of infinite order
@@ -31,6 +36,9 @@ def test_kernel_split_examples():
 
     ks = kernel_split(GramMatrix.identity(4))
     assert ks.rank == 4 and ks.nondegenerate == GramMatrix.identity(4)
+
+    ks = kernel_split(GramMatrix.zeros(0))
+    assert ks.rank == 0 and ks.transform == []
 
     ks = kernel_split(GramMatrix.zeros(3))
     assert ks.rank == 0 and ks.transform == [[1 if i == j else 0 for j in range(3)] for i in range(3)]
@@ -49,8 +57,6 @@ def test_kernel_split_random():
         for i in range(rk):
             for j in range(i, rk):
                 core[i][j] = core[j][i] = rng.randrange(-9, 10)
-        from indeflll.gram import mat_transpose
-
         g = GramMatrix(mat_mul(m, mat_mul(core, mat_transpose(m)))) if rk else GramMatrix.zeros(d)
         ks = kernel_split(g)
         assert abs(mat_det(ks.transform)) == 1
@@ -78,6 +84,8 @@ def test_signature_examples():
     # multiple eigenvalues are counted with multiplicity
     inv = signature_via_sturm(GramMatrix([[2, 0, 0], [0, 2, 0], [0, 0, -5]]))
     assert (inv.n_plus, inv.n_minus) == (2, 1)
+    inv = signature_via_sturm(GramMatrix.zeros(0))
+    assert (inv.dim, inv.rank, inv.n_plus, inv.n_minus, inv.nondeg_det) == (0, 0, 0, 0, 0)
     # degenerate input
     inv = signature_via_sturm(GramMatrix([[1, 1], [1, 1]]))
     assert inv.rank == 1 and inv.n_plus == 1 and inv.nondeg_det == 1
@@ -99,6 +107,78 @@ def test_signature_oracles_agree():
         assert a.nondeg_det != 0 or a.rank == 0
         if a.rank:
             assert (a.nondeg_det < 0) == (a.n_minus % 2 == 1)
+
+
+def _descartes_inertia(g: GramMatrix) -> tuple[int, int, int]:
+    """(n_plus, n_minus, rank) from the characteristic polynomial.
+
+    Descartes' rule of signs is exact for a polynomial with only real
+    roots, as a symmetric matrix's characteristic polynomial has: the
+    sign changes of p(x) count the positive roots, those of p(-x) the
+    negative ones, and the zero root's multiplicity is the number of
+    vanishing low-order coefficients.
+    """
+
+    def changes(coeffs):
+        seq = [c for c in coeffs if c != 0]
+        return sum(1 for x, y in zip(seq, seq[1:]) if (x < 0) != (y < 0))
+
+    p = char_poly(g)
+    zeros = next(i for i, c in enumerate(p) if c != 0)
+    n_plus = changes(p)
+    n_minus = changes([c if i % 2 == 0 else -c for i, c in enumerate(p)])
+    return n_plus, n_minus, g.dim - zeros
+
+
+def _cross_check_inputs():
+    for a in range(-3, 4):
+        for b in range(-3, 4):
+            for c in range(-3, 4):
+                yield GramMatrix([[a, b], [b, c]])
+    for index in range(0, 5**6, 47):
+        a11, a12, a13, a22, a23, a33 = (index // 5**k % 5 - 2 for k in range(5, -1, -1))
+        yield GramMatrix([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
+    rng = random.Random(29)
+    for _ in range(30):
+        yield gen_random_symmetric(rng.randrange(2, 9), 30, rng.randrange(10**6))
+    # zero diagonals: only the e_i += e_j step finds a pivot in the planes
+    yield gen_hyperbolic_stack(2, [1, -2])
+    yield GramMatrix([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, -1], [1, 0, -1, 0]])
+    for _ in range(20):
+        d = rng.randrange(3, 7)
+        a = [[0] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i + 1, d):
+                a[i][j] = a[j][i] = rng.randrange(-3, 4)
+        yield GramMatrix(a)
+    for n, alphas, useed in ((1, [2], 11), (2, [1, 3], 12), (3, [1, 2, -2], 13)):
+        u = gen_random_unimodular(3 * n, 10, useed)
+        yield gen_hyperbolic_stack(n, alphas).congruence(u)
+    for _ in range(20):
+        d = rng.randrange(2, 7)
+        rk = rng.randrange(0, d)
+        m = [[rng.randrange(-3, 4) for _ in range(rk)] for _ in range(d)]
+        core = [[0] * rk for _ in range(rk)]
+        for i in range(rk):
+            for j in range(i, rk):
+                core[i][j] = core[j][i] = rng.randrange(-5, 6)
+        yield GramMatrix(mat_mul(m, mat_mul(core, mat_transpose(m)))) if rk else GramMatrix.zeros(d)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    yield GramMatrix([[half, 1, 0], [1, third, -half], [0, -half, 0]])
+
+
+def test_signature_matches_descartes_on_char_poly():
+    seen = 0
+    for g in _cross_check_inputs():
+        inv = signature_via_sturm(g)
+        assert (inv.n_plus, inv.n_minus, inv.rank) == _descartes_inertia(g), g
+        assert inv.dim == g.dim
+        scale = lcm(*[Fraction(x).denominator for row in g.rows for x in row])
+        scaled = GramMatrix([[x * scale for x in row] for row in g.rows])
+        split_det = kernel_split(scaled).nondegenerate.det() / Fraction(scale) ** inv.rank
+        assert inv.nondeg_det == (split_det if inv.rank else 0), g
+        seen += 1
+    assert seen > 700
 
 
 def test_signature_invariant_under_conjugation():

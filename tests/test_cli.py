@@ -144,6 +144,10 @@ def test_cli_analyze_structured(tmp_path, capsys, monkeypatch):
     assert main(["analyze", str(f)]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["signature"] == 0 and doc["rank"] == 2
+    f.write_text("2\n1 1\n1 1\n")
+    assert main(["analyze", str(f)]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["rank"], doc["kernel_dim"], doc["nondeg_det"]) == (1, 1, "1")
 
 
 def test_cli_compare_isotropic_baseline(tmp_path, capsys):
