@@ -197,6 +197,9 @@ def build_report(name: str, gram: GramMatrix, result: ReductionResult, wall: flo
         "heuristic_holds": bound.heuristic_holds,
         "loop_iterations": result.stats.loop_iterations,
         "gso_positions": result.stats.gso_positions,
+        "walk_steps": result.stats.walk_steps,
+        "u_bits": result.stats.u_bits,
+        "g_bits": result.stats.g_bits,
         "swaps": result.stats.swaps,
         "adherent_integrations": result.stats.adherent_integrations,
         "repairs": result.stats.repairs,

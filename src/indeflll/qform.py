@@ -13,23 +13,46 @@ coefficients.  Three regimes are implemented:
   (a, r, 0) with 2|a| < r, and the hyperbolic (0, r, 0), where
   r = sqrt(disc).
 
-All engines emit determinant +1 transforms and are scale invariant.
+All engines emit determinant +1 transforms and are scale invariant, so
+they share one integer kernel.  A rational form is scaled by the lcm of
+its denominators at the boundary; the steps move plain int triples
+(a, b, c) under transforms kept as int 4-tuples (m11, m12, m21, m22).
+A walk (the rho operator of Buchmann-Vollmer, *Binary Quadratic
+Forms*, 2007) never changes the discriminant d, r = isqrt(d) or whether
+d is a square, so `IntegralWalk` computes them once; then x < sqrt(d)
+iff x <= r for integers, and floor((p + sqrt(d)) / q) = (p + r) // q
+for q > 0 (see `numerics.floor_sqrt_div`).
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import InternalInvariantError
-from .numerics import (
-    Rational,
-    ceil_frac,
-    cmp_with_sqrt,
-    floor_frac,
-    floor_mixed,
-    is_rational_square,
-    nearest_int,
-    normalize,
-)
+from .numerics import Rational, clear_denominators, is_rational_square, nearest_div, normalize
+
+Form = tuple[int, int, int]
+Mat = tuple[int, int, int, int]
+_ID: Mat = (1, 0, 0, 1)
+_SWAP: Mat = (0, 1, -1, 0)
+
+
+def _act(f: tuple, t: Mat) -> tuple:
+    """Coefficients of f(T(x, y)) for coefficients f and the entries of T."""
+    a, b, c = f
+    al, be, ga, de = t
+    return (
+        a * al * al + b * al * ga + c * ga * ga,
+        2 * a * al * be + b * (al * de + be * ga) + 2 * c * ga * de,
+        a * be * be + b * be * de + c * de * de,
+    )
+
+
+def _mul(s: Mat, t: Mat) -> Mat:
+    """s followed by t (the matrix product s @ t)."""
+    (p, q, r, u), (w, x, y, z) = s, t
+    return (p * w + q * y, p * x + q * z, r * w + u * y, r * x + u * z)
 
 
 @dataclass(frozen=True)
@@ -49,30 +72,18 @@ class Transform2:
     def det(self) -> int:
         return self.m11 * self.m22 - self.m12 * self.m21
 
+    def entries(self) -> Mat:
+        return (self.m11, self.m12, self.m21, self.m22)
+
     def compose(self, other: "Transform2") -> "Transform2":
         """self followed by other (matrix product self @ other)."""
-        return Transform2(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-        )
+        return Transform2(*_mul(self.entries(), other.entries()))
 
     def rows(self) -> list[list[int]]:
         return [[self.m11, self.m12], [self.m21, self.m22]]
 
 
 SWAP = Transform2(0, 1, -1, 0)  # (a, b, c) -> (c, -b, a)
-
-
-def translate(lam: int) -> Transform2:
-    """(a, b, c) -> (a, b + 2*lam*a, c + lam*b + lam^2*a)."""
-    return Transform2(1, lam, 0, 1)
-
-
-def translate_left(lam: int) -> Transform2:
-    """(a, b, c) -> (a + lam*b + lam^2*c, b + 2*lam*c, c)."""
-    return Transform2(1, 0, lam, 1)
 
 
 @dataclass(frozen=True)
@@ -110,12 +121,21 @@ def apply(f: BQForm, t: Transform2) -> BQForm:
     """Change of variables f(T(x, y)); requires det(T) = +-1."""
     if t.det not in (1, -1):
         raise ValueError(f"transform is not unimodular (det {t.det})")
-    a, b, c = f.a, f.b, f.c
-    al, be, ga, de = t.m11, t.m12, t.m21, t.m22
-    a2 = a * al * al + b * al * ga + c * ga * ga
-    b2 = 2 * a * al * be + b * (al * de + be * ga) + 2 * c * ga * de
-    c2 = a * be * be + b * be * de + c * de * de
-    return BQForm(a2, b2, c2)
+    return BQForm(*_act(f.coeffs(), t.entries()))
+
+
+def _unscaled(f: Form, scale: int) -> BQForm:
+    return BQForm(*f) if scale == 1 else BQForm(*(Fraction(x, scale) for x in f))
+
+
+def _step_budget(f: Form, scale: int) -> int:
+    """Steps any engine may take from f, the input times `scale`.
+
+    Each coefficient of f is a multiple of the input's numerator and
+    `scale` a multiple of every denominator, so this is never below
+    4 * (bits of the input's largest numerator or denominator) + 64.
+    """
+    return 4 * (max(x.bit_length() for x in f) + scale.bit_length()) + 64
 
 
 def is_reduced(f: BQForm) -> bool:
@@ -130,33 +150,12 @@ def is_reduced(f: BQForm) -> bool:
     reduced by convention.  disc = 0: a = b = 0.
     """
     d = f.disc
-    a, b, c = f.a, f.b, f.c
     if d < 0:
-        return abs(b) <= abs(a) <= abs(c)
+        return abs(f.b) <= abs(f.a) <= abs(f.c)
     if d == 0:
-        return a == 0 and b == 0
-    r = is_rational_square(d)
-    if r is None:
-        # |sqrt(d) - 2|a|| < b < sqrt(d), all comparisons exact
-        if cmp_with_sqrt(b, 1, d) >= 0:
-            return False
-        if cmp_with_sqrt(2 * abs(a) + b, 1, d) <= 0:  # sqrt(d) < 2|a| + b
-            return False
-        if cmp_with_sqrt(2 * abs(a) - b, 1, d) >= 0:  # 2|a| - b < sqrt(d)
-            return False
-        return True
-    if b == 0:
-        return c == -a and 2 * abs(a) == r
-    if b == r:
-        return c == 0 and 2 * abs(a) < b
-    return abs(r - 2 * abs(a)) < b < r
-
-
-def _step_budget(f: BQForm) -> int:
-    bits = 0
-    for x in f.coeffs():
-        bits = max(bits, x.numerator.bit_length(), x.denominator.bit_length())
-    return 4 * bits + 64
+        return f.a == 0 and f.b == 0
+    walk = IntegralWalk(f)
+    return walk.is_reduced(walk.start)
 
 
 def reduce_definite(f: BQForm) -> tuple[BQForm, Transform2]:
@@ -169,58 +168,161 @@ def reduce_definite(f: BQForm) -> tuple[BQForm, Transform2]:
     d = f.disc
     if d > 0:
         raise ValueError("reduce_definite requires disc <= 0")
-    t = Transform2.identity()
-    if d == 0:
-        if f.a == 0 and f.b == 0:
-            return f, t  # includes the all-zero form
-        budget = _step_budget(f)
-        while f.a != 0:
-            lam = nearest_int(Fraction(-f.b, 2 * f.a))
-            step = translate(lam).compose(SWAP)
-            f = apply(f, step)
-            t = t.compose(step)
-            budget -= 1
-            if budget < 0:
-                raise InternalInvariantError("degenerate reduction did not converge")
-        return f, t
-    budget = _step_budget(f)
-    if abs(f.a) > abs(f.c):
-        f = apply(f, SWAP)
-        t = t.compose(SWAP)
-    while True:
-        lam = nearest_int(Fraction(-f.b, 2 * f.a))
+    if d == 0 and f.a == 0 and f.b == 0:
+        return f, Transform2.identity()  # includes the all-zero form
+    (g, scale), t = clear_denominators(f.coeffs()), _ID
+    budget = _step_budget(g, scale)
+    if d < 0 and abs(f.a) > abs(f.c):
+        g, t = _act(g, _SWAP), _mul(t, _SWAP)
+    # translate b into [-|a|, |a|], then swap: while |a| > |c| (disc < 0)
+    # or until a = 0 (disc = 0)
+    while g[0] != 0:
+        lam = nearest_div(-g[1], 2 * g[0])
         if lam != 0:
-            f = apply(f, translate(lam))
-            t = t.compose(translate(lam))
-        if abs(f.a) > abs(f.c):
-            f = apply(f, SWAP)
-            t = t.compose(SWAP)
-        else:
+            g, t = _act(g, (1, lam, 0, 1)), _mul(t, (1, lam, 0, 1))
+        if d < 0 and abs(g[0]) <= abs(g[2]):
             break
+        g, t = _act(g, _SWAP), _mul(t, _SWAP)
         budget -= 1
         if budget < 0:
             raise InternalInvariantError("definite reduction did not converge")
-    return f, t
+    return _unscaled(g, scale), Transform2(*t)
 
 
-def _indefinite_delta(f: BQForm) -> int:
-    """The unique step parameter for disc > 0, c != 0.
+def _rho(f: Form, r: int) -> tuple[Form, Mat]:
+    """One step (a, b, c) -> (c, -b + 2*c*delta, a - b*delta + c*delta^2)
+    of an integral form of disc d > 0 with c != 0, r = isqrt(d).
 
-    When |c| > sqrt(disc) the target window for -b + 2*c*delta is
-    (-|c|, |c|]; otherwise it is (sqrt(disc) - 2|c|, sqrt(disc)), with
-    the upper end closed when disc is a perfect square.
+    delta puts -b + 2*c*delta into (-|c|, |c|] when |c| > sqrt(d), and
+    otherwise into (sqrt(d) - 2|c|, sqrt(d)), with the upper end closed
+    when d is a square.  So delta = sign(c) * floor((b + w) / (2|c|)),
+    with w = |c| or sqrt(d), and floor((b + sqrt(d)) / (2|c|)) is
+    (b + r) // (2|c|).  As |c| > sqrt(d) exactly when |c| > r, w may be
+    taken as max(|c|, r).
     """
-    d = f.disc
-    b, c = f.b, f.c
-    if cmp_with_sqrt(abs(c), 1, d) > 0:
-        x = Fraction(b + abs(c), 2 * c)
-        return floor_frac(x) if c > 0 else ceil_frac(x)
-    r = is_rational_square(d)
-    if r is not None:
-        x = Fraction(b + r, 2 * c)
-        return floor_frac(x) if c > 0 else ceil_frac(x)
-    n = floor_mixed(Fraction(b, 2 * c), Fraction(1, 2 * c), d)
-    return n if c > 0 else n + 1
+    a, b, c = f
+    w = abs(c)
+    delta = (b + max(w, r)) // (2 * w)
+    if c < 0:
+        delta = -delta
+    return (c, 2 * c * delta - b, a - b * delta + c * delta * delta), (0, -1, 1, delta)
+
+
+def step_toward_reduced(f: Form, r: int, square: bool) -> tuple[Form, Mat]:
+    """One move toward reducedness of an integral form of disc d > 0,
+    r = isqrt(d), square = (r * r == d): the step rule, or for a square
+    disc one move of the square-disc engine."""
+    a, b, c = f
+    if not square or (a != 0 and c != 0):
+        return _rho(f, r)
+    if c == 0:
+        # disc = b^2, so |b| plays the square root
+        if b > 0:
+            # (a, r, 0): bring a into 2|a| <= b, then shear the boundary
+            lam = nearest_div(-a, b)
+            if lam != 0:
+                step = (1, 0, lam, 1)
+            elif 2 * abs(a) == b:
+                step = (1, -1 if a > 0 else 1, 0, 1)
+            else:
+                raise InternalInvariantError(f"square-disc move called on reduced form {f}")
+        elif a == 0:
+            step = _SWAP  # (0, b, 0) with b < 0
+        else:
+            # b < 0: push b into |b| <= |a|, falling back to the swap when stuck
+            lam = nearest_div(-b, 2 * a)
+            step = (1, lam, 0, 1) if lam != 0 else _SWAP
+    else:
+        # (0, b, c): shrink c modulo b, then swap it in front
+        lam = nearest_div(-c, b)
+        step = (1, lam, 0, 1) if lam != 0 else _SWAP
+    return _act(f, step), step
+
+
+def _cycle_move(f: Form, r: int, square: bool) -> tuple[Form, Mat] | None:
+    """Continue along the cycle from a reduced indefinite form.
+
+    Non-square discs always step.  For square discs the (a, 0, -a)
+    shape alternates via the swap; the (a, r, 0) terminal shapes have
+    no further defined move and return None.
+    """
+    if f[2] != 0:
+        return _rho(f, r)
+    if f[1] == 0:
+        return _act(f, _SWAP), _SWAP
+    return None
+
+
+class IntegralWalk:
+    """The walks from a form of positive discriminant, run on `start`,
+    its integral scaling (the form times `scale`).
+
+    disc, root = isqrt(disc) and square (root * root == disc) hold for
+    every form on a walk.  Forms are int triples and transforms int
+    4-tuples relative to `start`; `steps` counts the moves taken.
+    """
+
+    __slots__ = ("start", "scale", "disc", "root", "square", "steps")
+
+    def __init__(self, f: BQForm):
+        num, self.scale = clear_denominators(f.coeffs())
+        self.start = a, b, c = tuple(num)
+        self.disc = b * b - 4 * a * c
+        if self.disc <= 0:
+            raise ValueError("indefinite reduction requires disc > 0")
+        self.root = isqrt(self.disc)
+        self.square = self.root * self.root == self.disc
+        self.steps = 0
+
+    def is_reduced(self, f: Form) -> bool:
+        """is_reduced for a form on the walk, with x < sqrt(disc) iff x <= root."""
+        (a, b, c), r = f, self.root
+        if not self.square:  # |sqrt(d) - 2|a|| < b < sqrt(d)
+            return b <= r and 2 * abs(a) - b <= r < 2 * abs(a) + b
+        if b == 0:
+            return c == -a and 2 * abs(a) == r
+        if b == r:
+            return c == 0 and 2 * abs(a) < b
+        return abs(r - 2 * abs(a)) < b < r
+
+    def descend(self) -> Iterator[tuple[Form, Mat]]:
+        """Yield each form the reduction visits, with its transform: the
+        start, every form stepped to, and last the first reduced form or
+        the first repeated one (a fixed cycle of the square-disc step
+        rule, treated as reduced by convention)."""
+        r, square, reduced = self.root, self.square, self.is_reduced
+        f, t = self.start, _ID
+        budget = _step_budget(f, self.scale)
+        seen = set()
+        while not reduced(f):
+            yield f, t
+            if f in seen:
+                return
+            seen.add(f)
+            f, step = step_toward_reduced(f, r, square)
+            t = _mul(t, step)
+            self.steps += 1
+            budget -= 1
+            if budget < 0:
+                raise InternalInvariantError("indefinite reduction exceeded its step budget")
+        yield f, t
+
+    def cycle(self, f: Form, steps: int, t: Mat = _ID) -> Iterator[tuple[Form, Mat]]:
+        """Yield up to `steps` cycle moves on from f, reached by t; a
+        square-disc terminal shape ends the walk early."""
+        r, square = self.root, self.square
+        for _ in range(steps):
+            move = _cycle_move(f, r, square)
+            if move is None:
+                return
+            f, step = move
+            t = _mul(t, step)
+            self.steps += 1
+            yield f, t
+
+    def boundary(self, f: Form, t: Mat) -> tuple[BQForm, Transform2]:
+        """f and t as the input's own form and transform."""
+        return _unscaled(f, self.scale), Transform2(*t)
 
 
 def reduce_indefinite_step(f: BQForm) -> tuple[BQForm, Transform2]:
@@ -229,70 +331,10 @@ def reduce_indefinite_step(f: BQForm) -> tuple[BQForm, Transform2]:
     Requires disc > 0 and c != 0; the square-disc terminal shapes with
     c = 0 are the caller's business.
     """
-    if f.disc <= 0:
-        raise ValueError("reduce_indefinite_step requires disc > 0")
+    walk = IntegralWalk(f)
     if f.c == 0:
         raise ValueError("step undefined for c = 0 (terminal square-disc shape)")
-    delta = _indefinite_delta(f)
-    t = Transform2(0, -1, 1, delta)
-    return apply(f, t), t
-
-
-def _square_move(f: BQForm) -> tuple[BQForm, Transform2]:
-    """One move of the square-disc engine (f not reduced, disc > 0 square)."""
-    a, b, c = f.a, f.b, f.c
-    if c == 0:
-        # disc = b^2, so |b| plays the square root
-        if b > 0:
-            # (a, r, 0): bring a into 2|a| <= b, then shear the boundary
-            lam = nearest_int(Fraction(-a, b))
-            if lam != 0:
-                t = translate_left(lam)
-                return apply(f, t), t
-            if 2 * abs(a) == b:
-                t = translate(-1 if a > 0 else 1)
-                return apply(f, t), t
-            raise InternalInvariantError(f"square-disc move called on reduced form {f}")
-        if a == 0:
-            return apply(f, SWAP), SWAP  # (0, b, 0) with b < 0
-        # b < 0: push b into |b| <= |a|, falling back to the swap when stuck
-        lam = nearest_int(Fraction(-b, 2 * a))
-        if lam != 0:
-            t = translate(lam)
-            return apply(f, t), t
-        return apply(f, SWAP), SWAP
-    if a == 0:
-        # (0, b, c): shrink c modulo b, then swap it in front
-        lam = nearest_int(Fraction(-c, b))
-        if lam != 0:
-            t = translate(lam)
-            return apply(f, t), t
-        return apply(f, SWAP), SWAP
-    return reduce_indefinite_step(f)
-
-
-def _cycle_move(f: BQForm) -> tuple[BQForm, Transform2] | None:
-    """Continue along the cycle from a reduced indefinite form.
-
-    Non-square discs always step.  For square discs the (a, 0, -a)
-    shape alternates via the swap; the (a, r, 0) terminal shapes have
-    no further defined move and return None.
-    """
-    if f.c != 0:
-        return reduce_indefinite_step(f)
-    if f.b == 0:
-        return apply(f, SWAP), SWAP
-    return None
-
-
-def step_toward_reduced(f: BQForm) -> tuple[BQForm, Transform2]:
-    """One move toward reducedness for disc > 0, covering square discs."""
-    d = f.disc
-    if d <= 0:
-        raise ValueError("step_toward_reduced requires disc > 0")
-    if is_rational_square(d) is not None:
-        return _square_move(f)
-    return reduce_indefinite_step(f)
+    return walk.boundary(*_rho(walk.start, walk.root))
 
 
 def reduce_indefinite(f: BQForm, max_extra: int = 0) -> list[tuple[BQForm, Transform2]]:
@@ -304,30 +346,9 @@ def reduce_indefinite(f: BQForm, max_extra: int = 0) -> list[tuple[BQForm, Trans
     discriminants are handled by the dedicated moves; their terminal
     (a, r, 0) shapes end the cycle walk early.
     """
-    if f.disc <= 0:
-        raise ValueError("reduce_indefinite requires disc > 0")
-    t = Transform2.identity()
-    budget = _step_budget(f)
-    seen: set[tuple[Fraction, Fraction, Fraction]] = set()
-    while not is_reduced(f):
-        key = f.coeffs()
-        if key in seen:
-            break  # square-disc fixed cycle; treated as reduced by convention
-        seen.add(key)
-        f, step = step_toward_reduced(f)
-        t = t.compose(step)
-        budget -= 1
-        if budget < 0:
-            raise InternalInvariantError("indefinite reduction exceeded its step budget")
-    trajectory = [(f, t)]
-    for _ in range(max_extra):
-        move = _cycle_move(f)
-        if move is None:
-            break
-        f, step = move
-        t = t.compose(step)
-        trajectory.append((f, t))
-    return trajectory
+    walk = IntegralWalk(f)
+    *_, (g, t) = walk.descend()
+    return [walk.boundary(g, t), *(walk.boundary(*gt) for gt in walk.cycle(g, max_extra, t))]
 
 
 def reduce_square_disc(f: BQForm) -> tuple[BQForm, Transform2]:

@@ -15,7 +15,6 @@ orthogonalized vectors.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import InadmissiblePrefixError, InternalInvariantError, IsotropicVectorError
 from .gram import (
@@ -30,23 +29,20 @@ from .gram import (
 )
 from .numerics import (
     Rational,
-    ceil_mixed,
-    cmp_with_sqrt,
-    floor_mixed,
+    ceil_sqrt_div,
+    clear_denominators,
+    floor_sqrt_div,
+    nearest_div,
     nearest_int,
     sign,
 )
 from .qform import (
     BQForm,
+    IntegralWalk,
     Transform2,
-    apply as qf_apply,
     is_reduced as qf_is_reduced,
     reduce_definite,
-    step_toward_reduced,
-    _cycle_move,
 )
-
-IMPROPER_SWAP = Transform2(0, 1, 1, 0)  # (a, b, c) -> (c, b, a), det -1
 
 
 @dataclass
@@ -94,6 +90,9 @@ class ReductionStats:
     potential_drops: int = 0
     potential_violations: int = 0
     gso_positions: int = 0  # star vectors computed by prefix GSO refreshes
+    walk_steps: int = 0  # binary-form moves of the indefinite candidate walks
+    u_bits: int = 0  # largest entry bit length of U, set at the end
+    g_bits: int = 0  # largest entry bit length of the reduced Gram
 
 
 @dataclass
@@ -248,26 +247,26 @@ class ReducerState:
 # ---------------------------------------------------------------------------
 
 
-def _cleanup_lambda(n1: Fraction, s: Fraction, n2: Fraction) -> int:
+def _cleanup_lambda(n1: Rational, s: Rational, n2: Rational) -> int:
     """Shift count for the candidate against its scalar neighbor.
 
     Ordinary size reduction when the projected block is definite or
     degenerate; otherwise the window rule that keeps indefinite blocks
     reducible (with the all-boundary square case falling back to the
-    nearest-integer choice).
+    nearest-integer choice).  The rule is scale invariant, so it runs on
+    the block with its denominators cleared.
     """
+    (n1, s, n2), _ = clear_denominators((n1, s, n2))
     disc = s * s - n1 * n2
     if disc <= 0:
-        return nearest_int(-s / n1)
+        return nearest_div(-s, n1)
     if s == 0 and n1 + n2 == 0:
         return 0
-    if n2 != 0 or cmp_with_sqrt(abs(s), 1, disc) != 0 or cmp_with_sqrt(abs(n1), 1, disc) != 0:
-        if cmp_with_sqrt(abs(n1), 1, disc) > 0:
-            return nearest_int(-s / n1)
-        if n1 > 0:
-            return floor_mixed(-s / n1, Fraction(1) / n1, disc)
-        return ceil_mixed(-s / n1, Fraction(1) / n1, disc)
-    return nearest_int(-s / n1)
+    if n1 * n1 > disc or (n2 == 0 and n1 * n1 == disc):
+        return nearest_div(-s, n1)
+    if n1 > 0:
+        return floor_sqrt_div(-s, disc, n1)
+    return ceil_sqrt_div(-s, disc, n1)
 
 
 def cleanup_size_reduce(
@@ -435,7 +434,7 @@ def integrate_adherent(state: ReducerState, k: int) -> int:
 
 
 def _indefinite_candidates(
-    form: BQForm,
+    walk: IntegralWalk,
     gamma0: Fraction,
     max_extra: int,
     want_sign: int | None,
@@ -452,89 +451,59 @@ def _indefinite_candidates(
     then reduced forms that at least do not grow the leading
     coefficient (they repair an unreduced block without raising the
     potential).  Reduced input: cycle steps only, gated on a strict
-    gamma0 gain with the right sign.
+    gamma0 gain with the right sign, up to the first repeated form (the
+    move is deterministic, so only non-gains would follow).  Candidates
+    are forms of the walk's integral scaling `walk.start`.
     """
-    # the engines are scale invariant: clear denominators once so the
-    # walk below runs on integers (much cheaper exact arithmetic)
-    scale = lcm(*[x.denominator for x in form.coeffs()])
-    if scale != 1:
-        form = form.scaled(scale)
-    a0 = abs(form.a)
-    disc = form.disc
+    start = walk.start
+    a0 = abs(start[0])
+    gain_bound, gain_den = gamma0.numerator * a0, gamma0.denominator
 
-    def sign_ok(x: Fraction) -> bool:
-        return want_sign is None or x == 0 or sign(x) != want_sign
+    def sign_ok(a: int) -> bool:
+        return want_sign is None or a * want_sign <= 0
 
-    if qf_is_reduced(form):
-        f, t = form, Transform2.identity()
-        for _ in range(max_extra):
-            move = _cycle_move(f)
-            if move is None:
+    def gamma_gain(f) -> bool:  # |a| < gamma0 * a0, in integers
+        return abs(f[0]) * gain_den < gain_bound and sign_ok(f[0])
+
+    if walk.is_reduced(start):
+        seen = {start}
+        for f, t in walk.cycle(start, max_extra):
+            if f in seen:
                 break
-            f, step = move
-            t = t.compose(step)
-            if abs(f.a) < gamma0 * a0 and sign_ok(f.a):
-                return [(f, t)]
+            if gamma_gain(f):
+                return [(BQForm(*f), Transform2(*t))]
+            seen.add(f)
         return []
 
     # unreduced input: walk to the first reduced form, noting the escape
-    f, t = form, Transform2.identity()
-    escape: tuple[BQForm, Transform2] | None = None
-    seen = set()
-    budget = 4 * max(
-        x.numerator.bit_length() + x.denominator.bit_length() for x in form.coeffs()
-    ) + 64
-    while not qf_is_reduced(f):
-        if escape is None and 2 * abs(f.a) <= a0 and sign_ok(f.a) and f.coeffs() != form.coeffs():
-            escape = (f, t)
-        key = f.coeffs()
-        if key in seen:
-            break
-        seen.add(key)
-        f, step = step_toward_reduced(f)
-        t = t.compose(step)
-        budget -= 1
-        if budget < 0:
-            raise InternalInvariantError("projected block reduction exceeded its budget")
-    if want_sign is not None and qf_is_reduced(f) and not sign_ok(f.a):
-        c = f.c
-        if c != 0 and abs(c) < gamma0 * a0 and 4 * c * c <= disc:
-            f = qf_apply(f, IMPROPER_SWAP)
-            t = t.compose(IMPROPER_SWAP)
-    walk: list[tuple[BQForm, Transform2]] = []
-    if escape is not None:
-        walk.append(escape)
-    walk.append((f, t))
-    if qf_is_reduced(f):
-        fc, tc = f, t
-        for _ in range(max_extra):
-            move = _cycle_move(fc)
-            if move is None:
-                break
-            fc, step = move
-            tc = tc.compose(step)
-            walk.append((fc, tc))
+    path = list(walk.descend())
+    f, t = path[-1]
+    reduced = walk.is_reduced(f)
+    if reduced:
+        path.pop()
+    escape = next(((g, s) for g, s in path if 2 * abs(g[0]) <= a0 and sign_ok(g[0]) and g != start),
+                  None)
+    if want_sign is not None and reduced and not sign_ok(f[0]):
+        c = f[2]
+        if c != 0 and abs(c) * gain_den < gain_bound and 4 * c * c <= walk.disc:
+            # the improper swap (a, b, c) -> (c, b, a) exchanges the columns
+            f, t = (c, f[1], f[0]), (t[1], t[0], t[3], t[2])
+            reduced = walk.is_reduced(f)
+    found = [escape] if escape is not None else []
+    found.append((f, t))
+    if reduced:
+        found += walk.cycle(f, max_extra, t)
 
-    def gamma_gain(cand: BQForm) -> bool:
-        return abs(cand.a) < gamma0 * a0 and sign_ok(cand.a)
-
-    def clears_zero_tail(cand: BQForm) -> bool:
-        return abs(cand.a) <= a0 and form.c == 0 and cand.c != 0
-
-    first = [wt for wt in walk if gamma_gain(wt[0])]
-    second = [wt for wt in walk if not gamma_gain(wt[0]) and clears_zero_tail(wt[0])]
-    repair = sorted(
-        (
-            wt
-            for wt in walk
-            if qf_is_reduced(wt[0])
-            and abs(wt[0].a) <= a0
-            and not gamma_gain(wt[0])
-            and not clears_zero_tail(wt[0])
-        ),
-        key=lambda wt: (abs(wt[0].a), 0 if sign_ok(wt[0].a) else 1),
-    )
-    return first + second + repair
+    first, second, repair = [], [], []
+    for f, t in found:
+        if gamma_gain(f):
+            first.append((f, t))
+        elif abs(f[0]) <= a0 and start[2] == 0 and f[2] != 0:
+            second.append((f, t))  # clears a zero trailing coefficient
+        elif abs(f[0]) <= a0 and walk.is_reduced(f):
+            repair.append((f, t))
+    repair.sort(key=lambda ft: (abs(ft[0][0]), not sign_ok(ft[0][0])))
+    return [(BQForm(*f), Transform2(*t)) for f, t in first + second + repair]
 
 
 def vector_reduce(state: ReducerState, k: int, rnorm: Fraction | None = None) -> int:
@@ -550,12 +519,14 @@ def vector_reduce(state: ReducerState, k: int, rnorm: Fraction | None = None) ->
     if disc_alg == 0:
         return integrate_adherent(state, k)
     want = _sign_target(state.gso, k - 2) if state.params.sign_strategy else None
-    form = BQForm(n1, 2 * s, n2)
-    candidates = _indefinite_candidates(form, state.params.gamma0, state.params.max_extra, want)
+    walk = IntegralWalk(BQForm(n1, 2 * s, n2))
+    candidates = _indefinite_candidates(walk, state.params.gamma0, state.params.max_extra, want)
+    state.stats.walk_steps += walk.steps
+    a0 = abs(walk.start[0])  # the candidates are forms of the walk's scaling
     for cand, t in candidates:
         if _place_transformed_pair(state, k, t) == -1:
-            if not (abs(cand.a) < state.params.gamma0 * abs(form.a)):
-                if form.c == 0 and cand.c != 0:
+            if not (abs(cand.a) < state.params.gamma0 * a0):
+                if walk.start[2] == 0 and cand.c != 0:
                     state.stats.worthwhile_c_zero += 1
                 else:
                     state.stats.repairs += 1
@@ -623,13 +594,9 @@ def plane_reduce(state: ReducerState, k: int, incoming_pair: bool) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _max_bits(gram: GramMatrix) -> int:
-    bits = 1
-    for row in gram.rows:
-        for x in row:
-            f = Fraction(x)
-            bits = max(bits, f.numerator.bit_length(), f.denominator.bit_length())
-    return bits
+def _max_bits(rows: list[list[int]]) -> int:
+    """Largest entry bit length of an integer matrix (0 if it is zero)."""
+    return max((abs(x).bit_length() for row in rows for x in row), default=0)
 
 
 def _track_potential(state: ReducerState, prefix: int) -> None:
@@ -689,6 +656,8 @@ def _finalize(state: ReducerState, rank: int) -> ReductionResult:
         if any(gram_out.rows[i][j] != 0 for j in range(state.d)):
             raise InternalInvariantError(f"tail row {i} is not exactly zero")
     gso = auto_gso(gram_out, rank, state.gso)
+    state.stats.u_bits = _max_bits(state.u)
+    state.stats.g_bits = _max_bits(gram_out.rows)
     return ReductionResult(
         transform=state.u,
         reduced=gram_out,
@@ -716,7 +685,7 @@ def reduce(gram: GramMatrix, params: ReducerParams | None = None) -> ReductionRe
     state = ReducerState(gram, params)
     if d == 0:
         return _finalize(state, 0)
-    cap = 1000 + 80 * d * d * _max_bits(gram)
+    cap = 1000 + 80 * d * d * max(1, _max_bits(gram.rows))
     k = 1
     rank = d
     while k <= d:
@@ -800,7 +769,7 @@ def reduce_baseline(gram: GramMatrix, gamma0: Rational = Fraction(99, 100)) -> R
     state = ReducerState(gram, params)
     if d == 0:
         return _finalize(state, 0)
-    cap = 1000 + 80 * d * d * _max_bits(gram)
+    cap = 1000 + 80 * d * d * max(1, _max_bits(gram.rows))
     k = 2
     while k <= d:
         state.stats.loop_iterations += 1

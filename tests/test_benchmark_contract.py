@@ -66,3 +66,25 @@ def test_traced_reduce_attributes_gso_work(perfbench):
     assert refreshes == r.stats.loop_iterations > 0
     assert builds >= refreshes
     assert (reducer.ReducerState.__dict__["refresh_prefix_gso"], gram.auto_gso, reducer.auto_gso) == originals
+
+
+def test_traced_reduce_counts_candidate_lists(perfbench):
+    """The benchmark's reducer.candidates_built sums len() of every
+    _indefinite_candidates result, so the result must stay a list; a
+    criterion 2 input builds candidates in some of its walks."""
+    tracing, _ = perfbench
+    from indeflll import reducer
+    from indeflll.generators import gen_random_unimodular, gen_worstcase
+
+    g = gen_worstcase(5).congruence(gen_random_unimodular(10, 30, 0))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        r = reducer.reduce(g)
+    finally:
+        tracer.uninstall()
+    span = tracer.spans["reducer.indefinite_candidates"]
+    assert span.calls > 0 and span.items > 0
+    # every counted walk step is one traced move; a cycle move may also
+    # find a terminal shape and take no step
+    assert 0 < r.stats.walk_steps <= sum(tracer.counts("qform.step_toward_reduced", "qform.cycle_move"))

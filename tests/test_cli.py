@@ -194,4 +194,7 @@ def test_cli_reduce_reports_gso_positions(tmp_path, capsys):
     f.write_text(format_matrix_text(g.rows))
     assert main(["reduce", str(f), "--out", str(tmp_path / "r.txt"), "--report", "structured"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
-    assert doc["gso_positions"] == reduce(g).stats.gso_positions > 0
+    stats = reduce(g).stats
+    assert doc["gso_positions"] == stats.gso_positions > 0
+    assert doc["walk_steps"] == stats.walk_steps > 0
+    assert doc["u_bits"] == stats.u_bits > 0 and doc["g_bits"] == stats.g_bits > 0

@@ -6,14 +6,18 @@ import pytest
 
 from indeflll.numerics import (
     ceil_mixed,
+    ceil_sqrt_div,
     cmp_with_sqrt,
     floor_mixed,
+    floor_sqrt_div,
     format_rational,
     is_rational_square,
+    nearest_div,
     nearest_int,
     parse_rational,
 )
 from indeflll.errors import ParseError
+from indeflll.qform import BQForm, reduce_indefinite_step
 
 
 def test_nearest_int_examples():
@@ -102,6 +106,51 @@ def test_floor_and_ceil_mixed():
         val = da + db * dd.sqrt()
         assert decimal.Decimal(n) <= val + decimal.Decimal("1e-40")
         assert decimal.Decimal(n + 1) > val - decimal.Decimal("1e-40")
+
+
+def _check_integer_kernel(p: int, d: int, q: int) -> None:
+    """The integer primitives against the Fraction reference."""
+    a, b = Fraction(p, q), Fraction(1, q)
+    assert floor_sqrt_div(p, d, q) == floor_mixed(a, b, d), (p, d, q)
+    assert ceil_sqrt_div(p, d, q) == ceil_mixed(a, b, d), (p, d, q)
+    assert nearest_div(p, q) == nearest_int(a), (p, q)
+
+
+def test_integer_kernel_matches_reference_on_a_box():
+    # perfect squares, d = 0 and both signs of q are all inside the box
+    for p in range(-12, 13):
+        for d in range(0, 50):
+            for q in range(-9, 10):
+                if q:
+                    _check_integer_kernel(p, d, q)
+    assert floor_sqrt_div(0, 2, -1) == -2 and ceil_sqrt_div(0, 2, -1) == -1
+    assert floor_sqrt_div(1, 9, -2) == -2 and ceil_sqrt_div(1, 9, -2) == -2
+    assert nearest_div(7, 2) == 3 and nearest_div(7, -2) == -3 and nearest_div(-1, 2) == 0
+    with pytest.raises(ValueError):
+        floor_sqrt_div(0, -1, 1)
+
+
+def test_integer_kernel_matches_reference_on_large_values():
+    rng = random.Random(2007)
+    for _ in range(300):
+        bits = rng.randrange(200, 400)
+        p = rng.randrange(-(1 << bits), 1 << bits)
+        q = rng.choice((1, -1)) * rng.randrange(1, 1 << rng.randrange(1, bits))
+        root = rng.randrange(0, 1 << bits)
+        for d in (root * root, root * root + rng.randrange(1, 2 * root + 1) if root else 1):
+            _check_integer_kernel(p, d, q)
+            _check_integer_kernel(-root, d, q)  # (p + sqrt d) / q at or near zero
+
+
+def test_integer_kernel_on_the_pathological_form():
+    # the quotients of the walk of the 19-digit form, to reducedness and on
+    f = BQForm(5133516356526721720, -2 * 5133515988396719824, 5133515620266744327)
+    d = f.disc
+    for _ in range(40):
+        a, b, c = f.coeffs()
+        for p, q in ((b, 2 * c), (b, -2 * c), (-b, 2 * a), (-b, -2 * a)):
+            _check_integer_kernel(p, d, q)
+        f, _ = reduce_indefinite_step(f)
 
 
 def test_rational_parsing_and_printing():

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+import fraction_walk as ref
 from indeflll.numerics import is_rational_square
 from indeflll.qform import (
     BQForm,
@@ -270,3 +271,54 @@ def test_cycles_close_and_alternate():
         # somewhere on the cycle the lead drops below sqrt(disc/5)
         assert any(5 * g.a * g.a <= d for g in cyc), (f, d)
         seen += 1
+
+
+def _walk_key(trajectory):
+    return [(f.coeffs(), t.rows()) for f, t in trajectory]
+
+
+def test_integer_kernel_matches_fraction_walk():
+    """Every engine equals the Fraction reference form for form and
+    transform for transform, on integral and rational forms with square
+    and non-square discriminants, large ones included."""
+    rng = random.Random(1993)
+    forms = ref.sample_forms(rng, 1200) + ref.sample_forms(rng, 200, bound=1 << 64)
+    forms.append(BQForm(5133516356526721720, -2 * 5133515988396719824, 5133515620266744327))
+    squares = 0
+    for f in forms:
+        assert is_reduced(f) == ref.is_reduced(f), f
+        for max_extra in (0, 2, 12):
+            assert _walk_key(reduce_indefinite(f, max_extra)) == _walk_key(ref.reduce_indefinite(f, max_extra)), f
+        if f.c != 0:
+            assert _walk_key([reduce_indefinite_step(f)]) == _walk_key([ref.indefinite_step(f)]), f
+        if is_rational_square(f.disc) is not None:
+            assert _walk_key([reduce_square_disc(f)]) == _walk_key(ref.reduce_indefinite(f)[:1]), f
+            squares += 1
+    assert squares > 300
+    # definite and degenerate forms, integral and rational
+    done = 0
+    while done < 600:
+        a, b, c = (Fraction(rng.randrange(-40, 41), rng.choice((1, 1, 2, 3, 7))) for _ in range(3))
+        f = BQForm(a, b, c) if done % 3 else BQForm(a * a, 2 * a * c, c * c)  # disc 0
+        if f.disc > 0:
+            continue
+        assert _walk_key([reduce_definite(f)]) == _walk_key([ref.reduce_definite(f)]), f
+        assert is_reduced(f) == ref.is_reduced(f), f
+        done += 1
+
+
+def test_criterion_6_trajectories_match_fraction_walk():
+    # the form stream of acceptance criterion 6
+    rng = random.Random(606)
+    checked = 0
+    while checked < 3000:
+        f = BQForm(rng.randrange(-100, 101), rng.randrange(-100, 101), rng.randrange(-100, 101))
+        d = f.disc
+        if d <= 0:
+            if d == 0 and not (f.a or f.b or f.c):
+                continue
+            assert _walk_key([reduce_definite(f)]) == _walk_key([ref.reduce_definite(f)])
+        else:
+            max_extra = rng.randrange(0, 4)
+            assert _walk_key(reduce_indefinite(f, max_extra)) == _walk_key(ref.reduce_indefinite(f, max_extra))
+        checked += 1

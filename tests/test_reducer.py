@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_walk as ref
+from indeflll import reducer as red
 from indeflll.analysis import verify_theorem_bound
 from indeflll.errors import InadmissiblePrefixError, IsotropicVectorError, LatticeError
 from indeflll.generators import gen_hyperbolic_stack, gen_random_unimodular, gen_worstcase
 from indeflll.gram import GramMatrix, auto_gso, generalized_gso, mat_det, mat_mul, mat_transpose
-from indeflll.qform import BQForm, is_reduced as qf_is_reduced
+from indeflll.qform import BQForm, IntegralWalk, apply as qf_apply, is_reduced as qf_is_reduced
 from indeflll.reducer import (
     ReducerParams,
     ReducerState,
@@ -386,6 +388,149 @@ def test_gso_positions_counts_computed_star_vectors():
     r = reduce(g)
     # prefixes 0..3 of an unchanged Gram: each star vector is computed once
     assert r.stats.loop_iterations == 4 and r.stats.gso_positions == 3
+
+
+@pytest.fixture(scope="module")
+def recorded_blocks():
+    """The projected forms (with the sign target) of every candidate walk
+    and the (N1, S, N2) of every clean-up rule met while reducing the
+    exactness corpus under both strategies: criterion 2 inputs, dense
+    d = 12, scrambled hyperbolic stacks and rank-deficient inputs."""
+    forms, triples = {}, set()
+    candidates, cleanup = red._indefinite_candidates, red._cleanup_lambda
+
+    def record_candidates(walk, gamma0, max_extra, want_sign):
+        forms.setdefault(walk.boundary(walk.start, (1, 0, 0, 1))[0], want_sign)
+        return candidates(walk, gamma0, max_extra, want_sign)
+
+    def record_cleanup(n1, s, n2):
+        triples.add((n1, s, n2))
+        return cleanup(n1, s, n2)
+
+    red._indefinite_candidates, red._cleanup_lambda = record_candidates, record_cleanup
+    try:
+        for g in _exactness_corpus():
+            for params in (ReducerParams(), ReducerParams(sign_strategy=False)):
+                reduce(g, params)
+    finally:
+        red._indefinite_candidates, red._cleanup_lambda = candidates, cleanup
+    return forms, triples
+
+
+def _candidate_key(candidates):
+    return [(f.coeffs(), t.rows()) for f, t in candidates]
+
+
+def test_candidates_match_fraction_walk(recorded_blocks):
+    """The integer candidate walk returns the Fraction walk's list, in its
+    order, on recorded and random blocks, for every sign target, walk
+    length and two quality factors."""
+    forms, _ = recorded_blocks
+    rng = random.Random(4242)
+    recorded = list(forms.items())
+    rational = sum(1 for f, _ in recorded if any(isinstance(x, Fraction) for x in f.coeffs()))
+    assert len(recorded) > 400 and rational > 100
+    blocks = [f for f, _ in rng.sample(recorded, 400)] + ref.sample_forms(rng, 400)
+    blocks += ref.sample_forms(rng, 40, bound=1 << 40)
+    nonempty = 0
+    for f in blocks:
+        for want in (None, 1, -1):
+            for max_extra in (0, 2, 12):
+                for gamma0 in (Fraction(99, 100), Fraction(1, 2)):
+                    got = red._indefinite_candidates(IntegralWalk(f), gamma0, max_extra, want)
+                    expected = ref.indefinite_candidates(f, gamma0, max_extra, want)
+                    assert _candidate_key(got) == _candidate_key(expected), (f, want, max_extra, gamma0)
+                    nonempty += bool(got)
+    assert nonempty > len(blocks)
+
+
+def test_cleanup_lambda_matches_fraction_rule():
+    # random blocks, with N2 = 0, N2 = -N1 and disc = 0 among them
+    rng = random.Random(8080)
+    for _ in range(3000):
+        n1 = Fraction(rng.choice((-1, 1)) * rng.randrange(1, 60), rng.randrange(1, 9))
+        s = Fraction(rng.randrange(-60, 61), rng.randrange(1, 9))
+        n2 = rng.choice((Fraction(0), -n1, s * s / n1, Fraction(rng.randrange(-60, 61), rng.randrange(1, 9))))
+        assert red._cleanup_lambda(n1, s, n2) == ref.cleanup_lambda(n1, s, n2), (n1, s, n2)
+
+
+def test_cleanup_lambda_matches_fraction_rule_on_recorded_blocks(recorded_blocks):
+    _, triples = recorded_blocks
+    assert len(triples) > 1000
+    for n1, s, n2 in triples:
+        assert red._cleanup_lambda(n1, s, n2) == ref.cleanup_lambda(n1, s, n2), (n1, s, n2)
+
+
+def test_reduced_walk_stops_at_the_first_repeated_form():
+    # (1, 2, -1) and (-1, 2, 1) make up the whole cycle of disc 8: after
+    # two moves the reduced-input walk is back at its start
+    walk = IntegralWalk(BQForm(1, 2, -1))
+    assert red._indefinite_candidates(walk, Fraction(99, 100), 12, None) == []
+    assert walk.steps == 2
+    assert ref.indefinite_candidates(BQForm(1, 2, -1), Fraction(99, 100), 12, None) == []
+
+
+def test_walk_steps_count_binary_form_moves():
+    # no indefinite block ever forms on a positive definite input
+    g = GramMatrix.identity(6).congruence(gen_random_unimodular(6, 20, 3))
+    r = reduce(g)
+    assert r.stats.swaps > 0 and r.stats.walk_steps == 0
+    # a criterion 2 input walks, and the count repeats exactly
+    w = gen_worstcase(5).congruence(gen_random_unimodular(10, 30, 0))
+    first, again = reduce(w).stats.walk_steps, reduce(w).stats.walk_steps
+    assert first == again > 0
+
+
+def test_repairs_count_kept_candidates_that_are_no_gain(monkeypatch):
+    """An indefinite swap counts as a repair (or a worthwhile c = 0
+    clearing) only when the kept candidate's lead is no gamma0 gain over
+    the block's own lead; the blocks here have rational coefficients."""
+    records, definite = [], [0]
+    candidates, place, lovasz = red._indefinite_candidates, red._place_transformed_pair, red._lovasz_definite
+
+    def record_candidates(walk, gamma0, max_extra, want_sign):
+        out = candidates(walk, gamma0, max_extra, want_sign)
+        records.append((walk.boundary(walk.start, (1, 0, 0, 1))[0], out, []))
+        return out
+
+    def record_place(state, k, t):
+        change = place(state, k, t)
+        if records and any(t is ct for _, ct in records[-1][1]):
+            records[-1][2].append(change)
+        return change
+
+    def record_lovasz(state, k, n1, s, n2):
+        before = state.stats.repairs
+        change = lovasz(state, k, n1, s, n2)
+        definite[0] += state.stats.repairs - before
+        return change
+
+    monkeypatch.setattr(red, "_indefinite_candidates", record_candidates)
+    monkeypatch.setattr(red, "_place_transformed_pair", record_place)
+    monkeypatch.setattr(red, "_lovasz_definite", record_lovasz)
+    r = reduce(gen_worstcase(5).congruence(gen_random_unimodular(10, 30, 0)))
+    kept = no_gain = rational = 0
+    for form, cands, changes in records:
+        if -1 in changes:  # placements stop at the first kept candidate
+            lead = qf_apply(form, cands[changes.index(-1)][1]).a
+            kept += 1
+            no_gain += not abs(lead) < Fraction(99, 100) * abs(form.a)
+            rational += isinstance(form.a, Fraction)
+    assert kept > 50 and rational > 10
+    assert r.stats.repairs - definite[0] + r.stats.worthwhile_c_zero == no_gain
+
+
+def test_transform_and_gram_bits_are_reported():
+    # size reduction v2 -= 5 v1 turns [[1, 5], [5, 26]] into the identity
+    r = reduce(GramMatrix([[1, 5], [5, 26]]))
+    assert r.transform == [[1, -5], [0, 1]] and r.reduced == GramMatrix.identity(2)
+    assert (r.stats.u_bits, r.stats.g_bits) == (3, 1)  # |-5| = 0b101
+    # the square-disc block (4, 0, -1) walks to the terminal shape
+    # (-1, 4, 0): U = [[0, -1], [1, -2]] and G' = [[-1, 2], [2, 0]]
+    r = reduce(GramMatrix([[4, 0], [0, -1]]), ReducerParams(sign_strategy=False))
+    assert r.transform == [[0, -1], [1, -2]] and r.reduced.rows == [[-1, 2], [2, 0]]
+    assert (r.stats.u_bits, r.stats.g_bits) == (2, 2)
+    assert reduce(GramMatrix.zeros(2)).stats.g_bits == 0
 
 
 # Known faults of the sign strategy, kept as exact reproducers until the
