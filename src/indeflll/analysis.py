@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import InternalInvariantError
-from .gram import GramMatrix, auto_gso, mat_identity
+from .errors import InadmissiblePrefixError, InternalInvariantError
+from .gram import GramMatrix, auto_gso, mat_identity, prefix_determinant
 from .numerics import Rational
 from .reducer import ReducerParams, ReductionResult, reduce
 
@@ -246,9 +246,15 @@ def verify_theorem_bound(result: ReductionResult, gram_in: GramMatrix) -> BoundR
         one = Fraction(1)
         return BoundReport(0, 0, Fraction(0), Fraction(1), Fraction(0), one, True, None,
                            Fraction(0), one, True)
-    det = result.reduced.leading(ell).det()
-    if det == 0:
-        raise InternalInvariantError("nondegenerate determinant vanished")
+    # one GSO of the leading rank block gives |det| and the signature;
+    # an admissible block is nonsingular, so a singular one is refused
+    try:
+        gso = auto_gso(result.reduced, ell)
+    except InadmissiblePrefixError:
+        if result.reduced.leading(ell).det() == 0:
+            raise InternalInvariantError("nondegenerate determinant vanished") from None
+        raise
+    det = prefix_determinant(gso, ell)
     first = abs(result.first_entry())
     sum_n = result.sum_definite_exponent()
     d_const = gamma0 * gamma0 / (gamma0 - Fraction(1, 4))
@@ -258,7 +264,7 @@ def verify_theorem_bound(result: ReductionResult, gram_in: GramMatrix) -> BoundR
     slack = rhs / lhs if lhs else None
     heur_lhs = first**ell
     # signature read off the reduced block structure
-    n_pos, n_neg = auto_gso(result.reduced, ell).sign_counts()
+    n_pos, n_neg = gso.sign_counts()
     sig = abs(n_pos - n_neg)
     heur_rhs = Fraction(4, 3) ** (sig * (sig - 1)) * abs(det)
     return BoundReport(

@@ -5,12 +5,23 @@ The GSO here tolerates consecutive isotropic-but-non-orthogonal pairs
 pair have zero star norm and a nonzero cross product, and inside an
 admissible prefix they are fully orthogonal to everything else.  Every
 other position carries a nonzero star norm.
+
+The GSO is held fraction-free, as the integral LDL^T of de Weger (1987)
+and Cohen's *Course in Computational Algebraic Number Theory*,
+Alg. 2.6.7: per position the integer determinant of the leading block
+that ends with its block, and the integer row
+lambda_{i,m} = D'_m * b(v_i, v*_m), where D'_m is the determinant before
+the block of m.  A hyperbolic plane is one 2x2 pivot, which multiplies
+the prefix determinant by -alpha^2.  Rows follow Cohen's recursion and
+every division in it is exact.  Star norms, cross products, star
+vectors and the coefficient vector theta are exact rational views of
+these integers.  A rational Gram is scaled to integers at the boundary.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from operator import mul
+from math import lcm
 
 from .errors import InadmissiblePrefixError, InternalInvariantError
 from .numerics import Rational, clear_denominators, format_rational, normalize
@@ -182,6 +193,7 @@ class AdmissibleTrace:
 # ---------------------------------------------------------------------------
 
 
+
 class Classification(Enum):
     NON_ADHERENT = "non_adherent"
     ADHERENT = "adherent"
@@ -190,31 +202,41 @@ class Classification(Enum):
 
 @dataclass
 class GsoState:
-    """Generalized Gram vectors for the leading `upto` positions.
+    """Generalized GSO of the leading `upto` positions, held in integers.
 
-    The i-th star vector is stored as an integer coordinate vector
-    star_num[i] over the common positive denominator star_den[i]
-    (coordinates are in the basis of the Gram matrix, support inside
-    positions 0..i); this keeps the hot inner products in integer
-    arithmetic.  `reused` counts the leading positions a build took over
-    from a previous state instead of computing them.
+    The integers describe the integral Gram `scale * gram` (scale is 1
+    for an integral Gram).  Write D'_m for the determinant of the
+    leading block before the block of position m (1 at the front).
+    dets[i] is the determinant of the leading block through the block of
+    position i, so both positions of a plane hold the determinant after
+    the plane.  lam[i][m] = D'_m * b(v_i, v*_m) for m <= i: at a scalar
+    position lam[i][i] = dets[i], inside a plane lam[i][i] = 0, and the
+    second position of a plane (j, j+1) holds A_j = lam[j+1][j] =
+    D'_j * alpha_j.  `reused` counts the leading positions a build took
+    over from a previous state instead of computing them.
     """
 
     gram: GramMatrix
     upto: int
-    star_num: list[list[int]]
-    star_den: list[int]
-    star_norms: list[Fraction]
+    lam: list[list[int]]
+    dets: list[int]
     bad: frozenset[int]
-    cross: dict[int, Fraction] = field(default_factory=dict)
+    scale: int = 1
     reused: int = field(default=0, compare=False)
 
     def is_scalar(self, i: int) -> bool:
         return i not in self.bad and (i - 1) not in self.bad
 
-    def star_vector(self, i: int) -> list[Fraction]:
-        den = self.star_den[i]
-        return [Fraction(n, den) for n in self.star_num[i]]
+    def before(self, i: int) -> int:
+        """D'_i, the determinant before the block of position i."""
+        i = _block_start(self.bad, i)
+        return self.dets[i - 1] if i else 1
+
+    def norm_sign(self, i: int) -> int:
+        """Sign of the star norm of position i (0 inside a plane)."""
+        if not self.is_scalar(i):
+            return 0
+        return 1 if (self.dets[i] > 0) == (self.before(i) > 0) else -1
 
     def blocks(self) -> list[TraceBlock]:
         out = []
@@ -235,9 +257,9 @@ class GsoState:
         """(positive, negative) counts of the prefix: each scalar position
         by the sign of its star norm, each hyperbolic plane once on each
         side."""
-        scalar = [self.star_norms[i] for i in range(self.upto) if self.is_scalar(i)]
+        signs = [self.norm_sign(i) for i in range(self.upto)]
         planes = len(self.bad)
-        return sum(1 for n in scalar if n > 0) + planes, sum(1 for n in scalar if n < 0) + planes
+        return signs.count(1) + planes, signs.count(-1) + planes
 
     def truncated(self, upto: int) -> "GsoState":
         """Restrict to the leading `upto` positions (no pair may split)."""
@@ -248,97 +270,188 @@ class GsoState:
         return GsoState(
             gram=self.gram,
             upto=upto,
-            star_num=[vec[:upto] for vec in self.star_num[:upto]],
-            star_den=self.star_den[:upto],
-            star_norms=self.star_norms[:upto],
+            lam=self.lam[:upto],
+            dets=self.dets[:upto],
             bad=frozenset(j for j in self.bad if j + 1 < upto),
-            cross={j: a for j, a in self.cross.items() if j + 1 < upto},
+            scale=self.scale,
         )
 
-    def star_product(self, raw_products: list, j: int) -> Fraction:
-        """b(w, star_j), given raw products b(w, v_m) (ints or Fractions)."""
-        return Fraction(self._scaled_star_product(raw_products, j), self.star_den[j])
+    # -- integer rows of a vector w, over the integral Gram -----------------
 
-    def _scaled_star_product(self, raw_products: list, j: int):
-        """star_den[j] * b(w, star_j), in the type of the raw products."""
-        return sum(map(mul, self.star_num[j], raw_products))
+    def lambda_row(self, products: list[int]) -> list[int]:
+        """lam_{w,m} = D'_m * b(w, v*_m) for every prefix position m, from
+        the integer products b(w, v_m) (entries past `upto` are ignored)."""
+        return _lambda_row(self.lam, self.dets, self.bad, products, self.upto)
+
+    def scaled_residual(self, row: list[int], norm: int) -> int:
+        """D * b(w*, w*), for the prefix determinant D, from w's lambda
+        row and the integer norm b(w, w).  Adding prefix vectors to w
+        leaves it unchanged."""
+        return _scaled_residual(self.lam, self.dets, self.bad, row, norm, self.upto)
+
+    def projected_block(self, j: int, s: int, rho: int) -> tuple[int, int, int, int]:
+        """(N1, S, N2) of the projected block of scalar position j and a
+        vector w, as integers over their positive common denominator, and
+        that denominator.
+
+        s = lam_{w,j}, and rho = dets[j] * b(w*, w*) with w* orthogonal
+        to the prefix through j.  Then N1 = dets[j] / D'_j, S = s / D'_j
+        and N2 = (rho * D'_j + s^2) / (dets[j] * D'_j), where the division
+        by dets[j] is exact.
+        """
+        p, d = self.before(j), self.dets[j]
+        n2 = (rho * p + s * s) // d
+        if p < 0:
+            return -d, -s, -n2, -p
+        return d, s, n2, p
+
+    def potential(self) -> tuple[int, int]:
+        """`local_potential` of the whole prefix as (numerator, positive
+        denominator): |dets[i]| per scalar position and |A_j|^3 / |D'_j|
+        per plane, each over its power of `scale`."""
+        num = den = 1
+        i = 0
+        while i < self.upto:
+            if i in self.bad:
+                num *= abs(self.lam[i + 1][i]) ** 3
+                den *= abs(self.before(i)) * self.scale ** (3 + 2 * i)
+                i += 2
+            else:
+                num *= abs(self.dets[i])
+                den *= self.scale ** (i + 1)
+                i += 1
+        return num, den
+
+    # -- exact rational views ----------------------------------------------
+
+    @property
+    def star_norms(self) -> list[Fraction]:
+        """b(v*_i, v*_i) per position: dets[i] / D'_i, and 0 in a plane."""
+        return [
+            Fraction(self.dets[i], self.before(i) * self.scale) if self.is_scalar(i) else Fraction(0)
+            for i in range(self.upto)
+        ]
+
+    @property
+    def cross(self) -> dict[int, Fraction]:
+        """alpha_j = b(v*_j, v*_j+1) = A_j / D'_j per plane (j, j+1)."""
+        return {j: Fraction(self.lam[j + 1][j], self.before(j) * self.scale) for j in sorted(self.bad)}
+
+    def star_vector(self, i: int) -> list[Fraction]:
+        """Coordinates of v*_i in the basis: v_i less its projection on
+        the blocks before its own."""
+        start = _block_start(self.bad, i)
+        vec = [-t for t in self._theta(self.lam[i], start)] + [Fraction(0)] * (self.upto - start)
+        vec[i] = Fraction(1)
+        return vec
 
     def theta_and_residual_norm(
         self, raw_products: list, norm
     ) -> tuple[list[Fraction], Fraction]:
         """Coefficients of w - w* in the basis, and b(w*, w*)."""
-        ps = [self.star_product(raw_products, j) for j in range(self.upto)]
-        theta = [Fraction(0)] * self.upto
-        i = 0
-        while i < self.upto:
-            if i in self.bad:
-                alpha = self.cross[i]
-                c_second = ps[i] / (alpha * self.star_den[i + 1])
-                c_first = ps[i + 1] / (alpha * self.star_den[i])
-                if c_first:
-                    for m, n in enumerate(self.star_num[i]):
-                        if n:
-                            theta[m] += c_first * n
-                if c_second:
-                    for m, n in enumerate(self.star_num[i + 1]):
-                        if n:
-                            theta[m] += c_second * n
-                i += 2
-            else:
-                mu = ps[i] / (self.star_norms[i] * self.star_den[i])
-                if mu:
-                    for m, n in enumerate(self.star_num[i]):
-                        if n:
-                            theta[m] += mu * n
-                i += 1
-        return theta, self.residual_norm(raw_products, norm)
+        products, norm, t = self._integral_products(raw_products, norm)
+        row = self.lambda_row(products)
+        theta = [x / t for x in self._theta(row, self.upto)]
+        return theta, self._residual_view(row, norm, t)
 
     def residual_norm(self, raw_products: list, norm) -> Fraction:
-        """b(w*, w*) alone, without the coefficient vector.  Adding
-        prefix vectors to w leaves it unchanged.
+        """b(w*, w*) alone, without the coefficient vector."""
+        products, norm, t = self._integral_products(raw_products, norm)
+        return self._residual_view(self.lambda_row(products), norm, t)
 
-        That is b(w, w) less b(w, star_i)^2 / N_i per scalar position
-        and 2 b(w, star_j) b(w, star_j+1) / alpha_j per plane.  The terms
-        are summed as one integer fraction, normalized once at the end.
-        """
-        num, den = 0, 1
-        i = 0
-        while i < self.upto:
-            p = self._scaled_star_product(raw_products, i)
-            if i in self.bad:
-                q = self._scaled_star_product(raw_products, i + 1)
-                alpha = self.cross[i]
-                t_num = 2 * p.numerator * q.numerator * alpha.denominator
-                t_den = p.denominator * q.denominator * self.star_den[i] * self.star_den[i + 1] * alpha.numerator
-                i += 2
+    def _integral_products(self, raw_products: list, norm) -> tuple[list[int], int, int]:
+        """The products and norm of t * w over the integral Gram, as ints,
+        and the least t > 0 that makes them integers."""
+        scaled = [x * self.scale for x in raw_products[: self.upto]]
+        nums, t = clear_denominators(scaled + [norm * self.scale])
+        return nums[:-1], nums[-1] * t, t
+
+    def _residual_view(self, row: list[int], norm: int, t: int) -> Fraction:
+        det = self.dets[-1] if self.dets else 1
+        return Fraction(self.scaled_residual(row, norm), t * t * self.scale * det)
+
+    def _star_coefficients(self, row: list[int], upto: int) -> list[Fraction]:
+        """Coefficients on v*_0 .. v*_upto-1 of the projection of a vector
+        with lambda row `row`: lam_m / dets[m] at a scalar position, and
+        lam_j+1 / A_j, lam_j / A_j across a plane (j, j+1)."""
+        out = []
+        m = 0
+        while m < upto:
+            if m in self.bad:
+                a = self.lam[m + 1][m]
+                out += [Fraction(row[m + 1], a), Fraction(row[m], a)]
+                m += 2
             else:
-                n_i = self.star_norms[i]
-                t_num = p.numerator * p.numerator * n_i.denominator
-                t_den = (p.denominator * self.star_den[i]) ** 2 * n_i.numerator
-                i += 1
-            if t_num:
-                num = num * t_den + t_num * den
-                den *= t_den
-        return Fraction(norm) - Fraction(num, den)
+                out.append(Fraction(row[m], self.dets[m]))
+                m += 1
+        return out
+
+    def _theta(self, row: list[int], upto: int) -> list[Fraction]:
+        """Coordinates in v_0 .. v_upto-1 of the same projection, by
+        back-substitution through the lambda rows (`upto` a block
+        boundary)."""
+        theta = self._star_coefficients(row, upto)
+        for k in range(upto - 1, -1, -1):
+            t = theta[k]
+            if t:
+                start = _block_start(self.bad, k)
+                for m, c in enumerate(self._star_coefficients(self.lam[k], start)):
+                    if c:
+                        theta[m] -= t * c
+        return theta
 
 
-def _num_bilinear(rows, x_num: list[int], y_num: list[int]):
-    """x_num^T * G * y_num over the raw entry type (int when integral)."""
-    total = 0
-    for i, xi in enumerate(x_num):
-        if not xi:
-            continue
-        ri = rows[i]
-        acc = 0
-        for j, yj in enumerate(y_num):
-            if yj:
-                acc += yj * ri[j]
-        total += xi * acc
-    return total
+def _block_start(bad, i: int) -> int:
+    """First position of the block of position i."""
+    return i - 1 if (i - 1) in bad else i
 
 
-def _num_row_dot(rows, i: int, num: list[int]):
-    return sum(map(mul, num, rows[i]))
+def _lambda_row(lam, dets, bad, products, upto: int) -> list[int]:
+    """Cohen's recursion for lam_{w,j}, j < upto: start from b(w, v_j) and
+    fold in each block before the block of j.  A scalar position m maps
+    u to (dets[m] u - lam_{j,m} lam_{w,m}) / D'_m; a plane (m, m+1) is one
+    2x2 pivot, u to (A (lam_{j,m+1} lam_{w,m} + lam_{j,m} lam_{w,m+1})
+    - A^2 u) / D'_m^2 with A = A_m.  Every division is exact."""
+    row: list[int] = []
+    if not bad:
+        pre = [1, *dets]
+        for j in range(upto):
+            u = products[j]
+            for d, p, a, b in zip(dets, pre, lam[j], row):
+                u = (d * u - a * b) // p
+            row.append(u)
+        return row
+    for j in range(upto):
+        u, lj, p, m = products[j], lam[j], 1, 0
+        stop = _block_start(bad, j)
+        while m < stop:
+            if m in bad:
+                a = lam[m + 1][m]
+                u = (a * (lj[m + 1] * row[m] + lj[m] * row[m + 1]) - a * a * u) // (p * p)
+                m += 2
+            else:
+                u = (dets[m] * u - lj[m] * row[m]) // p
+                m += 1
+            p = dets[m - 1]
+        row.append(u)
+    return row
+
+
+def _scaled_residual(lam, dets, bad, row: list[int], norm: int, upto: int) -> int:
+    """The same recursion on b(w, w) through every block below `upto`:
+    D * b(w*, w*) for the determinant D of that prefix."""
+    u, p, m = norm, 1, 0
+    while m < upto:
+        if m in bad:
+            a = lam[m + 1][m]
+            u = (2 * a * row[m] * row[m + 1] - a * a * u) // (p * p)
+            m += 2
+        else:
+            d = dets[m]
+            u = (d * u - row[m] * row[m]) // p
+            m += 1
+        p = dets[m - 1]
+    return u
 
 
 def _reusable(
@@ -347,11 +460,10 @@ def _reusable(
     """How many leading positions of `previous` a build of `gram` would
     reproduce exactly.
 
-    Star vector i depends only on the leading (i+1)x(i+1) block, so the
-    count stops at the first row whose leading part changed, one place
-    earlier when that would split a hyperbolic pair.  A declared bad set
-    that disagrees with the previous pairs below that point reuses
-    nothing.
+    Row i depends only on the leading (i+1)x(i+1) block, so the count
+    stops at the first row whose leading part changed, one place earlier
+    when that would split a hyperbolic pair.  A declared bad set that
+    disagrees with the previous pairs below that point reuses nothing.
     """
     if previous is None:
         return 0
@@ -368,105 +480,91 @@ def _reusable(
     return keep
 
 
+def _integral_rows(
+    gram: GramMatrix, upto: int, previous: GsoState | None, keep: int
+) -> tuple[list[list[int]], int]:
+    """The rows of `gram` scaled to integers on the leading `upto` block,
+    and the scale.  An integral previous state vouches for its leading
+    `keep` reusable positions, so only the rows after them are read."""
+    rows = gram.rows
+    first = keep if keep and previous.scale == 1 else 0
+    scale = lcm(*[x.denominator for row in rows[first:upto] for x in row[:upto]])
+    if scale != 1:
+        rows = [[x.numerator * (scale // x.denominator) for x in row[:upto]] for row in rows[:upto]]
+    return rows, scale
+
+
+def _kept_rows(previous: GsoState, keep: int, scale: int) -> tuple[list[list[int]], list[int]]:
+    """The leading `keep` rows and determinants of `previous`, for the
+    integral Gram at `scale`.  An entry that belongs to a leading block of
+    n positions scales by (scale / previous.scale)^n; the result is a
+    minor of the new integral Gram, so the division is exact."""
+    lam, dets = previous.lam[:keep], previous.dets[:keep]
+    if scale == previous.scale:
+        return lam, dets
+    bad = previous.bad
+
+    def rescale(x: int, n: int) -> int:
+        return x * scale**n // previous.scale**n
+
+    lam = [[rescale(x, _block_start(bad, m) + 1) for m, x in enumerate(row)] for row in lam]
+    dets = [rescale(x, i + 2 if i in bad else i + 1) for i, x in enumerate(dets)]
+    return lam, dets
+
+
 def _build_gso(
     gram: GramMatrix, upto: int, declared: frozenset[int] | None, previous: GsoState | None = None
 ) -> GsoState:
-    rows = gram.rows
     keep = _reusable(previous, gram, upto, declared)
+    rows, scale = _integral_rows(gram, upto, previous, keep)
     if keep:
-        # star vectors are stored at the length of the prefix; their
-        # support ends at their own position, so resizing is exact
-        star_num = [
-            v[:upto] if len(v) >= upto else v + [0] * (upto - len(v)) for v in previous.star_num[:keep]
-        ]
-        star_den = previous.star_den[:keep]
-        norms = previous.star_norms[:keep]
+        lam, dets = _kept_rows(previous, keep, scale)
         bad = {j for j in previous.bad if j < keep}
-        cross = {j: previous.cross[j] for j in bad}
     else:
-        star_num, star_den, norms, cross, bad = [], [], [], {}, set()
-
-    def orthogonalize(i: int, pending: int | None = None) -> tuple[list[int], int]:
-        vec = [Fraction(0)] * upto
-        vec[i] = Fraction(1)
-        j = 0
-        while j < len(star_num):
-            if j == pending:
-                j += 1  # isotropic partner of a pair still being formed
-                continue
-            if j in bad:
-                alpha = cross[j]
-                p_j = Fraction(_num_row_dot(rows, i, star_num[j]), star_den[j])
-                p_j1 = Fraction(_num_row_dot(rows, i, star_num[j + 1]), star_den[j + 1])
-                f_second = p_j / (alpha * star_den[j + 1])
-                f_first = p_j1 / (alpha * star_den[j])
-                if f_second:
-                    num = star_num[j + 1]
-                    for m in range(j + 2):
-                        if num[m]:
-                            vec[m] -= f_second * num[m]
-                if f_first:
-                    num = star_num[j]
-                    for m in range(j + 1):
-                        if num[m]:
-                            vec[m] -= f_first * num[m]
-                j += 2
-            else:
-                p = _num_row_dot(rows, i, star_num[j])
-                if p:
-                    factor = Fraction(p, star_den[j]) / (norms[j] * star_den[j])
-                    num = star_num[j]
-                    for m in range(j + 1):
-                        if num[m]:
-                            vec[m] -= factor * num[m]
-                j += 1
-        return clear_denominators(vec)
-
+        lam, dets, bad = [], [], set()
     i = keep
     while i < upto:
-        num, den = orthogonalize(i)
-        norm = Fraction(_num_bilinear(rows, num, num)) / (den * den)
-        starts_pair = (i in declared) if declared is not None else (norm == 0)
+        row = _lambda_row(lam, dets, bad, rows[i], i)
+        diag = _scaled_residual(lam, dets, bad, row, rows[i][i], i)  # D'_i times the star norm
+        starts_pair = (i in declared) if declared is not None else (diag == 0)
         if not starts_pair:
-            if norm == 0:
+            if diag == 0:
                 raise InadmissiblePrefixError(
                     f"inadmissible prefix: zero star norm at position {i} outside a declared pair", i
                 )
-            star_num.append(num)
-            star_den.append(den)
-            norms.append(norm)
+            lam.append(row + [diag])
+            dets.append(diag)
             i += 1
             continue
-        if declared is not None and norm != 0:
+        pre = dets[-1] if dets else 1
+        if declared is not None and diag != 0:
+            norm = Fraction(diag, pre * scale)
             raise InadmissiblePrefixError(f"declared bad index {i} has nonzero star norm {norm}", i)
         if i + 1 >= upto:
             raise InadmissiblePrefixError(
                 f"inadmissible prefix: isolated isotropic star vector at position {i}", i
             )
-        star_num.append(num)
-        star_den.append(den)
-        norms.append(norm)
-        num2, den2 = orthogonalize(i + 1, pending=i)
-        norm2 = Fraction(_num_bilinear(rows, num2, num2)) / (den2 * den2)
-        alpha = Fraction(_num_bilinear(rows, num, num2)) / (den * den2)
-        if norm2 != 0 or alpha == 0:
+        lam.append(row + [0])
+        # the partner's row runs through position i, whose column gives A;
+        # its star norm skips the pending position i
+        partner = _lambda_row(lam, dets, bad, rows[i + 1], i + 1)
+        diag = _scaled_residual(lam, dets, bad, partner, rows[i + 1][i + 1], i)
+        a = partner[i]
+        if diag != 0 or a == 0:
             raise InadmissiblePrefixError(
                 f"inadmissible prefix: positions {i}, {i + 1} do not form a hyperbolic pair", i
             )
-        star_num.append(num2)
-        star_den.append(den2)
-        norms.append(norm2)
+        lam.append(partner + [0])
+        dets += [-(a * a) // pre] * 2
         bad.add(i)
-        cross[i] = alpha
         i += 2
     return GsoState(
         gram=gram,
         upto=upto,
-        star_num=star_num,
-        star_den=star_den,
-        star_norms=norms,
+        lam=lam,
+        dets=dets,
         bad=frozenset(bad),
-        cross=cross,
+        scale=scale,
         reused=keep,
     )
 
@@ -513,16 +611,7 @@ def prefix_determinant(state: GsoState, upto: int) -> Fraction:
         raise ValueError(f"prefix length {upto} exceeds GSO extent {state.upto}")
     if upto > 0 and (upto - 1) in state.bad:
         raise ValueError(f"cannot truncate at bad index {upto - 1}: it splits a hyperbolic pair")
-    det = Fraction(1)
-    i = 0
-    while i < upto:
-        if i in state.bad:
-            det *= -state.cross[i] ** 2
-            i += 2
-        else:
-            det *= state.star_norms[i]
-            i += 1
-    return det
+    return Fraction(state.dets[upto - 1] if upto else 1, state.scale**upto)
 
 
 def local_potential(trace: AdmissibleTrace, state: GsoState) -> Fraction:
@@ -530,19 +619,15 @@ def local_potential(trace: AdmissibleTrace, state: GsoState) -> Fraction:
 
     Empty prefix: 1.  Scalar extension: potential times |new det|.
     Hyperbolic extension with cross alpha: potential times
-    |alpha|^3 * det^2 (det of the prefix before the plane).
+    |alpha|^3 * det^2 (det of the prefix before the plane).  `trace`
+    must be the block structure of the leading positions of `state`.
     """
-    pot = Fraction(1)
-    det = Fraction(1)
-    for block in trace.blocks:
-        if block.kind is BlockKind.SCALAR:
-            det = det * state.star_norms[block.index]
-            pot = abs(det) * pot
-        else:
-            alpha = state.cross[block.index]
-            pot = abs(alpha) ** 3 * det * det * pot
-            det = det * (-(alpha**2))
-    return pot
+    prefix = state.truncated(trace.dim)
+    if trace != prefix.trace():
+        raise ValueError("the trace is not the block structure of the GSO prefix")
+    return Fraction(*prefix.potential())
+
+
 
 
 def theta_vector(prefix: GramMatrix, w_products: list[Rational]) -> list[Fraction]:

@@ -27,7 +27,7 @@ for q > 0 (see `numerics.floor_sqrt_div`).
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import InternalInvariantError
 from .numerics import Rational, clear_denominators, is_rational_square, nearest_div, normalize
@@ -265,8 +265,22 @@ class IntegralWalk:
     __slots__ = ("start", "scale", "disc", "root", "square", "steps")
 
     def __init__(self, f: BQForm):
-        num, self.scale = clear_denominators(f.coeffs())
-        self.start = a, b, c = tuple(num)
+        num, scale = clear_denominators(f.coeffs())
+        self._begin(tuple(num), scale)
+
+    @classmethod
+    def over(cls, num: Form, den: int) -> "IntegralWalk":
+        """The walk from the form num / den (an int triple over an int
+        den > 0), scaled as the constructor scales that form: the lcm of
+        the reduced denominators is den / gcd(num, den)."""
+        g = gcd(*num, den)
+        walk = cls.__new__(cls)
+        walk._begin(tuple(x // g for x in num), den // g)
+        return walk
+
+    def _begin(self, start: Form, scale: int) -> None:
+        self.start, self.scale = start, scale
+        a, b, c = start
         self.disc = b * b - 4 * a * c
         if self.disc <= 0:
             raise ValueError("indefinite reduction requires disc > 0")

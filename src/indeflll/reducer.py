@@ -23,7 +23,6 @@ from .gram import (
     GsoState,
     auto_gso,
     generalized_gso,
-    local_potential,
     mat_det,
     mat_identity,
 )
@@ -33,8 +32,6 @@ from .numerics import (
     clear_denominators,
     floor_sqrt_div,
     nearest_div,
-    nearest_int,
-    sign,
 )
 from .qform import (
     BQForm,
@@ -138,7 +135,7 @@ class ReducerState:
         self.stats = ReductionStats()
         self.gso: GsoState | None = None  # GSO of the current prefix
         self._pot_max_dim = 0
-        self._pot_last: Fraction | None = Fraction(1)
+        self._pot_last = (1, 1)  # potential as (numerator, positive denominator)
 
     # -- elementary column operations (kept congruent on gc) --------------
 
@@ -226,10 +223,6 @@ class ReducerState:
         self.stats.gso_positions += prefix - self.gso.reused
         return self.gso
 
-    def star_product(self, gso: GsoState, j: int, pos: int) -> Fraction:
-        """b(v_pos, star_j) against the current Gram."""
-        return gso.star_product(self.gc[pos], j)
-
     def raw_products(self, prefix: int, pos: int) -> list:
         return self.gc[pos][:prefix]
 
@@ -269,61 +262,84 @@ def _cleanup_lambda(n1: Rational, s: Rational, n2: Rational) -> int:
     return ceil_sqrt_div(-s, disc, n1)
 
 
+def _add_prefix_vector(
+    state: ReducerState, pos: int, row: list[int], gso: GsoState, j: int, coef: int
+) -> None:
+    """v_pos += coef * v_j for a prefix position j, keeping the lambda row
+    of v_pos exact up to position j: lam_{w,m} += coef * lam_{j,m}."""
+    state.col_addmul(pos, j, coef)
+    row[: j + 1] = [r + coef * x for r, x in zip(row, gso.lam[j])]
+
+
+def _size_reduce_below(
+    state: ReducerState, pos: int, row: list[int], gso: GsoState, top: int
+) -> None:
+    """Nearest-integer size reduction of the vector at `pos`, with lambda
+    row `row`, against the prefix positions below `top`, from the last
+    down: a scalar position j by lam_{w,j} / dets[j], a plane (j-1, j) by
+    the pair rule lam_{w,j} / A and lam_{w,j-1} / A on both cross
+    coefficients."""
+    j = top - 1
+    while j >= 0:
+        if (j - 1) in gso.bad:  # the plane (j - 1, j)
+            a = gso.lam[j][j - 1]
+            n_first = nearest_div(row[j], a)
+            n_second = nearest_div(row[j - 1], a)
+            if n_first:
+                _add_prefix_vector(state, pos, row, gso, j - 1, -n_first)
+            if n_second:
+                _add_prefix_vector(state, pos, row, gso, j, -n_second)
+            j -= 2
+        else:
+            lam = nearest_div(row[j], gso.dets[j])
+            if lam:
+                _add_prefix_vector(state, pos, row, gso, j, -lam)
+            j -= 1
+
+
 def cleanup_size_reduce(
     state: ReducerState, pos: int, gso: GsoState | None = None
-) -> tuple[Fraction, bool]:
+) -> tuple[tuple[int | None, int], bool]:
     """Size-reduce the vector at `pos` against the prefix held in `gso`.
 
     The last prefix position, when scalar, is handled by the clean-up
     rule above (anticipating that the vector lands right after it); all
     earlier scalar positions get plain nearest-integer reduction and
     hyperbolic pairs get the pair rule on both cross coefficients.
-    Adding prefix vectors leaves the residual norm b(w*, w*) unchanged,
-    so it is computed once, up front; only a zero residual can belong to
-    a prefix zero, so only then is the coefficient vector built, and a
-    prefix zero has it subtracted, leaving it exactly orthogonal to the
-    prefix.  Returns the residual norm and whether the vector is a
-    prefix zero.
+    Everything runs on the vector's integer lambda row, built once and
+    updated after each column operation.  Adding prefix vectors leaves
+    the scaled residual rho = D * b(w*, w*) unchanged, so it is computed
+    once, up front; only a zero residual can belong to a prefix zero, so
+    only then is the coefficient vector built, and a prefix zero has it
+    subtracted, leaving it exactly orthogonal to the prefix.  Returns
+    (s, rho), with s = lam_{w,j} against the last prefix position j when
+    that is scalar (else None), and whether the vector is a prefix zero.
     """
     gso = gso or state.gso
     kappa = gso.upto
-    rnorm = gso.residual_norm(state.raw_products(kappa, pos), state.gc[pos][pos])
+    w = state.gc[pos]
+    row = gso.lambda_row(w)
+    rho = gso.scaled_residual(row, w[pos])
     if kappa == 0:
-        return rnorm, rnorm == 0
-    j = kappa - 1
-    if gso.is_scalar(j):
-        n1 = gso.star_norms[j]
-        s = state.star_product(gso, j, pos)
-        n2 = rnorm + s * s / n1
-        lam = _cleanup_lambda(n1, s, n2)
+        return (None, rho), rho == 0
+    top, s = kappa, None
+    if gso.is_scalar(kappa - 1):
+        top -= 1
+        lam = _cleanup_lambda(*gso.projected_block(top, row[top], rho)[:3])
         if lam:
-            state.col_addmul(pos, j, lam)
-        j -= 1
-    while j >= 0:
-        if (j - 1) in gso.bad:  # the plane (j - 1, j)
-            alpha = gso.cross[j - 1]
-            n_first = nearest_int(state.star_product(gso, j, pos) / alpha)
-            n_second = nearest_int(state.star_product(gso, j - 1, pos) / alpha)
-            if n_first:
-                state.col_addmul(pos, j - 1, -n_first)
-            if n_second:
-                state.col_addmul(pos, j, -n_second)
-            j -= 2
-        else:
-            lam = nearest_int(state.star_product(gso, j, pos) / gso.star_norms[j])
-            if lam:
-                state.col_addmul(pos, j, -lam)
-            j -= 1
-    if rnorm != 0:
-        return rnorm, False
+            _add_prefix_vector(state, pos, row, gso, top, lam)
+        s = row[top]
+    _size_reduce_below(state, pos, row, gso, top)
+    if rho != 0:
+        return (s, rho), False
     # a prefix zero is straightened out entirely
-    theta, _ = gso.theta_and_residual_norm(state.raw_products(kappa, pos), rnorm)
+    theta, _ = gso.theta_and_residual_norm(state.raw_products(kappa, pos), w[pos])
     if not all(t.denominator == 1 for t in theta):
-        return rnorm, False
+        return (s, rho), False
     for j, tj in enumerate(theta):
         if tj:
             state.col_addmul(pos, j, -int(tj))
-    return rnorm, True
+    return (s, rho), True
 
 
 # ---------------------------------------------------------------------------
@@ -337,23 +353,25 @@ def _sign_target(gso: GsoState, prev: int) -> int | None:
     i = prev - 1
     while i >= 0:
         if gso.is_scalar(i):
-            return sign(gso.star_norms[i])
+            return gso.norm_sign(i)
         i -= 1
     return None
 
 
 def _block_data(
-    state: ReducerState, k: int, rnorm: Fraction | None = None
-) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(N1, S, N2, rnorm) of the projected block at 1-based (k-1, k)."""
+    state: ReducerState, k: int, residual: tuple[int, int] | None = None
+) -> tuple[int, int, int, int]:
+    """(N1, S, N2) of the projected block at 1-based (k-1, k) as integers
+    over their positive common denominator, and that denominator.
+    `residual` is (s, rho) of the vector at k-1 against the prefix, as
+    `cleanup_size_reduce` returns it, when already known."""
     gso = state.gso
     prev, pos = k - 2, k - 1
-    n1 = gso.star_norms[prev]
-    s = state.star_product(gso, prev, pos)
-    if rnorm is None:
-        rnorm = gso.residual_norm(state.raw_products(k - 1, pos), state.gc[pos][pos])
-    n2 = rnorm + s * s / n1
-    return n1, s, n2, rnorm
+    if residual is None:
+        w = state.gc[pos]
+        row = gso.lambda_row(w)
+        residual = row[prev], gso.scaled_residual(row, w[pos])
+    return gso.projected_block(prev, *residual)
 
 
 def _place_transformed_pair(state: ReducerState, k: int, t: Transform2) -> int:
@@ -380,21 +398,24 @@ def _place_transformed_pair(state: ReducerState, k: int, t: Transform2) -> int:
     return -1
 
 
-def _lovasz_definite(state: ReducerState, k: int, n1: Fraction, s: Fraction, n2: Fraction) -> int:
+def _lovasz_definite(state: ReducerState, k: int, n1: int, s: int, n2: int) -> int:
     """Definite projected block: size-reduce, swap on a gamma0 gain.
 
-    A strict sub-gamma0 improvement is also taken (counted as a repair)
-    so that final definite blocks satisfy |a| <= |c| exactly; each such
-    swap still strictly lowers the integer-valued potential, so the
-    loop cannot cycle on them.
+    The block (N1, S, N2) comes as integers over a positive common
+    denominator; the rounding and both comparisons are invariant under
+    it.  A strict sub-gamma0 improvement is also taken (counted as a
+    repair) so that final definite blocks satisfy |a| <= |c| exactly;
+    each such swap still strictly lowers the integer-valued potential,
+    so the loop cannot cycle on them.
     """
     prev, pos = k - 2, k - 1
-    lam = nearest_int(s / n1)
+    gamma0 = state.params.gamma0
+    lam = nearest_div(s, n1)
     n2_new = n2 - 2 * lam * s + lam * lam * n1
     if lam:
         state.col_addmul(pos, prev, -lam)
     if abs(n2_new) < abs(n1):
-        if not (abs(n2_new) < state.params.gamma0 * abs(n1)):
+        if not (abs(n2_new) * gamma0.denominator < gamma0.numerator * abs(n1)):
             state.stats.repairs += 1
         state.col_swap(prev, pos)
         state.stats.swaps += 1
@@ -417,14 +438,14 @@ def integrate_adherent(state: ReducerState, k: int) -> int:
     prev = k - 2
     if not gso.is_scalar(prev):
         raise ValueError("integrate_adherent requires a scalar neighbor position")
-    n1, s, n2, rnorm = _block_data(state, k)
-    if rnorm != 0:
+    n1, s, n2, den = _block_data(state, k)
+    if s * s != n1 * n2:  # the residual norm is not zero
         raise ValueError("integrate_adherent requires an adherent vector")
     raw = state.raw_products(k - 1, k - 1)
-    theta, _ = gso.theta_and_residual_norm(raw, Fraction(state.gc[k - 1][k - 1]))
+    theta, _ = gso.theta_and_residual_norm(raw, state.gc[k - 1][k - 1])
     if all(x.denominator == 1 for x in theta):
         raise ValueError("integrate_adherent rejects prefix zeroes")
-    form = BQForm(n1, 2 * s, n2)
+    form = BQForm(Fraction(n1, den), Fraction(2 * s, den), Fraction(n2, den))
     _, t = reduce_definite(form)
     state.stats.adherent_integrations += 1
     change = _place_transformed_pair(state, k, t)
@@ -506,26 +527,28 @@ def _indefinite_candidates(
     return [(BQForm(*f), Transform2(*t)) for f, t in first + second + repair]
 
 
-def vector_reduce(state: ReducerState, k: int, rnorm: Fraction | None = None) -> int:
-    """Reduce the projected block at (k-1, k).
+def vector_reduce(state: ReducerState, k: int, residual: tuple[int, int] | None = None) -> int:
+    """Reduce the projected block at (k-1, k); `residual` as for
+    `_block_data`.
 
     Under the sign strategy the new leading star norm is steered toward
     the sign opposite the previous scalar one.
     """
-    n1, s, n2, rnorm = _block_data(state, k, rnorm)
+    n1, s, n2, den = _block_data(state, k, residual)
     disc_alg = s * s - n1 * n2
     if disc_alg < 0:
         return _lovasz_definite(state, k, n1, s, n2)
     if disc_alg == 0:
         return integrate_adherent(state, k)
     want = _sign_target(state.gso, k - 2) if state.params.sign_strategy else None
-    walk = IntegralWalk(BQForm(n1, 2 * s, n2))
-    candidates = _indefinite_candidates(walk, state.params.gamma0, state.params.max_extra, want)
+    gamma0 = state.params.gamma0
+    walk = IntegralWalk.over((n1, 2 * s, n2), den)
+    candidates = _indefinite_candidates(walk, gamma0, state.params.max_extra, want)
     state.stats.walk_steps += walk.steps
     a0 = abs(walk.start[0])  # the candidates are forms of the walk's scaling
     for cand, t in candidates:
         if _place_transformed_pair(state, k, t) == -1:
-            if not (abs(cand.a) < state.params.gamma0 * a0):
+            if not (abs(cand.a) * gamma0.denominator < gamma0.numerator * a0):
                 if walk.start[2] == 0 and cand.c != 0:
                     state.stats.worthwhile_c_zero += 1
                 else:
@@ -546,15 +569,17 @@ def plane_reduce(state: ReducerState, k: int, incoming_pair: bool) -> int:
     a scalar vector followed by a fresh plane, and two adjacent planes.
     On any move k is set to point before the block that moved back.
     """
-    gamma_h = state.params.gamma_h
+    # gamma_h * x against y, for the integer Gram entries x and y, as
+    # gh_num * x against gh_den * y
+    gh_num, gh_den = state.params.gamma_h.numerator, state.params.gamma_h.denominator
     state.stats.plane_moves += 1
     if not incoming_pair:
         # plane at (k-3, k-2) 0-based, reported vector at k-1
         p0, p1, v = k - 3, k - 2, k - 1
-        cross = Fraction(state.gc[p0][p1])
-        alpha = Fraction(state.gc[p0][v])
-        beta = Fraction(state.gc[p1][v])
-        norm = Fraction(state.gc[v][v])
+        cross = state.gc[p0][p1]
+        alpha = state.gc[p0][v]
+        beta = state.gc[p1][v]
+        norm = state.gc[v][v]
         if alpha == 0 and beta != 0:
             state.col_swap(p0, p1)
             alpha, beta = beta, alpha
@@ -562,7 +587,7 @@ def plane_reduce(state: ReducerState, k: int, incoming_pair: bool) -> int:
             state.cyclic_shift(p0, v)
             state.stats.backward_steps += 1
             return k - 2
-        if abs(norm) < gamma_h * abs(cross):
+        if gh_den * abs(norm) < gh_num * abs(cross):
             state.cyclic_shift(p0, v)
             state.stats.backward_steps += 1
             return k - 2
@@ -570,18 +595,18 @@ def plane_reduce(state: ReducerState, k: int, incoming_pair: bool) -> int:
     prefix_plane = k >= 3 and (k - 3) in state.gso.bad
     if prefix_plane:
         # planes at (k-3, k-2) and (k-1, k) 0-based
-        alpha = Fraction(state.gc[k - 3][k - 2])
-        beta = Fraction(state.gc[k - 1][k])
-        if gamma_h * abs(alpha) > abs(beta):
+        alpha = state.gc[k - 3][k - 2]
+        beta = state.gc[k - 1][k]
+        if gh_num * abs(alpha) > gh_den * abs(beta):
             state.cyclic_shift(k - 3, k - 1)
             state.cyclic_shift(k - 2, k)
             state.stats.backward_steps += 1
             return k - 2
         return k + 2
     # scalar at k-2, plane at (k-1, k) 0-based
-    norm = Fraction(state.gc[k - 2][k - 2])
-    cross = Fraction(state.gc[k - 1][k])
-    if gamma_h * abs(norm) <= abs(cross):
+    norm = state.gc[k - 2][k - 2]
+    cross = state.gc[k - 1][k]
+    if gh_num * abs(norm) <= gh_den * abs(cross):
         return k + 2
     state.cyclic_shift(k - 2, k)
     state.cyclic_shift(k - 1, k)
@@ -602,16 +627,16 @@ def _max_bits(rows: list[list[int]]) -> int:
 def _track_potential(state: ReducerState, prefix: int) -> None:
     if prefix < state._pot_max_dim:
         return
-    pot = local_potential(state.gso.trace(), state.gso)
+    pot = state.gso.potential()
     if prefix > state._pot_max_dim:
         state._pot_max_dim = prefix
         state._pot_last = pot
         return
-    if state._pot_last is not None:
-        if pot > state._pot_last:
-            state.stats.potential_violations += 1
-        elif pot < state._pot_last:
-            state.stats.potential_drops += 1
+    (num, den), (last_num, last_den) = pot, state._pot_last
+    if num * last_den > last_num * den:
+        state.stats.potential_violations += 1
+    elif num * last_den < last_num * den:
+        state.stats.potential_drops += 1
     state._pot_last = pot
 
 
@@ -623,7 +648,7 @@ def block_kinds(gso: GsoState) -> list[str]:
     for p in range(gso.upto - 1):
         if not (gso.is_scalar(p) and gso.is_scalar(p + 1)):
             kinds.append("hyperbolic-adjacent")
-        elif sign(gso.star_norms[p]) == sign(gso.star_norms[p + 1]):
+        elif gso.norm_sign(p) == gso.norm_sign(p + 1):
             kinds.append("definite")
         else:
             kinds.append("indefinite")
@@ -633,13 +658,12 @@ def block_kinds(gso: GsoState) -> list[str]:
 def first_unreduced_block(gso: GsoState) -> int | None:
     """First position p whose scalar/scalar projected block (p, p+1)
     is not a reduced binary form, or None when every such block is."""
-    rows = gso.gram.rows
     for p in range(gso.upto - 1):
         if not (gso.is_scalar(p) and gso.is_scalar(p + 1)):
             continue
-        n1 = gso.star_norms[p]
-        s = gso.star_product(rows[p + 1], p)
-        n2 = gso.star_norms[p + 1] + s * s / n1
+        # v_p+1 against the prefix through p: lam_{p+1,p}, and rho = dets[p+1];
+        # is_reduced is invariant under the positive common denominator
+        n1, s, n2, _ = gso.projected_block(p, gso.lam[p + 1][p], gso.dets[p + 1])
         if not qf_is_reduced(BQForm(n1, 2 * s, n2)):
             return p
     return None
@@ -697,12 +721,12 @@ def reduce(gram: GramMatrix, params: ReducerParams | None = None) -> ReductionRe
         _track_potential(state, prefix)
         reported_pos = None
         reported_pair = None
-        reported_rnorm = None
+        reported_residual = None
         for i in range(prefix, d):
-            rnorm, prefix_zero = cleanup_size_reduce(state, i)
+            residual, prefix_zero = cleanup_size_reduce(state, i)
             if not prefix_zero:
                 reported_pos = i
-                reported_rnorm = rnorm
+                reported_residual = residual
                 break
             if i > prefix and state.gc[i - 1][i] != 0:
                 reported_pair = (i - 1, i)
@@ -729,7 +753,7 @@ def reduce(gram: GramMatrix, params: ReducerParams | None = None) -> ReductionRe
             if k >= 3 and (k - 3) in state.gso.bad:
                 k = plane_reduce(state, k, incoming_pair=False)
             else:
-                k = k + vector_reduce(state, k, reported_rnorm)
+                k = k + vector_reduce(state, k, reported_residual)
         else:
             state.stats.pair_reports += 1
             i, j = reported_pair
@@ -777,12 +801,12 @@ def reduce_baseline(gram: GramMatrix, gamma0: Rational = Fraction(99, 100)) -> R
             raise InternalInvariantError(f"baseline loop exceeded {cap} iterations")
         gso = _strict_gso(state, k - 1)
         pos = k - 1
-        for j in range(k - 2, -1, -1):
-            lam = nearest_int(state.star_product(gso, j, pos) / gso.star_norms[j])
-            if lam:
-                state.col_addmul(pos, j, -lam)
-        n_prev, _, proj, _ = _block_data(state, k)
-        if abs(proj) < gamma0 * abs(n_prev):
+        w = state.gc[pos]
+        row = gso.lambda_row(w)
+        rho = gso.scaled_residual(row, w[pos])
+        _size_reduce_below(state, pos, row, gso, k - 1)
+        n_prev, _, proj, _ = _block_data(state, k, (row[k - 2], rho))
+        if abs(proj) * gamma0.denominator < gamma0.numerator * abs(n_prev):
             state.col_swap(k - 2, k - 1)
             state.stats.swaps += 1
             k = max(2, k - 1)

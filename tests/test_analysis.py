@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -14,6 +15,7 @@ from indeflll.analysis import (
     signature_via_sturm,
     verify_theorem_bound,
 )
+from indeflll.errors import InadmissiblePrefixError, InternalInvariantError
 from indeflll.gram import GramMatrix, mat_det, mat_mul, mat_transpose
 from indeflll.generators import (
     gen_hyperbolic_stack,
@@ -205,6 +207,21 @@ def test_verify_theorem_bound():
         other = gen_random_symmetric(3, 10, 5)
         res = reduce(other)
         verify_theorem_bound(res, gen_random_symmetric(3, 10, 6))
+
+
+def test_verify_theorem_bound_refuses_a_singular_leading_block():
+    # a result that claims rank 2 for a rank-1 input: the leading block
+    # [[1, 0], [0, 0]] is singular, so its GSO is inadmissible
+    g = GramMatrix([[1, 1], [1, 1]])
+    res = replace(reduce(g), rank=2)
+    with pytest.raises(InternalInvariantError, match="nondegenerate determinant vanished"):
+        verify_theorem_bound(res, g)
+    # a nonsingular but inadmissible leading block keeps the GSO's error
+    h = GramMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    fake = replace(reduce(h), transform=[[1, 0, 0], [0, 1, 0], [0, 0, 1]], reduced=h)
+    with pytest.raises(InadmissiblePrefixError) as exc:
+        verify_theorem_bound(fake, h)
+    assert exc.value.index == 0
 
 
 def test_hermitian_embed():

@@ -1,9 +1,12 @@
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
-from indeflll.errors import InadmissiblePrefixError
+import fraction_gso as ref
+from indeflll.errors import InadmissiblePrefixError, LatticeError
+from indeflll.generators import gen_hyperbolic_stack, gen_random_unimodular, gen_worstcase
 from indeflll.gram import (
     Classification,
     GramMatrix,
@@ -18,6 +21,8 @@ from indeflll.gram import (
     prefix_determinant,
     theta_vector,
 )
+from indeflll.reducer import ReducerState, cleanup_size_reduce, reduce, reduce_baseline
+from test_reducer import _exactness_corpus
 
 
 def test_gram_matrix_validation():
@@ -362,3 +367,145 @@ def test_gso_from_previous_state_matches_fresh():
             declared = generalized_gso(g2, upto, fresh.bad, previous)
             assert declared == fresh
     assert reused > 100
+
+
+def _assert_same_gso(new, old, tails=()):
+    """The integral GSO `new` and the Fraction reference `old` describe the
+    same prefix, and give the same residual norm and theta for every
+    (raw products, norm) in `tails`."""
+    assert (new.upto, new.bad) == (old.upto, old.bad)
+    assert new.star_norms == old.star_norms
+    assert new.cross == old.cross
+    assert [new.star_vector(i) for i in range(new.upto)] == [old.star_vector(i) for i in range(old.upto)]
+    for upto in range(new.upto + 1):
+        if not (upto and (upto - 1) in new.bad):
+            assert prefix_determinant(new, upto) == ref.prefix_determinant(old, upto)
+    assert local_potential(new.trace(), new) == ref.local_potential(old.trace(), old)
+    for raw, norm in tails:
+        assert new.residual_norm(raw, norm) == old.residual_norm(raw, norm)
+        assert new.theta_and_residual_norm(raw, norm) == old.theta_and_residual_norm(raw, norm)
+
+
+def _tails(gram, upto):
+    return [(gram.rows[t][:upto], gram.rows[t][t]) for t in range(upto, gram.dim)]
+
+
+def _compare_build(gram, upto, declared=None, previous=(None, None), tails=()):
+    """Build the integral GSO and the reference from the same previous
+    states (auto_gso, or generalized_gso for a declared bad set), or check
+    that both refuse the prefix with the same message and index.
+    Returns the two states, or None."""
+    def build():
+        if declared is None:
+            return auto_gso(gram, upto, previous[0])
+        return generalized_gso(gram, upto, declared, previous[0])
+
+    try:
+        old = ref._build_gso(gram, upto, declared, previous[1])
+    except InadmissiblePrefixError as exc:
+        with pytest.raises(InadmissiblePrefixError) as again:
+            build()
+        assert (str(again.value), again.value.index) == (str(exc), exc.index)
+        return None
+    new = build()
+    assert new.reused == old.reused
+    _assert_same_gso(new, old, tails)
+    return new, old
+
+
+def _twin(state):
+    twin = copy.copy(state)
+    twin.restore(state.snapshot())
+    return twin
+
+
+def _check_refreshes(monkeypatch):
+    """Compare every prefix refresh of the reducer and the baseline on the
+    exactness corpus with the reference, with the residual and theta of
+    every tail vector, and size-reduce each tail vector on two copies of
+    the state, through the reducer and through the reference."""
+    original = ReducerState.refresh_prefix_gso
+    seen = {"refreshes": 0, "planes": 0, "moved": 0}
+
+    def refresh(self, prefix, strict=False):
+        gram = self.current_gram()
+        try:
+            old = ref._build_gso(gram, prefix, frozenset() if strict else None)
+        except InadmissiblePrefixError as exc:
+            with pytest.raises(InadmissiblePrefixError) as again:
+                original(self, prefix, strict)
+            assert (str(again.value), again.value.index) == (str(exc), exc.index)
+            raise
+        new = original(self, prefix, strict)
+        _assert_same_gso(new, old, _tails(gram, prefix))
+        for pos in range(prefix, self.d):
+            a, b = _twin(self), _twin(self)
+            (s, rho), zero = cleanup_size_reduce(a, pos, new)
+            rnorm, old_zero = ref.cleanup_size_reduce(b, pos, old)
+            assert (a.u, a.gc, zero) == (b.u, b.gc, old_zero)
+            assert rho == rnorm * prefix_determinant(new, prefix)
+            if s is not None:  # lam_{w,j} of the reduced vector, j the last position
+                assert s == old.star_product(b.gc[pos], prefix - 1) * prefix_determinant(new, prefix - 1)
+            seen["moved"] += a.u != self.u
+        seen["refreshes"] += 1
+        seen["planes"] += len(new.bad)
+        return new
+
+    monkeypatch.setattr(ReducerState, "refresh_prefix_gso", refresh)
+    for g in _exactness_corpus():
+        reduce(g)
+        try:
+            reduce_baseline(g)
+        except LatticeError:
+            pass
+    monkeypatch.undo()
+    assert seen["refreshes"] > 1500 and seen["planes"] > 200 and seen["moved"] > 5000
+
+
+def _rational(rng, rows, dens):
+    return GramMatrix([[Fraction(x, rng.choice(dens)) if i == j else Fraction(x, dens[-1])
+                        for j, x in enumerate(row)] for i, row in enumerate(rows)])
+
+
+def _changed(rng, gram):
+    """`gram` with some entries changed from a random row on, symmetrically."""
+    rows = gram.copy_rows()
+    for i in range(rng.randrange(0, gram.dim + 1), gram.dim):
+        for j in range(gram.dim):
+            if rng.random() < 0.5:
+                rows[i][j] = rows[j][i] = rows[i][j] + rng.randrange(-2, 3)
+    return GramMatrix(rows)
+
+
+def test_integral_gso_matches_fraction_gso(monkeypatch):
+    _check_refreshes(monkeypatch)
+    rng = random.Random(31)
+    # plain and scrambled hyperbolic stacks, planes under a unit
+    # triangular congruence, rational Grams and a scrambled worst case
+    stacks = [gen_hyperbolic_stack(n, [rng.choice((1, 2, 3, -2)) for _ in range(n)]) for n in (1, 2, 3)]
+    grams = stacks + [g.congruence(gen_random_unimodular(g.dim, 20, 40 + i)) for i, g in enumerate(stacks)]
+    grams += [_flagged_prefix(rng, rng.randrange(2, 8)) for _ in range(60)]
+    grams += [_rational(rng, _flagged_prefix(rng, 5).rows, (1, 2, 3, 6)) for _ in range(20)]
+    grams.append(gen_worstcase(3).congruence(gen_random_unimodular(6, 10, 7)))
+    planes = rational = 0
+    for g in grams:
+        full = _compare_build(g, g.dim, tails=[(row, rng.randrange(-9, 10)) for row in g.rows])
+        for upto in range(g.dim + 1):
+            pair = _compare_build(g, upto, tails=_tails(g, upto))
+            if pair is None:
+                continue
+            new, old = pair
+            planes += len(new.bad)
+            rational += new.scale != 1
+            if full is not None:
+                _assert_same_gso(full[0].truncated(upto), ref.GsoState.truncated(full[1], upto))
+            # the detected bad set declared, one plane short, one scalar too many
+            _compare_build(g, upto, new.bad)
+            if new.bad:
+                _compare_build(g, upto, new.bad - {min(new.bad)})
+            scalars = [i for i in range(upto - 1) if new.is_scalar(i)]
+            if scalars:
+                _compare_build(g, upto, new.bad | {rng.choice(scalars)})
+            # reuse from this state on a changed Gram
+            _compare_build(_changed(rng, g), rng.randrange(0, g.dim + 1), previous=pair)
+    assert planes > 150 and rational > 50

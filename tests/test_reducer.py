@@ -383,6 +383,31 @@ def test_incremental_prefix_gso_keeps_fault_b(checked_refresh):
     assert str(exc.value) == "inadmissible prefix: isolated isotropic star vector at position 10"
 
 
+def test_gso_and_size_reduction_create_no_fraction(monkeypatch):
+    """The prefix GSO of an integral Gram and the size reduction against
+    it run on integers alone."""
+    g = gen_worstcase(5).congruence(gen_random_unimodular(10, 30, 0))
+    st = ReducerState(g, ReducerParams())
+    gram = st.current_gram()
+    created = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        created.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    full = auto_gso(gram)
+    st.refresh_prefix_gso(9)
+    before = [row[:] for row in st.gc]
+    residual, prefix_zero = cleanup_size_reduce(st, 9)
+    monkeypatch.undo()
+    assert created == []
+    assert full.upto == 10 and residual[1] != 0 and not prefix_zero
+    assert st.gc != before  # the clean-up did move the vector
+    assert Fraction(5) == 5  # the counter is gone again
+
+
 def test_gso_positions_counts_computed_star_vectors():
     g = GramMatrix.identity(4)
     r = reduce(g)
@@ -395,7 +420,9 @@ def recorded_blocks():
     """The projected forms (with the sign target) of every candidate walk
     and the (N1, S, N2) of every clean-up rule met while reducing the
     exactness corpus under both strategies: criterion 2 inputs, dense
-    d = 12, scrambled hyperbolic stacks and rank-deficient inputs."""
+    d = 12, scrambled hyperbolic stacks and rank-deficient inputs.  The
+    reducer passes the clean-up blocks as integers, times their positive
+    common denominator."""
     forms, triples = {}, set()
     candidates, cleanup = red._indefinite_candidates, red._cleanup_lambda
 
@@ -458,7 +485,9 @@ def test_cleanup_lambda_matches_fraction_rule_on_recorded_blocks(recorded_blocks
     _, triples = recorded_blocks
     assert len(triples) > 1000
     for n1, s, n2 in triples:
-        assert red._cleanup_lambda(n1, s, n2) == ref.cleanup_lambda(n1, s, n2), (n1, s, n2)
+        # the reference rule divides, so it takes the block as Fractions
+        expected = ref.cleanup_lambda(Fraction(n1), Fraction(s), Fraction(n2))
+        assert red._cleanup_lambda(n1, s, n2) == expected, (n1, s, n2)
 
 
 def test_reduced_walk_stops_at_the_first_repeated_form():
