@@ -9,11 +9,10 @@ removal basis change.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import InadmissiblePrefixError, InternalInvariantError
 from .gram import GramMatrix, auto_gso, mat_identity, prefix_determinant
-from .numerics import Rational
+from .numerics import Rational, clear_denominators
 from .reducer import ReducerParams, ReductionResult, reduce
 
 
@@ -83,7 +82,7 @@ def kernel_split(gram: GramMatrix) -> KernelSplit:
         col_swap(pivot_col, active[0])
         pivot_col += 1
     rank = pivot_col
-    transformed = GramMatrix(gram.congruence(v).rows)
+    transformed = gram.congruence(v)
     for i in range(rank, d):
         if any(transformed.rows[i][j] != 0 for j in range(d)):
             raise InternalInvariantError("kernel columns did not clear")
@@ -157,13 +156,14 @@ def _congruent_leading_minors(a: list[list[int]]) -> list[int]:
     return minors
 
 
-def _integral_scale(gram: GramMatrix) -> tuple[GramMatrix, Fraction]:
-    """Scale a rational Gram matrix by a positive integer making it
-    integral; scaling preserves the signature."""
-    scale = lcm(*[Fraction(x).denominator for row in gram.rows for x in row])
+def _integral_scale(gram: GramMatrix) -> tuple[GramMatrix, int]:
+    """Scale a rational Gram matrix by the least positive integer making
+    it integral, and that integer; scaling preserves the signature."""
+    flat, scale = clear_denominators([x for row in gram.rows for x in row])
     if scale == 1:
-        return gram, Fraction(1)
-    return GramMatrix([[Fraction(x) * scale for x in row] for row in gram.rows]), Fraction(scale)
+        return gram, 1
+    d = gram.dim
+    return GramMatrix([flat[i : i + d] for i in range(0, d * d, d)]), scale
 
 
 def signature_via_sturm(gram: GramMatrix) -> LatticeInvariants:
@@ -184,7 +184,7 @@ def signature_via_sturm(gram: GramMatrix) -> LatticeInvariants:
     minors = _congruent_leading_minors(split.nondegenerate.copy_rows())
     n_minus = sum((x < 0) != (y < 0) for x, y in zip([1] + minors, minors))
     rank = split.rank
-    det_nondeg = minors[-1] / lam**rank if rank else Fraction(0)
+    det_nondeg = Fraction(minors[-1], lam**rank) if rank else Fraction(0)
     return LatticeInvariants(
         dim=gram.dim, rank=rank, n_plus=rank - n_minus, n_minus=n_minus, nondeg_det=det_nondeg
     )
@@ -196,12 +196,14 @@ def signature_via_gso(gram: GramMatrix, params: ReducerParams | None = None) -> 
     The reducer leaves an admissible leading block: scalar positions
     contribute the sign of their star norm, every hyperbolic plane
     contributes one positive and one negative eigenvalue.  Rational
-    input is scaled to integral first (the signature is unchanged).
+    input is scaled to integral first (the signature is unchanged), and
+    the same GSO gives the nondegenerate determinant.
     """
     gram, lam = _integral_scale(gram)
     res = reduce(gram, params)
-    n_plus, n_minus = auto_gso(res.reduced, res.rank).sign_counts()
-    det = res.reduced.leading(res.rank).det() / lam**res.rank if res.rank else Fraction(0)
+    gso = auto_gso(res.reduced, res.rank)
+    n_plus, n_minus = gso.sign_counts()
+    det = prefix_determinant(gso, res.rank) / lam**res.rank if res.rank else Fraction(0)
     return LatticeInvariants(
         dim=gram.dim, rank=res.rank, n_plus=n_plus, n_minus=n_minus, nondeg_det=det
     )

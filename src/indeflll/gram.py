@@ -15,15 +15,14 @@ the block of m.  A hyperbolic plane is one 2x2 pivot, which multiplies
 the prefix determinant by -alpha^2.  Rows follow Cohen's recursion and
 every division in it is exact.  Star norms, cross products, star
 vectors and the coefficient vector theta are exact rational views of
-these integers.  A rational Gram is scaled to integers at the boundary.
+these integers.  The GSO takes integral Grams only.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 
-from .errors import InadmissiblePrefixError, InternalInvariantError
+from .errors import InadmissiblePrefixError
 from .numerics import Rational, clear_denominators, format_rational, normalize
 
 
@@ -57,16 +56,17 @@ def mat_mul(a: list[list], b: list[list]) -> list[list]:
 
 
 def mat_det(rows: list[list]) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    A rational matrix is scaled to integers by one lcm of all its
+    denominators; the elimination runs on ints, and the determinant is
+    divided by the lcm's n-th power once at the end.
+    """
     n = len(rows)
     if n == 0:
         return Fraction(1)
-    scale = Fraction(1)
-    work: list[list[int]] = []
-    for row in rows:
-        num, den = clear_denominators(row)
-        scale /= den
-        work.append(num)
+    flat, den = clear_denominators([x for row in rows for x in row])
+    work = [flat[i : i + n] for i in range(0, n * n, n)]
     prev = 1
     sign_flip = 1
     for k in range(n - 1):
@@ -76,12 +76,15 @@ def mat_det(rows: list[list]) -> Fraction:
                 return Fraction(0)
             work[k], work[pivot] = work[pivot], work[k]
             sign_flip = -sign_flip
-        for i in range(k + 1, n):
+        wk = work[k]
+        piv = wk[k]
+        for wi in work[k + 1 :]:
+            wik = wi[k]
             for j in range(k + 1, n):
-                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // prev
-            work[i][k] = 0
-        prev = work[k][k]
-    return sign_flip * work[n - 1][n - 1] * scale
+                wi[j] = (wi[j] * piv - wik * wk[j]) // prev
+            wi[k] = 0
+        prev = piv
+    return Fraction(sign_flip * work[n - 1][n - 1], den**n)
 
 
 # ---------------------------------------------------------------------------
@@ -184,36 +187,26 @@ class AdmissibleTrace:
     def dim(self) -> int:
         return sum(b.width for b in self.blocks)
 
-    def extended_scalar(self) -> "AdmissibleTrace":
-        return AdmissibleTrace(self.blocks + (TraceBlock(BlockKind.SCALAR, self.dim),))
-
 
 # ---------------------------------------------------------------------------
 # generalized GSO
 # ---------------------------------------------------------------------------
 
 
-
-class Classification(Enum):
-    NON_ADHERENT = "non_adherent"
-    ADHERENT = "adherent"
-    G_ZERO = "g_zero"
-
-
 @dataclass
 class GsoState:
-    """Generalized GSO of the leading `upto` positions, held in integers.
+    """Generalized GSO of the leading `upto` positions of an integral
+    Gram, held in integers.
 
-    The integers describe the integral Gram `scale * gram` (scale is 1
-    for an integral Gram).  Write D'_m for the determinant of the
-    leading block before the block of position m (1 at the front).
-    dets[i] is the determinant of the leading block through the block of
-    position i, so both positions of a plane hold the determinant after
-    the plane.  lam[i][m] = D'_m * b(v_i, v*_m) for m <= i: at a scalar
-    position lam[i][i] = dets[i], inside a plane lam[i][i] = 0, and the
-    second position of a plane (j, j+1) holds A_j = lam[j+1][j] =
-    D'_j * alpha_j.  `reused` counts the leading positions a build took
-    over from a previous state instead of computing them.
+    Write D'_m for the determinant of the leading block before the block
+    of position m (1 at the front).  dets[i] is the determinant of the
+    leading block through the block of position i, so both positions of
+    a plane hold the determinant after the plane.  lam[i][m] =
+    D'_m * b(v_i, v*_m) for m <= i: at a scalar position lam[i][i] =
+    dets[i], inside a plane lam[i][i] = 0, and the second position of a
+    plane (j, j+1) holds A_j = lam[j+1][j] = D'_j * alpha_j.  `reused`
+    counts the leading positions a build took over from a previous state
+    instead of computing them.
     """
 
     gram: GramMatrix
@@ -221,7 +214,6 @@ class GsoState:
     lam: list[list[int]]
     dets: list[int]
     bad: frozenset[int]
-    scale: int = 1
     reused: int = field(default=0, compare=False)
 
     def is_scalar(self, i: int) -> bool:
@@ -273,7 +265,6 @@ class GsoState:
             lam=self.lam[:upto],
             dets=self.dets[:upto],
             bad=frozenset(j for j in self.bad if j + 1 < upto),
-            scale=self.scale,
         )
 
     # -- integer rows of a vector w, over the integral Gram -----------------
@@ -306,19 +297,19 @@ class GsoState:
         return d, s, n2, p
 
     def potential(self) -> tuple[int, int]:
-        """`local_potential` of the whole prefix as (numerator, positive
-        denominator): |dets[i]| per scalar position and |A_j|^3 / |D'_j|
-        per plane, each over its power of `scale`."""
+        """Inductive potential of the prefix as (numerator, positive
+        denominator).  The empty prefix has potential 1; a scalar
+        position multiplies it by |dets[i]|, the new prefix determinant,
+        and a plane (j, j+1) by |alpha_j|^3 * D'_j^2 = |A_j|^3 / |D'_j|."""
         num = den = 1
         i = 0
         while i < self.upto:
             if i in self.bad:
                 num *= abs(self.lam[i + 1][i]) ** 3
-                den *= abs(self.before(i)) * self.scale ** (3 + 2 * i)
+                den *= abs(self.before(i))
                 i += 2
             else:
                 num *= abs(self.dets[i])
-                den *= self.scale ** (i + 1)
                 i += 1
         return num, den
 
@@ -328,14 +319,14 @@ class GsoState:
     def star_norms(self) -> list[Fraction]:
         """b(v*_i, v*_i) per position: dets[i] / D'_i, and 0 in a plane."""
         return [
-            Fraction(self.dets[i], self.before(i) * self.scale) if self.is_scalar(i) else Fraction(0)
+            Fraction(self.dets[i], self.before(i)) if self.is_scalar(i) else Fraction(0)
             for i in range(self.upto)
         ]
 
     @property
     def cross(self) -> dict[int, Fraction]:
         """alpha_j = b(v*_j, v*_j+1) = A_j / D'_j per plane (j, j+1)."""
-        return {j: Fraction(self.lam[j + 1][j], self.before(j) * self.scale) for j in sorted(self.bad)}
+        return {j: Fraction(self.lam[j + 1][j], self.before(j)) for j in sorted(self.bad)}
 
     def star_vector(self, i: int) -> list[Fraction]:
         """Coordinates of v*_i in the basis: v_i less its projection on
@@ -360,15 +351,14 @@ class GsoState:
         return self._residual_view(self.lambda_row(products), norm, t)
 
     def _integral_products(self, raw_products: list, norm) -> tuple[list[int], int, int]:
-        """The products and norm of t * w over the integral Gram, as ints,
-        and the least t > 0 that makes them integers."""
-        scaled = [x * self.scale for x in raw_products[: self.upto]]
-        nums, t = clear_denominators(scaled + [norm * self.scale])
+        """The products and norm of t * w, as ints, and the least t > 0
+        that makes them integers."""
+        nums, t = clear_denominators([*raw_products[: self.upto], norm])
         return nums[:-1], nums[-1] * t, t
 
     def _residual_view(self, row: list[int], norm: int, t: int) -> Fraction:
         det = self.dets[-1] if self.dets else 1
-        return Fraction(self.scaled_residual(row, norm), t * t * self.scale * det)
+        return Fraction(self.scaled_residual(row, norm), t * t * det)
 
     def _star_coefficients(self, row: list[int], upto: int) -> list[Fraction]:
         """Coefficients on v*_0 .. v*_upto-1 of the projection of a vector
@@ -480,45 +470,16 @@ def _reusable(
     return keep
 
 
-def _integral_rows(
-    gram: GramMatrix, upto: int, previous: GsoState | None, keep: int
-) -> tuple[list[list[int]], int]:
-    """The rows of `gram` scaled to integers on the leading `upto` block,
-    and the scale.  An integral previous state vouches for its leading
-    `keep` reusable positions, so only the rows after them are read."""
-    rows = gram.rows
-    first = keep if keep and previous.scale == 1 else 0
-    scale = lcm(*[x.denominator for row in rows[first:upto] for x in row[:upto]])
-    if scale != 1:
-        rows = [[x.numerator * (scale // x.denominator) for x in row[:upto]] for row in rows[:upto]]
-    return rows, scale
-
-
-def _kept_rows(previous: GsoState, keep: int, scale: int) -> tuple[list[list[int]], list[int]]:
-    """The leading `keep` rows and determinants of `previous`, for the
-    integral Gram at `scale`.  An entry that belongs to a leading block of
-    n positions scales by (scale / previous.scale)^n; the result is a
-    minor of the new integral Gram, so the division is exact."""
-    lam, dets = previous.lam[:keep], previous.dets[:keep]
-    if scale == previous.scale:
-        return lam, dets
-    bad = previous.bad
-
-    def rescale(x: int, n: int) -> int:
-        return x * scale**n // previous.scale**n
-
-    lam = [[rescale(x, _block_start(bad, m) + 1) for m, x in enumerate(row)] for row in lam]
-    dets = [rescale(x, i + 2 if i in bad else i + 1) for i, x in enumerate(dets)]
-    return lam, dets
-
-
 def _build_gso(
     gram: GramMatrix, upto: int, declared: frozenset[int] | None, previous: GsoState | None = None
 ) -> GsoState:
     keep = _reusable(previous, gram, upto, declared)
-    rows, scale = _integral_rows(gram, upto, previous, keep)
+    # the leading `keep` rows are vouched for by the integral `previous`
+    rows = gram.rows
+    if not all(isinstance(x, int) for row in rows[keep:upto] for x in row[:upto]):
+        raise ValueError("the generalized GSO expects an integral Gram matrix")
     if keep:
-        lam, dets = _kept_rows(previous, keep, scale)
+        lam, dets = previous.lam[:keep], previous.dets[:keep]
         bad = {j for j in previous.bad if j < keep}
     else:
         lam, dets, bad = [], [], set()
@@ -538,7 +499,7 @@ def _build_gso(
             continue
         pre = dets[-1] if dets else 1
         if declared is not None and diag != 0:
-            norm = Fraction(diag, pre * scale)
+            norm = Fraction(diag, pre)
             raise InadmissiblePrefixError(f"declared bad index {i} has nonzero star norm {norm}", i)
         if i + 1 >= upto:
             raise InadmissiblePrefixError(
@@ -564,7 +525,6 @@ def _build_gso(
         lam=lam,
         dets=dets,
         bad=frozenset(bad),
-        scale=scale,
         reused=keep,
     )
 
@@ -581,7 +541,9 @@ def generalized_gso(
     or belong to a declared pair (j, j+1) with both star norms zero and
     a nonzero cross product; anything else reports an inadmissible
     prefix.  Positions that `previous` (a GSO of an earlier Gram)
-    provably shares with this one are taken over, not recomputed.
+    provably shares with this one are taken over, not recomputed.  The
+    Gram must be integral on the rows the build reads (ValueError
+    otherwise).
     """
     if upto is None:
         upto = gram.dim
@@ -611,80 +573,4 @@ def prefix_determinant(state: GsoState, upto: int) -> Fraction:
         raise ValueError(f"prefix length {upto} exceeds GSO extent {state.upto}")
     if upto > 0 and (upto - 1) in state.bad:
         raise ValueError(f"cannot truncate at bad index {upto - 1}: it splits a hyperbolic pair")
-    return Fraction(state.dets[upto - 1] if upto else 1, state.scale**upto)
-
-
-def local_potential(trace: AdmissibleTrace, state: GsoState) -> Fraction:
-    """Inductive potential of an admissible prefix.
-
-    Empty prefix: 1.  Scalar extension: potential times |new det|.
-    Hyperbolic extension with cross alpha: potential times
-    |alpha|^3 * det^2 (det of the prefix before the plane).  `trace`
-    must be the block structure of the leading positions of `state`.
-    """
-    prefix = state.truncated(trace.dim)
-    if trace != prefix.trace():
-        raise ValueError("the trace is not the block structure of the GSO prefix")
-    return Fraction(*prefix.potential())
-
-
-
-
-def theta_vector(prefix: GramMatrix, w_products: list[Rational]) -> list[Fraction]:
-    """Solve prefix * theta = w_products exactly for an admissible prefix."""
-    if prefix.dim != len(w_products):
-        raise ValueError("product vector length does not match prefix dimension")
-    state = auto_gso(prefix)
-    products = [Fraction(p) for p in w_products]
-    theta, _ = state.theta_and_residual_norm(products, Fraction(0))
-    # residual norm needs b(w, w); theta does not, so any placeholder works
-    check = [
-        sum((Fraction(prefix.rows[i][j]) * theta[j] for j in range(prefix.dim)), Fraction(0))
-        for i in range(prefix.dim)
-    ]
-    if check != products:
-        raise InternalInvariantError("theta solve failed to reproduce the products")
-    return theta
-
-
-def _prefix_products(state: GsoState, raw_products: list[Rational]) -> list[Fraction]:
-    if len(raw_products) != state.upto:
-        raise ValueError("product vector length does not match prefix dimension")
-    return [Fraction(p) for p in raw_products]
-
-
-def classify(
-    state: GsoState, raw_products: list[Rational], norm: Rational
-) -> Classification:
-    """Non-adherent, adherent, or G-zero status of an extra vector.
-
-    The vector is given through its raw products with the prefix basis
-    and its own squared norm.  Adherent means the generalized residual
-    is isotropic; a G-zero additionally has an integral coefficient
-    vector.
-    """
-    products = _prefix_products(state, raw_products)
-    if state.residual_norm(products, norm) != 0:
-        return Classification.NON_ADHERENT
-    theta, _ = state.theta_and_residual_norm(products, norm)
-    if all(t.denominator == 1 for t in theta):
-        return Classification.G_ZERO
-    return Classification.ADHERENT
-
-
-def extend_admissible(
-    trace: AdmissibleTrace,
-    state: GsoState,
-    raw_products: list[Rational],
-    norm: Rational,
-) -> tuple[AdmissibleTrace, Fraction]:
-    """Append a non-adherent vector as a scalar block.
-
-    Returns the extended trace and the new prefix determinant, which is
-    the old determinant times the residual norm of the vector.
-    """
-    residual = state.residual_norm(_prefix_products(state, raw_products), norm)
-    if residual == 0:
-        raise ValueError("cannot extend an admissible prefix by an adherent vector")
-    old_det = prefix_determinant(state, state.upto)
-    return trace.extended_scalar(), old_det * residual
+    return Fraction(state.dets[upto - 1] if upto else 1)

@@ -29,7 +29,6 @@ from .gram import (
 from .numerics import (
     Rational,
     ceil_sqrt_div,
-    clear_denominators,
     floor_sqrt_div,
     nearest_div,
 )
@@ -240,16 +239,16 @@ class ReducerState:
 # ---------------------------------------------------------------------------
 
 
-def _cleanup_lambda(n1: Rational, s: Rational, n2: Rational) -> int:
+def _cleanup_lambda(n1: int, s: int, n2: int) -> int:
     """Shift count for the candidate against its scalar neighbor.
 
     Ordinary size reduction when the projected block is definite or
     degenerate; otherwise the window rule that keeps indefinite blocks
     reducible (with the all-boundary square case falling back to the
-    nearest-integer choice).  The rule is scale invariant, so it runs on
-    the block with its denominators cleared.
+    nearest-integer choice).  The rule is scale invariant, so it takes
+    the block as integers over any positive common denominator, as
+    `GsoState.projected_block` gives it.
     """
-    (n1, s, n2), _ = clear_denominators((n1, s, n2))
     disc = s * s - n1 * n2
     if disc <= 0:
         return nearest_div(-s, n1)
@@ -438,15 +437,15 @@ def integrate_adherent(state: ReducerState, k: int) -> int:
     prev = k - 2
     if not gso.is_scalar(prev):
         raise ValueError("integrate_adherent requires a scalar neighbor position")
-    n1, s, n2, den = _block_data(state, k)
+    n1, s, n2, _ = _block_data(state, k)
     if s * s != n1 * n2:  # the residual norm is not zero
         raise ValueError("integrate_adherent requires an adherent vector")
     raw = state.raw_products(k - 1, k - 1)
     theta, _ = gso.theta_and_residual_norm(raw, state.gc[k - 1][k - 1])
     if all(x.denominator == 1 for x in theta):
         raise ValueError("integrate_adherent rejects prefix zeroes")
-    form = BQForm(Fraction(n1, den), Fraction(2 * s, den), Fraction(n2, den))
-    _, t = reduce_definite(form)
+    # the engine is scale invariant, so it takes the block times its denominator
+    _, t = reduce_definite(BQForm(n1, 2 * s, n2))
     state.stats.adherent_integrations += 1
     change = _place_transformed_pair(state, k, t)
     if change != -1:

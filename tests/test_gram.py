@@ -8,18 +8,13 @@ import fraction_gso as ref
 from indeflll.errors import InadmissiblePrefixError, LatticeError
 from indeflll.generators import gen_hyperbolic_stack, gen_random_unimodular, gen_worstcase
 from indeflll.gram import (
-    Classification,
     GramMatrix,
     auto_gso,
-    classify,
-    extend_admissible,
     generalized_gso,
-    local_potential,
     mat_det,
     mat_mul,
     mat_transpose,
     prefix_determinant,
-    theta_vector,
 )
 from indeflll.reducer import ReducerState, cleanup_size_reduce, reduce, reduce_baseline
 from test_reducer import _exactness_corpus
@@ -149,6 +144,11 @@ def test_prefix_determinant():
             if upto > 0 and (upto - 1) in st.bad:
                 continue
             assert prefix_determinant(st, upto) == mat_det([r[:upto] for r in rows[:upto]])
+            if upto < d and upto not in st.bad:
+                # a scalar extension multiplies the determinant by the
+                # residual norm of the new vector against the prefix
+                residual = st.truncated(upto).residual_norm(rows[upto][:upto], rows[upto][upto])
+                assert prefix_determinant(st, upto + 1) == prefix_determinant(st, upto) * residual != 0
         done += 1
 
 
@@ -180,26 +180,28 @@ def test_truncation_matches_fresh_gso():
 
 
 def test_local_potential_examples():
-    empty = auto_gso(GramMatrix.zeros(0))
-    assert local_potential(empty.trace(), empty) == 1
-    single = auto_gso(GramMatrix([[-7]]))
-    assert local_potential(single.trace(), single) == 7
-    plane = auto_gso(GramMatrix([[0, 5], [5, 0]]))
-    assert local_potential(plane.trace(), plane) == 125
+    def potential(st):
+        return Fraction(*st.potential())
+
+    assert potential(auto_gso(GramMatrix.zeros(0))) == 1
+    assert potential(auto_gso(GramMatrix([[-7]]))) == 7
+    assert potential(auto_gso(GramMatrix([[0, 5], [5, 0]]))) == 125
     # scalar then plane: |n| * (|alpha|^3 * n^2)
-    mixed = auto_gso(GramMatrix([[3, 0, 0], [0, 0, 2], [0, 2, 0]]))
-    assert local_potential(mixed.trace(), mixed) == 3 * 8 * 9
+    assert potential(auto_gso(GramMatrix([[3, 0, 0], [0, 0, 2], [0, 2, 0]]))) == 3 * 8 * 9
+    # a plane not orthogonal to the scalar before it: alpha = 3, D' = 2
+    assert potential(auto_gso(GramMatrix([[2, 2, 0], [2, 2, 3], [0, 3, 0]]))) == 2 * 27 * 4
 
 
-def test_theta_vector_examples():
-    assert theta_vector(GramMatrix([[2]]), [1]) == [Fraction(1, 2)]
-    assert theta_vector(GramMatrix([[0, 1], [1, 0]]), [3, 5]) == [5, 3]
-    assert theta_vector(GramMatrix([[1, 1], [1, 2]]), [0, 1]) == [-1, 1]
-    with pytest.raises(ValueError):
-        theta_vector(GramMatrix([[1]]), [1, 2])
+def _theta(gram, products):
+    """theta with gram * theta = products, from the GSO of `gram` (the
+    norm only enters the residual, so any placeholder works)."""
+    return auto_gso(gram).theta_and_residual_norm(products, 0)[0]
 
 
 def test_theta_vector_solves_system():
+    assert _theta(GramMatrix([[2]]), [1]) == [Fraction(1, 2)]
+    assert _theta(GramMatrix([[0, 1], [1, 0]]), [3, 5]) == [5, 3]
+    assert _theta(GramMatrix([[1, 1], [1, 2]]), [0, 1]) == [-1, 1]
     rng = random.Random(41)
     done = 0
     while done < 40:
@@ -214,44 +216,43 @@ def test_theta_vector_solves_system():
         except InadmissiblePrefixError:
             continue
         products = [Fraction(rng.randrange(-9, 10)) for _ in range(d)]
-        theta = theta_vector(g, products)
+        theta = _theta(g, products)
         for i in range(d):
             assert sum(Fraction(rows[i][j]) * theta[j] for j in range(d)) == products[i]
         done += 1
 
 
-def test_classify_examples():
-    one = auto_gso(GramMatrix([[1]]))
-    assert classify(one, [0], 5) is Classification.NON_ADHERENT
-    assert classify(one, [1], 1) is Classification.G_ZERO
-    two = auto_gso(GramMatrix([[2]]))
-    assert classify(two, [1], Fraction(1, 2)) is Classification.ADHERENT
-    # all-zero vector is a prefix zero against anything
-    assert classify(two, [0], 0) is Classification.G_ZERO
-    # one raw product per prefix position
-    plane = auto_gso(GramMatrix([[0, 5], [5, 0]]))
-    with pytest.raises(ValueError):
-        classify(plane, [1], 0)
-    with pytest.raises(ValueError):
-        extend_admissible(plane.trace(), plane, [1, 2, 3], 1)
-
-
 def test_classify_invariances():
+    # the three kinds of an extra vector, from its raw products and norm:
+    # a nonzero residual, a zero residual with a non-integral theta
+    # (adherent), and a zero residual with an integral theta (a prefix zero)
+    one, two = auto_gso(GramMatrix([[1]])), auto_gso(GramMatrix([[2]]))
+    assert one.theta_and_residual_norm([0], 5) == ([0], 5)
+    assert one.theta_and_residual_norm([1], 1) == ([1], 0)
+    assert two.theta_and_residual_norm([1], Fraction(1, 2)) == ([Fraction(1, 2)], 0)
+    assert two.theta_and_residual_norm([0], 0) == ([0], 0)
+
     prefix = GramMatrix([[2, 1], [1, 3]])
     st = auto_gso(prefix)
     rng = random.Random(6)
+    zeros = integral = 0
     for _ in range(60):
         p = [Fraction(rng.randrange(-6, 7)) for _ in range(2)]
         norm = Fraction(rng.randrange(-9, 10))
-        base = classify(st, p, norm)
-        # adherence is invariant under integer scaling of the vector
+        if rng.random() < 0.5:  # a rational multiple of a prefix vector: residual 0
+            c = [Fraction(rng.randrange(-6, 7), rng.choice((1, 2, 5))) for _ in range(2)]
+            p = [sum(c[j] * prefix.rows[j][i] for j in range(2)) for i in range(2)]
+            norm = sum(c[i] * p[i] for i in range(2))
+        theta, residual = st.theta_and_residual_norm(p, norm)
+        zeros += residual == 0
+        integral += residual == 0 and all(t.denominator == 1 for t in theta)
+        # integer scaling of the vector scales theta and the residual
+        # norm, so a zero residual stays zero
         lam = rng.choice((-3, -2, 2, 3))
-        scaled = classify(st, [lam * x for x in p], lam * lam * norm)
-        if base is Classification.NON_ADHERENT:
-            assert scaled is Classification.NON_ADHERENT
-        else:
-            assert scaled is not Classification.NON_ADHERENT
-        # prefix-zero status is invariant under adding basis vectors
+        scaled = st.theta_and_residual_norm([lam * x for x in p], lam * lam * norm)
+        assert scaled == ([lam * t for t in theta], lam * lam * residual)
+        # adding basis vectors shifts theta by the integer coefficients and
+        # keeps the residual norm, so an integral theta stays integral
         shift = [rng.randrange(-2, 3) for _ in range(2)]
         p2 = [
             p[i] + sum(shift[j] * prefix.rows[j][i] for j in range(2))
@@ -266,23 +267,8 @@ def test_classify_invariances():
                 for j in range(2)
             )
         )
-        assert (classify(st, p2, norm2) is Classification.G_ZERO) == (
-            base is Classification.G_ZERO
-        )
-
-
-def test_extend_admissible():
-    empty = auto_gso(GramMatrix.zeros(0))
-    trace, det = extend_admissible(empty.trace(), empty, [], 3)
-    assert det == 3 and trace.dim == 1
-
-    one = auto_gso(GramMatrix([[1]]))
-    trace, det = extend_admissible(one.trace(), one, [0], -2)
-    assert det == -2
-
-    with pytest.raises(ValueError):
-        # adherent vector: product 1 against diag(1) with norm 1
-        extend_admissible(one.trace(), one, [1], 1)
+        assert st.theta_and_residual_norm(p2, norm2) == ([t + c for t, c in zip(theta, shift)], residual)
+    assert zeros > 20 and 0 < integral < zeros
 
 
 def test_congruence_helper():
@@ -380,7 +366,7 @@ def _assert_same_gso(new, old, tails=()):
     for upto in range(new.upto + 1):
         if not (upto and (upto - 1) in new.bad):
             assert prefix_determinant(new, upto) == ref.prefix_determinant(old, upto)
-    assert local_potential(new.trace(), new) == ref.local_potential(old.trace(), old)
+    assert Fraction(*new.potential()) == ref.local_potential(old.trace(), old)
     for raw, norm in tails:
         assert new.residual_norm(raw, norm) == old.residual_norm(raw, norm)
         assert new.theta_and_residual_norm(raw, norm) == old.theta_and_residual_norm(raw, norm)
@@ -481,13 +467,19 @@ def test_integral_gso_matches_fraction_gso(monkeypatch):
     _check_refreshes(monkeypatch)
     rng = random.Random(31)
     # plain and scrambled hyperbolic stacks, planes under a unit
-    # triangular congruence, rational Grams and a scrambled worst case
+    # triangular congruence and a scrambled worst case
     stacks = [gen_hyperbolic_stack(n, [rng.choice((1, 2, 3, -2)) for _ in range(n)]) for n in (1, 2, 3)]
     grams = stacks + [g.congruence(gen_random_unimodular(g.dim, 20, 40 + i)) for i, g in enumerate(stacks)]
     grams += [_flagged_prefix(rng, rng.randrange(2, 8)) for _ in range(60)]
-    grams += [_rational(rng, _flagged_prefix(rng, 5).rows, (1, 2, 3, 6)) for _ in range(20)]
     grams.append(gen_worstcase(3).congruence(gen_random_unimodular(6, 10, 7)))
-    planes = rational = 0
+    # the GSO takes integral Grams only
+    for _ in range(20):
+        g = _rational(rng, _flagged_prefix(rng, 5).rows, (1, 2, 3, 6))
+        with pytest.raises(ValueError):
+            auto_gso(g)
+        with pytest.raises(ValueError):
+            generalized_gso(g)
+    planes = 0
     for g in grams:
         full = _compare_build(g, g.dim, tails=[(row, rng.randrange(-9, 10)) for row in g.rows])
         for upto in range(g.dim + 1):
@@ -496,7 +488,6 @@ def test_integral_gso_matches_fraction_gso(monkeypatch):
                 continue
             new, old = pair
             planes += len(new.bad)
-            rational += new.scale != 1
             if full is not None:
                 _assert_same_gso(full[0].truncated(upto), ref.GsoState.truncated(full[1], upto))
             # the detected bad set declared, one plane short, one scalar too many
@@ -508,4 +499,4 @@ def test_integral_gso_matches_fraction_gso(monkeypatch):
                 _compare_build(g, upto, new.bad | {rng.choice(scalars)})
             # reuse from this state on a changed Gram
             _compare_build(_changed(rng, g), rng.randrange(0, g.dim + 1), previous=pair)
-    assert planes > 150 and rational > 50
+    assert planes > 150

@@ -9,6 +9,7 @@ from indeflll.analysis import verify_theorem_bound
 from indeflll.errors import InadmissiblePrefixError, IsotropicVectorError, LatticeError
 from indeflll.generators import gen_hyperbolic_stack, gen_random_unimodular, gen_worstcase
 from indeflll.gram import GramMatrix, auto_gso, generalized_gso, mat_det, mat_mul, mat_transpose
+from indeflll.numerics import clear_denominators
 from indeflll.qform import BQForm, IntegralWalk, apply as qf_apply, is_reduced as qf_is_reduced
 from indeflll.reducer import (
     ReducerParams,
@@ -478,7 +479,10 @@ def test_cleanup_lambda_matches_fraction_rule():
         n1 = Fraction(rng.choice((-1, 1)) * rng.randrange(1, 60), rng.randrange(1, 9))
         s = Fraction(rng.randrange(-60, 61), rng.randrange(1, 9))
         n2 = rng.choice((Fraction(0), -n1, s * s / n1, Fraction(rng.randrange(-60, 61), rng.randrange(1, 9))))
-        assert red._cleanup_lambda(n1, s, n2) == ref.cleanup_lambda(n1, s, n2), (n1, s, n2)
+        # the reducer's rule takes the block as integers over a positive
+        # common denominator; the reference takes the Fractions
+        block, _ = clear_denominators((n1, s, n2))
+        assert red._cleanup_lambda(*block) == ref.cleanup_lambda(n1, s, n2), (n1, s, n2)
 
 
 def test_cleanup_lambda_matches_fraction_rule_on_recorded_blocks(recorded_blocks):
