@@ -198,10 +198,13 @@ def _theta(gram, products):
     return auto_gso(gram).theta_and_residual_norm(products, 0)[0]
 
 
-def test_theta_vector_solves_system():
+def test_theta_vector_examples():
     assert _theta(GramMatrix([[2]]), [1]) == [Fraction(1, 2)]
     assert _theta(GramMatrix([[0, 1], [1, 0]]), [3, 5]) == [5, 3]
     assert _theta(GramMatrix([[1, 1], [1, 2]]), [0, 1]) == [-1, 1]
+
+
+def test_theta_vector_solves_system():
     rng = random.Random(41)
     done = 0
     while done < 40:
@@ -222,7 +225,7 @@ def test_theta_vector_solves_system():
         done += 1
 
 
-def test_classify_invariances():
+def test_classify_examples():
     # the three kinds of an extra vector, from its raw products and norm:
     # a nonzero residual, a zero residual with a non-integral theta
     # (adherent), and a zero residual with an integral theta (a prefix zero)
@@ -230,8 +233,11 @@ def test_classify_invariances():
     assert one.theta_and_residual_norm([0], 5) == ([0], 5)
     assert one.theta_and_residual_norm([1], 1) == ([1], 0)
     assert two.theta_and_residual_norm([1], Fraction(1, 2)) == ([Fraction(1, 2)], 0)
+    # all-zero vector is a prefix zero against anything
     assert two.theta_and_residual_norm([0], 0) == ([0], 0)
 
+
+def test_classify_invariances():
     prefix = GramMatrix([[2, 1], [1, 3]])
     st = auto_gso(prefix)
     rng = random.Random(6)
@@ -269,6 +275,24 @@ def test_classify_invariances():
         )
         assert st.theta_and_residual_norm(p2, norm2) == ([t + c for t, c in zip(theta, shift)], residual)
     assert zeros > 20 and 0 < integral < zeros
+
+
+def test_extend_admissible():
+    # a scalar extension of an admissible prefix multiplies its
+    # determinant by the residual norm of the new vector
+    empty = auto_gso(GramMatrix.zeros(0))
+    assert empty.residual_norm([], 3) == 3
+    assert prefix_determinant(auto_gso(GramMatrix([[3]])), 1) == 3
+
+    one = auto_gso(GramMatrix([[1]]))
+    assert one.residual_norm([0], -2) == -2
+    assert prefix_determinant(auto_gso(GramMatrix([[1, 0], [0, -2]])), 2) == -2
+
+    # adherent vector: product 1 against diag(1) with norm 1 has a zero
+    # residual, so it cannot extend the prefix as a scalar
+    assert one.residual_norm([1], 1) == 0
+    with pytest.raises(InadmissiblePrefixError):
+        generalized_gso(GramMatrix([[1, 1], [1, 1]]), bad=set())
 
 
 def test_congruence_helper():
