@@ -111,11 +111,12 @@ class GramMatrix:
 
     @classmethod
     def trusted(cls, rows: list[list[Rational]]) -> "GramMatrix":
-        """A copy of `rows` taken without normalizing or checking them:
-        the caller guarantees a square symmetric matrix of normalized
-        entries (the working Gram of a reduction, say)."""
+        """`rows` themselves, neither copied, normalized nor checked: the
+        caller guarantees a square symmetric matrix of normalized entries
+        (the working Gram of a reduction, say) and copies it first if it
+        will change while the matrix is in use."""
         gram = cls.__new__(cls)
-        gram.rows = [row[:] for row in rows]
+        gram.rows = rows
         return gram
 
     @property
@@ -204,17 +205,29 @@ class GsoState:
     a plane hold the determinant after the plane.  lam[i][m] =
     D'_m * b(v_i, v*_m) for m <= i: at a scalar position lam[i][i] =
     dets[i], inside a plane lam[i][i] = 0, and the second position of a
-    plane (j, j+1) holds A_j = lam[j+1][j] = D'_j * alpha_j.  `reused`
-    counts the leading positions a build took over from a previous state
-    instead of computing them.
+    plane (j, j+1) holds A_j = lam[j+1][j] = D'_j * alpha_j.  lower[i]
+    is row i of the Gram through the diagonal, b(v_i, v_j) for j <= i,
+    which is all that row i of the GSO depends on.  `reused` counts the
+    leading positions a build took over from a previous state instead of
+    computing them.  `boundary`, when set, is (key, row, rho) of a vector
+    w with key the products b(w, v_m) for m < upto followed by b(w, w),
+    row its lambda row and rho its scaled residual: a build that extends
+    this state by one position holding exactly that key takes them over.
     """
 
-    gram: GramMatrix
+    lower: list[list[int]]
     upto: int
     lam: list[list[int]]
     dets: list[int]
     bad: frozenset[int]
     reused: int = field(default=0, compare=False)
+    boundary: tuple[list[int], list[int], int] | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def gram(self) -> GramMatrix:
+        """The leading upto x upto block of the Gram the state was built from."""
+        low, n = self.lower, self.upto
+        return GramMatrix.trusted([low[i] + [low[j][i] for j in range(i + 1, n)] for i in range(n)])
 
     def is_scalar(self, i: int) -> bool:
         return i not in self.bad and (i - 1) not in self.bad
@@ -260,7 +273,7 @@ class GsoState:
         if upto > 0 and (upto - 1) in self.bad:
             raise ValueError(f"truncation at {upto} splits the hyperbolic pair at {upto - 1}")
         return GsoState(
-            gram=self.gram,
+            lower=self.lower[:upto],
             upto=upto,
             lam=self.lam[:upto],
             dets=self.dets[:upto],
@@ -279,6 +292,12 @@ class GsoState:
         row and the integer norm b(w, w).  Adding prefix vectors to w
         leaves it unchanged."""
         return _scaled_residual(self.lam, self.dets, self.bad, row, norm, self.upto)
+
+    def hand_over(self, w: list[int], pos: int, row: list[int], rho: int) -> None:
+        """Leave the lambda row and scaled residual of the vector at `pos`,
+        whose Gram row is `w`, for a build that extends this state by that
+        vector (see `boundary`); `row` must not change afterwards."""
+        self.boundary = (w[: self.upto] + [w[pos]], row, rho)
 
     def projected_block(self, j: int, s: int, rho: int) -> tuple[int, int, int, int]:
         """(N1, S, N2) of the projected block of scalar position j and a
@@ -445,22 +464,28 @@ def _scaled_residual(lam, dets, bad, row: list[int], norm: int, upto: int) -> in
 
 
 def _reusable(
-    previous: GsoState | None, gram: GramMatrix, upto: int, declared: frozenset[int] | None
+    previous: GsoState | None,
+    gram: GramMatrix,
+    upto: int,
+    declared: frozenset[int] | None,
+    unchanged: int = 0,
 ) -> int:
     """How many leading positions of `previous` a build of `gram` would
     reproduce exactly.
 
     Row i depends only on the leading (i+1)x(i+1) block, so the count
     stops at the first row whose leading part changed, one place earlier
-    when that would split a hyperbolic pair.  A declared bad set that
-    disagrees with the previous pairs below that point reuses nothing.
+    when that would split a hyperbolic pair.  The leading `unchanged`
+    rows are known to equal those of `previous` and are not compared.  A
+    declared bad set that disagrees with the previous pairs below that
+    point reuses nothing.
     """
     if previous is None:
         return 0
     keep = min(upto, previous.upto)
-    old, new = previous.gram.rows, gram.rows
-    for i in range(keep):
-        if new[i][: i + 1] != old[i][: i + 1]:
+    old, new = previous.lower, gram.rows
+    for i in range(unchanged, keep):
+        if new[i][: i + 1] != old[i]:
             keep = i
             break
     if keep and (keep - 1) in previous.bad:
@@ -471,22 +496,36 @@ def _reusable(
 
 
 def _build_gso(
-    gram: GramMatrix, upto: int, declared: frozenset[int] | None, previous: GsoState | None = None
+    gram: GramMatrix,
+    upto: int,
+    declared: frozenset[int] | None,
+    previous: GsoState | None = None,
+    unchanged: int = 0,
 ) -> GsoState:
-    keep = _reusable(previous, gram, upto, declared)
-    # the leading `keep` rows are vouched for by the integral `previous`
-    rows = gram.rows
-    if not all(isinstance(x, int) for row in rows[keep:upto] for x in row[:upto]):
+    keep = _reusable(previous, gram, upto, declared, unchanged)
+    # the leading `keep` rows are vouched for by the integral `previous`,
+    # and the lower triangle of the others holds every entry the build reads
+    lower = [row[: i + 1] for i, row in enumerate(gram.rows[keep:upto], keep)]
+    if not all(isinstance(x, int) for row in lower for x in row):
         raise ValueError("the generalized GSO expects an integral Gram matrix")
+    hint = None
     if keep:
+        lower[:0] = previous.lower[:keep]
         lam, dets = previous.lam[:keep], previous.dets[:keep]
         bad = {j for j in previous.bad if j < keep}
+        if keep == previous.upto:
+            hint = previous.boundary
     else:
         lam, dets, bad = [], [], set()
     i = keep
     while i < upto:
-        row = _lambda_row(lam, dets, bad, rows[i], i)
-        diag = _scaled_residual(lam, dets, bad, row, rows[i][i], i)  # D'_i times the star norm
+        low = lower[i]
+        if hint is not None and hint[0] == low:
+            _, row, diag = hint
+        else:
+            row = _lambda_row(lam, dets, bad, low, i)
+            diag = _scaled_residual(lam, dets, bad, row, low[i], i)  # D'_i times the star norm
+        hint = None
         starts_pair = (i in declared) if declared is not None else (diag == 0)
         if not starts_pair:
             if diag == 0:
@@ -508,8 +547,9 @@ def _build_gso(
         lam.append(row + [0])
         # the partner's row runs through position i, whose column gives A;
         # its star norm skips the pending position i
-        partner = _lambda_row(lam, dets, bad, rows[i + 1], i + 1)
-        diag = _scaled_residual(lam, dets, bad, partner, rows[i + 1][i + 1], i)
+        low = lower[i + 1]
+        partner = _lambda_row(lam, dets, bad, low, i + 1)
+        diag = _scaled_residual(lam, dets, bad, partner, low[i + 1], i)
         a = partner[i]
         if diag != 0 or a == 0:
             raise InadmissiblePrefixError(
@@ -520,7 +560,7 @@ def _build_gso(
         bad.add(i)
         i += 2
     return GsoState(
-        gram=gram,
+        lower=lower,
         upto=upto,
         lam=lam,
         dets=dets,
@@ -534,6 +574,7 @@ def generalized_gso(
     upto: int | None = None,
     bad: frozenset[int] | set[int] | None = None,
     previous: GsoState | None = None,
+    unchanged: int = 0,
 ) -> GsoState:
     """Generalized GSO with an explicitly declared bad-index set.
 
@@ -541,9 +582,12 @@ def generalized_gso(
     or belong to a declared pair (j, j+1) with both star norms zero and
     a nonzero cross product; anything else reports an inadmissible
     prefix.  Positions that `previous` (a GSO of an earlier Gram)
-    provably shares with this one are taken over, not recomputed.  The
+    provably shares with this one are taken over, not recomputed; the
+    caller may vouch that the leading `unchanged` rows of `gram` equal
+    those `previous` was built from, which spares comparing them.  The
     Gram must be integral on the rows the build reads (ValueError
-    otherwise).
+    otherwise).  The state keeps a copy of the rows it computes and
+    nothing of `gram` itself.
     """
     if upto is None:
         upto = gram.dim
@@ -551,15 +595,17 @@ def generalized_gso(
     for j in declared:
         if j + 1 >= upto:
             raise InadmissiblePrefixError(f"declared bad index {j} has no partner below {upto}")
-    return _build_gso(gram, upto, declared, previous)
+    return _build_gso(gram, upto, declared, previous, unchanged)
 
 
-def auto_gso(gram: GramMatrix, upto: int | None = None, previous: GsoState | None = None) -> GsoState:
+def auto_gso(
+    gram: GramMatrix, upto: int | None = None, previous: GsoState | None = None, unchanged: int = 0
+) -> GsoState:
     """Generalized GSO that detects hyperbolic pairs on the fly, taking
     over what `previous` provably shares with it (see `generalized_gso`)."""
     if upto is None:
         upto = gram.dim
-    return _build_gso(gram, upto, None, previous)
+    return _build_gso(gram, upto, None, previous, unchanged)
 
 
 def prefix_determinant(state: GsoState, upto: int) -> Fraction:

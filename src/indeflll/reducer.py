@@ -123,7 +123,12 @@ class ReductionResult:
 
 
 class ReducerState:
-    """Mutable working state: transform columns and the current Gram."""
+    """Mutable working state: transform columns and the current Gram.
+
+    `touched` is the first position that a column operation changed
+    since the last prefix GSO refresh: the leading rows of the Gram
+    below it, through the diagonal, are those that refresh read.
+    """
 
     def __init__(self, gram: GramMatrix, params: ReducerParams):
         self.g_in = gram
@@ -133,6 +138,7 @@ class ReducerState:
         self.gc: list[list] = gram.copy_rows()
         self.stats = ReductionStats()
         self.gso: GsoState | None = None  # GSO of the current prefix
+        self.touched = 0
         self._pot_max_dim = 0
         self._pot_last = (1, 1)  # potential as (numerator, positive denominator)
 
@@ -142,6 +148,7 @@ class ReducerState:
         """v_dst += coef * v_src."""
         if coef == 0 or dst == src:
             return
+        self.touched = min(self.touched, dst)
         for r in range(self.d):
             self.u[r][dst] += coef * self.u[r][src]
         gc = self.gc
@@ -154,6 +161,7 @@ class ReducerState:
     def col_swap(self, i: int, j: int) -> None:
         if i == j:
             return
+        self.touched = min(self.touched, i, j)
         for r in range(self.d):
             self.u[r][i], self.u[r][j] = self.u[r][j], self.u[r][i]
         gc = self.gc
@@ -163,6 +171,7 @@ class ReducerState:
 
     def col_transform2(self, p: int, q: int, t: Transform2) -> None:
         """(v_p, v_q) <- (m11 v_p + m21 v_q, m12 v_p + m22 v_q)."""
+        self.touched = min(self.touched, p, q)
         for r in range(self.d):
             a, b = self.u[r][p], self.u[r][q]
             self.u[r][p] = t.m11 * a + t.m21 * b
@@ -182,6 +191,7 @@ class ReducerState:
         """(v_dst, ..., v_src) -> (v_src, v_dst, ..., v_{src-1})."""
         if dst == src:
             return
+        self.touched = min(self.touched, dst)
         for r in range(self.d):
             row = self.u[r]
             row[dst : src + 1] = [row[src]] + row[dst:src]
@@ -192,16 +202,18 @@ class ReducerState:
         gc[dst : src + 1] = [gc[src]] + gc[dst:src]
 
     def snapshot(self):
-        return ([row[:] for row in self.u], [row[:] for row in self.gc])
+        return ([row[:] for row in self.u], [row[:] for row in self.gc], self.touched)
 
     def restore(self, snap) -> None:
         self.u = [row[:] for row in snap[0]]
         self.gc = [row[:] for row in snap[1]]
+        self.touched = snap[2]
 
     # -- views -------------------------------------------------------------
 
     def current_gram(self) -> GramMatrix:
-        return GramMatrix.trusted(self.gc)  # integer column operations keep gc normalized
+        """A copy of the working Gram (integer column operations keep it normalized)."""
+        return GramMatrix.trusted([row[:] for row in self.gc])
 
     def refresh_prefix_gso(self, prefix: int, strict: bool = False) -> GsoState:
         """Hold the GSO of the leading `prefix` positions of the current
@@ -211,14 +223,17 @@ class ReducerState:
         the previously held state is kept up to the first row whose
         leading part changed (one place earlier when that would split a
         hyperbolic pair), and only the positions from there on are
-        computed; `stats.gso_positions` counts them.  `strict` admits no
+        computed; `stats.gso_positions` counts them.  Rows below
+        `touched` are not compared, and the working Gram is not copied:
+        the build copies the rows it computes.  `strict` admits no
         hyperbolic pairs: the first zero star norm raises.
         """
-        gram = self.current_gram()
+        gram = GramMatrix.trusted(self.gc)
         if strict:
-            self.gso = generalized_gso(gram, prefix, frozenset(), self.gso)
+            self.gso = generalized_gso(gram, prefix, frozenset(), self.gso, self.touched)
         else:
-            self.gso = auto_gso(gram, prefix, self.gso)
+            self.gso = auto_gso(gram, prefix, self.gso, self.touched)
+        self.touched = self.d
         self.stats.gso_positions += prefix - self.gso.reused
         return self.gso
 
@@ -277,7 +292,7 @@ def _size_reduce_below(
     row `row`, against the prefix positions below `top`, from the last
     down: a scalar position j by lam_{w,j} / dets[j], a plane (j-1, j) by
     the pair rule lam_{w,j} / A and lam_{w,j-1} / A on both cross
-    coefficients."""
+    coefficients.  The whole row stays exact."""
     j = top - 1
     while j >= 0:
         if (j - 1) in gso.bad:  # the plane (j - 1, j)
@@ -286,6 +301,7 @@ def _size_reduce_below(
             n_second = nearest_div(row[j - 1], a)
             if n_first:
                 _add_prefix_vector(state, pos, row, gso, j - 1, -n_first)
+                row[j] -= n_first * a  # b(v_j-1, v*_j) = alpha: lam_{j-1,j} = A
             if n_second:
                 _add_prefix_vector(state, pos, row, gso, j, -n_second)
             j -= 2
@@ -308,11 +324,15 @@ def cleanup_size_reduce(
     Everything runs on the vector's integer lambda row, built once and
     updated after each column operation.  Adding prefix vectors leaves
     the scaled residual rho = D * b(w*, w*) unchanged, so it is computed
-    once, up front; only a zero residual can belong to a prefix zero, so
-    only then is the coefficient vector built, and a prefix zero has it
-    subtracted, leaving it exactly orthogonal to the prefix.  Returns
-    (s, rho), with s = lam_{w,j} against the last prefix position j when
-    that is scalar (else None), and whether the vector is a prefix zero.
+    once, up front.  The row and rho are handed over to `gso` for the
+    build that extends it by this vector.  Returns (s, rho), with
+    s = lam_{w,j} against the last prefix position j when that is scalar
+    (else None), and whether the vector is a prefix zero: an integer
+    combination of the prefix plus a vector orthogonal to it and
+    isotropic.  Rounding from the last position down takes integral
+    coefficients off exactly (with rho = 0 the last-position rule is
+    plain nearest rounding), so after it a prefix zero is exactly a zero
+    residual with a zero lambda row, already orthogonal to the prefix.
     """
     gso = gso or state.gso
     kappa = gso.upto
@@ -329,16 +349,8 @@ def cleanup_size_reduce(
             _add_prefix_vector(state, pos, row, gso, top, lam)
         s = row[top]
     _size_reduce_below(state, pos, row, gso, top)
-    if rho != 0:
-        return (s, rho), False
-    # a prefix zero is straightened out entirely
-    theta, _ = gso.theta_and_residual_norm(state.raw_products(kappa, pos), w[pos])
-    if not all(t.denominator == 1 for t in theta):
-        return (s, rho), False
-    for j, tj in enumerate(theta):
-        if tj:
-            state.col_addmul(pos, j, -int(tj))
-    return (s, rho), True
+    gso.hand_over(w, pos, row, rho)
+    return (s, rho), rho == 0 and not any(row)
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +690,7 @@ def _finalize(state: ReducerState, rank: int) -> ReductionResult:
     for i in range(rank, state.d):
         if any(gram_out.rows[i][j] != 0 for j in range(state.d)):
             raise InternalInvariantError(f"tail row {i} is not exactly zero")
-    gso = auto_gso(gram_out, rank, state.gso)
+    gso = auto_gso(gram_out, rank, state.gso, state.touched)
     state.stats.u_bits = _max_bits(state.u)
     state.stats.g_bits = _max_bits(gram_out.rows)
     return ReductionResult(
@@ -804,6 +816,7 @@ def reduce_baseline(gram: GramMatrix, gamma0: Rational = Fraction(99, 100)) -> R
         row = gso.lambda_row(w)
         rho = gso.scaled_residual(row, w[pos])
         _size_reduce_below(state, pos, row, gso, k - 1)
+        gso.hand_over(w, pos, row, rho)
         n_prev, _, proj, _ = _block_data(state, k, (row[k - 2], rho))
         if abs(proj) * gamma0.denominator < gamma0.numerator * abs(n_prev):
             state.col_swap(k - 2, k - 1)

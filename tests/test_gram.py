@@ -370,6 +370,10 @@ def test_gso_from_previous_state_matches_fresh():
             built = auto_gso(g2, upto, previous)
             assert built == fresh  # every field but `reused`
             assert built.reused <= min(upto, previous.upto)
+            # rows below `start` are unchanged: vouching for them spares
+            # comparing them and reuses exactly as much
+            vouched = auto_gso(g2, upto, previous, start)
+            assert vouched == fresh and vouched.reused == built.reused
             reused += built.reused
             if not fresh.bad:
                 strict = generalized_gso(g2, upto, frozenset(), previous)

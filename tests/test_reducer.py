@@ -8,7 +8,16 @@ from indeflll import reducer as red
 from indeflll.analysis import verify_theorem_bound
 from indeflll.errors import InadmissiblePrefixError, IsotropicVectorError, LatticeError
 from indeflll.generators import gen_hyperbolic_stack, gen_random_unimodular, gen_worstcase
-from indeflll.gram import GramMatrix, auto_gso, generalized_gso, mat_det, mat_mul, mat_transpose
+from indeflll.gram import (
+    GramMatrix,
+    GsoState,
+    _reusable,
+    auto_gso,
+    generalized_gso,
+    mat_det,
+    mat_mul,
+    mat_transpose,
+)
 from indeflll.numerics import clear_denominators
 from indeflll.qform import BQForm, IntegralWalk, apply as qf_apply, is_reduced as qf_is_reduced
 from indeflll.reducer import (
@@ -397,15 +406,23 @@ def test_gso_and_size_reduction_create_no_fraction(monkeypatch):
         created.append(args)
         return new(cls, *args, **kwargs)
 
+    # v_3 = v_0 + v_1 - v_2 in the rank-deficient M C M^T: a prefix zero
+    m = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]]
+    c = [[2, 1, 0], [1, -3, 1], [0, 1, 1]]
+    deficient = ReducerState(GramMatrix(mat_mul(m, mat_mul(c, mat_transpose(m)))), ReducerParams())
+
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     full = auto_gso(gram)
     st.refresh_prefix_gso(9)
     before = [row[:] for row in st.gc]
     residual, prefix_zero = cleanup_size_reduce(st, 9)
+    deficient.refresh_prefix_gso(3)
+    zero_residual, zero = cleanup_size_reduce(deficient, 3)
     monkeypatch.undo()
     assert created == []
     assert full.upto == 10 and residual[1] != 0 and not prefix_zero
     assert st.gc != before  # the clean-up did move the vector
+    assert zero and zero_residual[1] == 0 and deficient.gc[3] == [0] * 4
     assert Fraction(5) == 5  # the counter is gone again
 
 
@@ -414,6 +431,76 @@ def test_gso_positions_counts_computed_star_vectors():
     r = reduce(g)
     # prefixes 0..3 of an unchanged Gram: each star vector is computed once
     assert r.stats.loop_iterations == 4 and r.stats.gso_positions == 3
+
+
+def test_size_reduction_hands_over_exact_lambda_rows(monkeypatch):
+    """Every size reduction on the exactness corpus (both strategies and
+    the baseline) hands over the lambda row and scaled residual of the
+    vector it leaves, planes of the prefix included: the next build takes
+    them over instead of computing them."""
+    original = GsoState.hand_over
+    seen = {"rows": 0, "planes": 0}
+
+    def checked(self, w, pos, row, rho):
+        assert row == self.lambda_row(w)
+        assert rho == self.scaled_residual(row, w[pos])
+        seen["rows"] += 1
+        seen["planes"] += bool(self.bad)
+        original(self, w, pos, row, rho)
+
+    monkeypatch.setattr(GsoState, "hand_over", checked)
+    for g in _exactness_corpus():
+        for params in (ReducerParams(), ReducerParams(sign_strategy=False)):
+            reduce(g, params)
+        try:
+            reduce_baseline(g)
+        except LatticeError:
+            pass
+    assert seen["rows"] > 3000 and seen["planes"] > 500
+
+
+def test_change_log_survives_rolled_back_placements(monkeypatch):
+    """The rows below `touched` are those of the last refresh, also after
+    a placement that is rolled back, and each refresh reuses what a full
+    comparison of the Gram would reuse."""
+    place, refresh = red._place_transformed_pair, ReducerState.refresh_prefix_gso
+    seen = {"rollbacks": 0, "refreshes": 0}
+
+    def checked_place(state, k, t):
+        before = (state.touched, [row[:] for row in state.gc])
+        change = place(state, k, t)
+        if change == +1:
+            assert (state.touched, state.gc) == before
+            seen["rollbacks"] += 1
+        return change
+
+    def checked_refresh(self, prefix, strict=False):
+        full = self.current_gram()
+        if self.gso is not None:
+            low = self.gso.lower
+            assert all(full.rows[i][: i + 1] == low[i] for i in range(min(self.touched, self.gso.upto)))
+        want = _reusable(self.gso, full, prefix, frozenset() if strict else None)
+        held = refresh(self, prefix, strict)
+        assert held.reused == want and self.touched == self.d
+        seen["refreshes"] += 1
+        return held
+
+    monkeypatch.setattr(red, "_place_transformed_pair", checked_place)
+    monkeypatch.setattr(ReducerState, "refresh_prefix_gso", checked_refresh)
+    # 3x3 box inputs with rolled-back placements
+    grams = [GramMatrix(rows) for rows in (
+        [[-2, -2, -1], [-2, -2, 2], [-1, 2, 0]],
+        [[-2, -2, -1], [-2, 0, -1], [-1, -1, 0]],
+        [[-2, -2, 0], [-2, -2, -1], [0, -1, 2]],
+    )]
+    for g in grams + _exactness_corpus():
+        for params in (ReducerParams(), ReducerParams(sign_strategy=False)):
+            reduce(g, params)
+        try:
+            reduce_baseline(g)
+        except LatticeError:
+            pass
+    assert seen["rollbacks"] > 10 and seen["refreshes"] > 1000
 
 
 @pytest.fixture(scope="module")
