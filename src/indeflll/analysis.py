@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InadmissiblePrefixError, InternalInvariantError
-from .gram import GramMatrix, auto_gso, mat_identity, prefix_determinant
+from .gram import GramMatrix, auto_gso, mat_identity
 from .numerics import Rational, clear_denominators
 from .reducer import ReducerParams, ReductionResult, reduce
 
@@ -203,7 +203,7 @@ def signature_via_gso(gram: GramMatrix, params: ReducerParams | None = None) -> 
     res = reduce(gram, params)
     gso = auto_gso(res.reduced, res.rank)
     n_plus, n_minus = gso.sign_counts()
-    det = prefix_determinant(gso, res.rank) / lam**res.rank if res.rank else Fraction(0)
+    det = Fraction(gso.det, lam**res.rank) if res.rank else Fraction(0)
     return LatticeInvariants(
         dim=gram.dim, rank=res.rank, n_plus=n_plus, n_minus=n_minus, nondeg_det=det
     )
@@ -227,6 +227,7 @@ class BoundReport:
     heuristic_lhs: Fraction
     heuristic_rhs: Fraction
     heuristic_holds: bool
+    excess_definite: int  # definite blocks less max(sigma - 1, 0); planes can make it negative
 
 
 def verify_theorem_bound(result: ReductionResult, gram_in: GramMatrix) -> BoundReport:
@@ -247,7 +248,7 @@ def verify_theorem_bound(result: ReductionResult, gram_in: GramMatrix) -> BoundR
     if ell == 0:
         one = Fraction(1)
         return BoundReport(0, 0, Fraction(0), Fraction(1), Fraction(0), one, True, None,
-                           Fraction(0), one, True)
+                           Fraction(0), one, True, 0)
     # one GSO of the leading rank block gives |det| and the signature;
     # an admissible block is nonsingular, so a singular one is refused
     try:
@@ -256,7 +257,7 @@ def verify_theorem_bound(result: ReductionResult, gram_in: GramMatrix) -> BoundR
         if result.reduced.leading(ell).det() == 0:
             raise InternalInvariantError("nondegenerate determinant vanished") from None
         raise
-    det = prefix_determinant(gso, ell)
+    det = Fraction(gso.det)
     first = abs(result.first_entry())
     sum_n = result.sum_definite_exponent()
     d_const = gamma0 * gamma0 / (gamma0 - Fraction(1, 4))
@@ -281,6 +282,7 @@ def verify_theorem_bound(result: ReductionResult, gram_in: GramMatrix) -> BoundR
         heuristic_lhs=heur_lhs,
         heuristic_rhs=heur_rhs,
         heuristic_holds=heur_lhs <= heur_rhs,
+        excess_definite=result.block_kinds.count("definite") - max(sig - 1, 0),
     )
 
 

@@ -92,7 +92,7 @@ def parse_matrix_json(text: str, require_symmetric: bool = True) -> list[list[in
         raise ParseError('expected an object with "dim" and "rows"')
     dim = doc["dim"]
     rows = doc["rows"]
-    if not isinstance(dim, int) or dim < 0:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise ParseError('"dim" must be a non-negative integer')
     if not isinstance(rows, list) or len(rows) != dim:
         raise ParseError(f'"rows" must hold exactly {dim} rows')
@@ -101,7 +101,7 @@ def parse_matrix_json(text: str, require_symmetric: bool = True) -> list[list[in
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError(f"row {i + 1}: expected {dim} entries")
         for j, x in enumerate(row):
-            if not isinstance(x, int):
+            if not isinstance(x, int) or isinstance(x, bool):
                 raise ParseError(f"row {i + 1}, column {j + 1}: bad integer {x!r}")
         out.append(list(row))
     if require_symmetric:
@@ -156,18 +156,18 @@ def _digest(rows: list[list[int]]) -> str:
 
 
 def _int_nth_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 0, k >= 1."""
+    """floor(n ** (1/k)) for n >= 0, k >= 1, by integer Newton steps down
+    from a power of two at or above the root."""
     if n < 0:
         raise ValueError("negative radicand")
     if n == 0:
         return 0
-    x = int(round(n ** (1.0 / k))) if n.bit_length() < 900 else 1 << (n.bit_length() // k)
-    x = max(x, 1)
-    while x**k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +191,7 @@ def build_report(name: str, gram: GramMatrix, result: ReductionResult, wall: flo
         "nondeg_det": format_rational(bound.nondeg_det),
         "first_entry": format_rational(result.first_entry()),
         "sum_definite_blocks": result.sum_definite_exponent(),
+        "excess_definite_blocks": bound.excess_definite,
         "sigma_reference": sigma * (sigma - 1) // 2,
         "unit_diagonal_entries": result.unit_diagonal_count(),
         "bound_holds": bound.holds,
@@ -272,10 +273,11 @@ def cmd_analyze(args) -> int:
         "kernel_dim": inv.dim - inv.rank,
     }
     if inv.rank:
-        mag = abs(inv.nondeg_det)
-        root_floor = _int_nth_root(mag.numerator // mag.denominator, inv.rank)
-        lines["det_root_floor"] = root_floor
-        lines["det_root_approx"] = round(float(mag) ** (1.0 / inv.rank), 2)
+        mag, k = abs(inv.nondeg_det), inv.rank
+        lines["det_root_floor"] = _int_nth_root(mag.numerator // mag.denominator, k)
+        # the root to two decimals, rounded half up: (floor(200 r) + 1) // 2 hundredths
+        hundredths = (_int_nth_root(mag.numerator * 200**k // mag.denominator, k) + 1) // 2
+        lines["det_root_approx"] = f"{hundredths // 100}.{hundredths % 100:02d}"
     print_report(lines, _report_format(args))
     return EXIT_OK
 
@@ -368,7 +370,6 @@ def cmd_verify(args) -> int:
                 transform=u_rows,
                 reduced=reduced,
                 rank=rank,
-                trace=gso.trace(),
                 block_kinds=block_kinds(gso),
                 stats=ReductionStats(),
                 params=ReducerParams(gamma0=gamma0),

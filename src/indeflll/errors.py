@@ -10,7 +10,8 @@ class ParseError(LatticeError):
 
 
 class InadmissiblePrefixError(LatticeError):
-    """A zero Gram-Schmidt norm was met outside a declared hyperbolic pair.
+    """The GSO met a zero star norm that does not start a hyperbolic pair
+    (in a strict build, any zero star norm).
 
     `index` is the position where the GSO stopped, when there is one.
     """

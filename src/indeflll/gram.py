@@ -19,7 +19,6 @@ these integers.  The GSO takes integral Grams only.
 """
 
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 
 from .errors import InadmissiblePrefixError
@@ -159,37 +158,6 @@ class GramMatrix:
 
 
 # ---------------------------------------------------------------------------
-# admissibility traces
-# ---------------------------------------------------------------------------
-
-
-class BlockKind(Enum):
-    SCALAR = "scalar"
-    HYPERBOLIC = "hyperbolic"
-
-
-@dataclass(frozen=True)
-class TraceBlock:
-    kind: BlockKind
-    index: int  # first position covered (0-based)
-
-    @property
-    def width(self) -> int:
-        return 1 if self.kind is BlockKind.SCALAR else 2
-
-
-@dataclass(frozen=True)
-class AdmissibleTrace:
-    """Ordered block decomposition of an admissible prefix."""
-
-    blocks: tuple[TraceBlock, ...] = ()
-
-    @property
-    def dim(self) -> int:
-        return sum(b.width for b in self.blocks)
-
-
-# ---------------------------------------------------------------------------
 # generalized GSO
 # ---------------------------------------------------------------------------
 
@@ -224,10 +192,10 @@ class GsoState:
     boundary: tuple[list[int], list[int], int] | None = field(default=None, compare=False, repr=False)
 
     @property
-    def gram(self) -> GramMatrix:
-        """The leading upto x upto block of the Gram the state was built from."""
-        low, n = self.lower, self.upto
-        return GramMatrix.trusted([low[i] + [low[j][i] for j in range(i + 1, n)] for i in range(n)])
+    def det(self) -> int:
+        """Gram determinant of the prefix; a shorter prefix is
+        `truncated(upto).det`."""
+        return self.dets[-1] if self.dets else 1
 
     def is_scalar(self, i: int) -> bool:
         return i not in self.bad and (i - 1) not in self.bad
@@ -242,21 +210,6 @@ class GsoState:
         if not self.is_scalar(i):
             return 0
         return 1 if (self.dets[i] > 0) == (self.before(i) > 0) else -1
-
-    def blocks(self) -> list[TraceBlock]:
-        out = []
-        i = 0
-        while i < self.upto:
-            if i in self.bad:
-                out.append(TraceBlock(BlockKind.HYPERBOLIC, i))
-                i += 2
-            else:
-                out.append(TraceBlock(BlockKind.SCALAR, i))
-                i += 1
-        return out
-
-    def trace(self) -> AdmissibleTrace:
-        return AdmissibleTrace(tuple(self.blocks()))
 
     def sign_counts(self) -> tuple[int, int]:
         """(positive, negative) counts of the prefix: each scalar position
@@ -376,8 +329,7 @@ class GsoState:
         return nums[:-1], nums[-1] * t, t
 
     def _residual_view(self, row: list[int], norm: int, t: int) -> Fraction:
-        det = self.dets[-1] if self.dets else 1
-        return Fraction(self.scaled_residual(row, norm), t * t * det)
+        return Fraction(self.scaled_residual(row, norm), t * t * self.det)
 
     def _star_coefficients(self, row: list[int], upto: int) -> list[Fraction]:
         """Coefficients on v*_0 .. v*_upto-1 of the projection of a vector
@@ -464,11 +416,7 @@ def _scaled_residual(lam, dets, bad, row: list[int], norm: int, upto: int) -> in
 
 
 def _reusable(
-    previous: GsoState | None,
-    gram: GramMatrix,
-    upto: int,
-    declared: frozenset[int] | None,
-    unchanged: int = 0,
+    previous: GsoState | None, gram: GramMatrix, upto: int, unchanged: int = 0, strict: bool = False
 ) -> int:
     """How many leading positions of `previous` a build of `gram` would
     reproduce exactly.
@@ -477,8 +425,8 @@ def _reusable(
     stops at the first row whose leading part changed, one place earlier
     when that would split a hyperbolic pair.  The leading `unchanged`
     rows are known to equal those of `previous` and are not compared.  A
-    declared bad set that disagrees with the previous pairs below that
-    point reuses nothing.
+    strict build reuses nothing when a plane of `previous` lies below
+    that point.
     """
     if previous is None:
         return 0
@@ -490,19 +438,35 @@ def _reusable(
             break
     if keep and (keep - 1) in previous.bad:
         keep -= 1
-    if declared is not None and any((j in declared) != (j in previous.bad) for j in range(keep)):
+    if strict and any(j < keep for j in previous.bad):
         return 0
     return keep
 
 
-def _build_gso(
+def auto_gso(
     gram: GramMatrix,
-    upto: int,
-    declared: frozenset[int] | None,
+    upto: int | None = None,
     previous: GsoState | None = None,
     unchanged: int = 0,
+    strict: bool = False,
 ) -> GsoState:
-    keep = _reusable(previous, gram, upto, declared, unchanged)
+    """Generalized GSO of the leading `upto` positions that detects
+    hyperbolic pairs as they arise.
+
+    A zero star norm starts a pair (j, j+1), which must have both star
+    norms zero and a nonzero cross product; anything else reports an
+    inadmissible prefix.  `strict` admits no pairs: the first zero star
+    norm reports it.  Positions that `previous` (a GSO of an earlier
+    Gram) provably shares with this one are taken over, not recomputed;
+    the caller may vouch that the leading `unchanged` rows of `gram`
+    equal those `previous` was built from, which spares comparing them.
+    The Gram must be integral on the rows the build reads (ValueError
+    otherwise).  The state keeps a copy of the rows it computes and
+    nothing of `gram` itself.
+    """
+    if upto is None:
+        upto = gram.dim
+    keep = _reusable(previous, gram, upto, unchanged, strict)
     # the leading `keep` rows are vouched for by the integral `previous`,
     # and the lower triangle of the others holds every entry the build reads
     lower = [row[: i + 1] for i, row in enumerate(gram.rows[keep:upto], keep)]
@@ -526,20 +490,13 @@ def _build_gso(
             row = _lambda_row(lam, dets, bad, low, i)
             diag = _scaled_residual(lam, dets, bad, row, low[i], i)  # D'_i times the star norm
         hint = None
-        starts_pair = (i in declared) if declared is not None else (diag == 0)
-        if not starts_pair:
-            if diag == 0:
-                raise InadmissiblePrefixError(
-                    f"inadmissible prefix: zero star norm at position {i} outside a declared pair", i
-                )
+        if diag:
             lam.append(row + [diag])
             dets.append(diag)
             i += 1
             continue
-        pre = dets[-1] if dets else 1
-        if declared is not None and diag != 0:
-            norm = Fraction(diag, pre)
-            raise InadmissiblePrefixError(f"declared bad index {i} has nonzero star norm {norm}", i)
+        if strict:
+            raise InadmissiblePrefixError(f"inadmissible prefix: zero star norm at position {i}", i)
         if i + 1 >= upto:
             raise InadmissiblePrefixError(
                 f"inadmissible prefix: isolated isotropic star vector at position {i}", i
@@ -556,6 +513,7 @@ def _build_gso(
                 f"inadmissible prefix: positions {i}, {i + 1} do not form a hyperbolic pair", i
             )
         lam.append(partner + [0])
+        pre = dets[-1] if dets else 1
         dets += [-(a * a) // pre] * 2
         bad.add(i)
         i += 2
@@ -567,56 +525,3 @@ def _build_gso(
         bad=frozenset(bad),
         reused=keep,
     )
-
-
-def generalized_gso(
-    gram: GramMatrix,
-    upto: int | None = None,
-    bad: frozenset[int] | set[int] | None = None,
-    previous: GsoState | None = None,
-    unchanged: int = 0,
-) -> GsoState:
-    """Generalized GSO with an explicitly declared bad-index set.
-
-    Every position below `upto` must either carry a nonzero star norm
-    or belong to a declared pair (j, j+1) with both star norms zero and
-    a nonzero cross product; anything else reports an inadmissible
-    prefix.  Positions that `previous` (a GSO of an earlier Gram)
-    provably shares with this one are taken over, not recomputed; the
-    caller may vouch that the leading `unchanged` rows of `gram` equal
-    those `previous` was built from, which spares comparing them.  The
-    Gram must be integral on the rows the build reads (ValueError
-    otherwise).  The state keeps a copy of the rows it computes and
-    nothing of `gram` itself.
-    """
-    if upto is None:
-        upto = gram.dim
-    declared = frozenset(bad or frozenset())
-    for j in declared:
-        if j + 1 >= upto:
-            raise InadmissiblePrefixError(f"declared bad index {j} has no partner below {upto}")
-    return _build_gso(gram, upto, declared, previous, unchanged)
-
-
-def auto_gso(
-    gram: GramMatrix, upto: int | None = None, previous: GsoState | None = None, unchanged: int = 0
-) -> GsoState:
-    """Generalized GSO that detects hyperbolic pairs on the fly, taking
-    over what `previous` provably shares with it (see `generalized_gso`)."""
-    if upto is None:
-        upto = gram.dim
-    return _build_gso(gram, upto, None, previous, unchanged)
-
-
-def prefix_determinant(state: GsoState, upto: int) -> Fraction:
-    """Gram determinant of the leading `upto` positions.
-
-    Truncation must not split a hyperbolic pair (that prefix would be
-    singular); scalar positions contribute their star norm, pairs
-    contribute -cross^2.
-    """
-    if upto > state.upto:
-        raise ValueError(f"prefix length {upto} exceeds GSO extent {state.upto}")
-    if upto > 0 and (upto - 1) in state.bad:
-        raise ValueError(f"cannot truncate at bad index {upto - 1}: it splits a hyperbolic pair")
-    return Fraction(state.dets[upto - 1] if upto else 1)

@@ -17,15 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InadmissiblePrefixError, InternalInvariantError, IsotropicVectorError
-from .gram import (
-    AdmissibleTrace,
-    GramMatrix,
-    GsoState,
-    auto_gso,
-    generalized_gso,
-    mat_det,
-    mat_identity,
-)
+from .gram import GramMatrix, GsoState, auto_gso, mat_det, mat_identity
 from .numerics import (
     Rational,
     ceil_sqrt_div,
@@ -78,7 +70,6 @@ class ReductionStats:
     position_reports: int = 0
     pair_reports: int = 0
     swaps: int = 0
-    backward_steps: int = 0
     adherent_integrations: int = 0
     plane_moves: int = 0
     repairs: int = 0
@@ -96,7 +87,6 @@ class ReductionResult:
     transform: list[list[int]]
     reduced: GramMatrix
     rank: int
-    trace: AdmissibleTrace
     block_kinds: list[str]
     stats: ReductionStats
     params: ReducerParams
@@ -228,11 +218,7 @@ class ReducerState:
         the build copies the rows it computes.  `strict` admits no
         hyperbolic pairs: the first zero star norm raises.
         """
-        gram = GramMatrix.trusted(self.gc)
-        if strict:
-            self.gso = generalized_gso(gram, prefix, frozenset(), self.gso, self.touched)
-        else:
-            self.gso = auto_gso(gram, prefix, self.gso, self.touched)
+        self.gso = auto_gso(GramMatrix.trusted(self.gc), prefix, self.gso, self.touched, strict)
         self.touched = self.d
         self.stats.gso_positions += prefix - self.gso.reused
         return self.gso
@@ -405,7 +391,6 @@ def _place_transformed_pair(state: ReducerState, k: int, t: Transform2) -> int:
         state.restore(snap)
         return +1
     state.stats.swaps += 1
-    state.stats.backward_steps += 1
     return -1
 
 
@@ -430,7 +415,6 @@ def _lovasz_definite(state: ReducerState, k: int, n1: int, s: int, n2: int) -> i
             state.stats.repairs += 1
         state.col_swap(prev, pos)
         state.stats.swaps += 1
-        state.stats.backward_steps += 1
         return -1
     return +1
 
@@ -594,13 +578,8 @@ def plane_reduce(state: ReducerState, k: int, incoming_pair: bool) -> int:
         if alpha == 0 and beta != 0:
             state.col_swap(p0, p1)
             alpha, beta = beta, alpha
-        if alpha != 0:
+        if alpha != 0 or gh_den * abs(norm) < gh_num * abs(cross):
             state.cyclic_shift(p0, v)
-            state.stats.backward_steps += 1
-            return k - 2
-        if gh_den * abs(norm) < gh_num * abs(cross):
-            state.cyclic_shift(p0, v)
-            state.stats.backward_steps += 1
             return k - 2
         return k + 1
     prefix_plane = k >= 3 and (k - 3) in state.gso.bad
@@ -611,7 +590,6 @@ def plane_reduce(state: ReducerState, k: int, incoming_pair: bool) -> int:
         if gh_num * abs(alpha) > gh_den * abs(beta):
             state.cyclic_shift(k - 3, k - 1)
             state.cyclic_shift(k - 2, k)
-            state.stats.backward_steps += 1
             return k - 2
         return k + 2
     # scalar at k-2, plane at (k-1, k) 0-based
@@ -621,7 +599,6 @@ def plane_reduce(state: ReducerState, k: int, incoming_pair: bool) -> int:
         return k + 2
     state.cyclic_shift(k - 2, k)
     state.cyclic_shift(k - 1, k)
-    state.stats.backward_steps += 1
     return k + 1
 
 
@@ -697,7 +674,6 @@ def _finalize(state: ReducerState, rank: int) -> ReductionResult:
         transform=state.u,
         reduced=gram_out,
         rank=rank,
-        trace=gso.trace(),
         block_kinds=block_kinds(gso),
         stats=state.stats,
         params=state.params,

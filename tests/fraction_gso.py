@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import mul
 
 from indeflll.errors import InadmissiblePrefixError
-from indeflll.gram import AdmissibleTrace, BlockKind, GramMatrix, TraceBlock
+from indeflll.gram import GramMatrix
 from indeflll.numerics import clear_denominators, nearest_int
 from indeflll.reducer import ReducerState
 
@@ -48,21 +48,6 @@ class GsoState:
     def star_vector(self, i: int) -> list[Fraction]:
         den = self.star_den[i]
         return [Fraction(n, den) for n in self.star_num[i]]
-
-    def blocks(self) -> list[TraceBlock]:
-        out = []
-        i = 0
-        while i < self.upto:
-            if i in self.bad:
-                out.append(TraceBlock(BlockKind.HYPERBOLIC, i))
-                i += 2
-            else:
-                out.append(TraceBlock(BlockKind.SCALAR, i))
-                i += 1
-        return out
-
-    def trace(self) -> AdmissibleTrace:
-        return AdmissibleTrace(tuple(self.blocks()))
 
     def sign_counts(self) -> tuple[int, int]:
         """(positive, negative) counts of the prefix: each scalar position
@@ -174,17 +159,14 @@ def _num_row_dot(rows, i: int, num: list[int]):
     return sum(map(mul, num, rows[i]))
 
 
-def _reusable(
-    previous: GsoState | None, gram: GramMatrix, upto: int, declared: frozenset[int] | None
-) -> int:
+def _reusable(previous: GsoState | None, gram: GramMatrix, upto: int, strict: bool) -> int:
     """How many leading positions of `previous` a build of `gram` would
     reproduce exactly.
 
     Star vector i depends only on the leading (i+1)x(i+1) block, so the
     count stops at the first row whose leading part changed, one place
-    earlier when that would split a hyperbolic pair.  A declared bad set
-    that disagrees with the previous pairs below that point reuses
-    nothing.
+    earlier when that would split a hyperbolic pair.  A strict build
+    reuses nothing when a plane of `previous` lies below that point.
     """
     if previous is None:
         return 0
@@ -196,16 +178,18 @@ def _reusable(
             break
     if keep and (keep - 1) in previous.bad:
         keep -= 1
-    if declared is not None and any((j in declared) != (j in previous.bad) for j in range(keep)):
+    if strict and any(j < keep for j in previous.bad):
         return 0
     return keep
 
 
 def _build_gso(
-    gram: GramMatrix, upto: int, declared: frozenset[int] | None, previous: GsoState | None = None
+    gram: GramMatrix, upto: int, strict: bool = False, previous: GsoState | None = None
 ) -> GsoState:
+    """A zero star norm starts a hyperbolic pair, or in a strict build
+    reports an inadmissible prefix."""
     rows = gram.rows
-    keep = _reusable(previous, gram, upto, declared)
+    keep = _reusable(previous, gram, upto, strict)
     if keep:
         # star vectors are stored at the length of the prefix; their
         # support ends at their own position, so resizing is exact
@@ -259,19 +243,14 @@ def _build_gso(
     while i < upto:
         num, den = orthogonalize(i)
         norm = Fraction(_num_bilinear(rows, num, num)) / (den * den)
-        starts_pair = (i in declared) if declared is not None else (norm == 0)
-        if not starts_pair:
-            if norm == 0:
-                raise InadmissiblePrefixError(
-                    f"inadmissible prefix: zero star norm at position {i} outside a declared pair", i
-                )
+        if norm != 0:
             star_num.append(num)
             star_den.append(den)
             norms.append(norm)
             i += 1
             continue
-        if declared is not None and norm != 0:
-            raise InadmissiblePrefixError(f"declared bad index {i} has nonzero star norm {norm}", i)
+        if strict:
+            raise InadmissiblePrefixError(f"inadmissible prefix: zero star norm at position {i}", i)
         if i + 1 >= upto:
             raise InadmissiblePrefixError(
                 f"inadmissible prefix: isolated isotropic star vector at position {i}", i
@@ -327,7 +306,7 @@ def prefix_determinant(state: GsoState, upto: int) -> Fraction:
     return det
 
 
-def local_potential(trace: AdmissibleTrace, state: GsoState) -> Fraction:
+def local_potential(state: GsoState) -> Fraction:
     """Inductive potential of an admissible prefix.
 
     Empty prefix: 1.  Scalar extension: potential times |new det|.
@@ -336,14 +315,17 @@ def local_potential(trace: AdmissibleTrace, state: GsoState) -> Fraction:
     """
     pot = Fraction(1)
     det = Fraction(1)
-    for block in trace.blocks:
-        if block.kind is BlockKind.SCALAR:
-            det = det * state.star_norms[block.index]
-            pot = abs(det) * pot
-        else:
-            alpha = state.cross[block.index]
+    i = 0
+    while i < state.upto:
+        if i in state.bad:
+            alpha = state.cross[i]
             pot = abs(alpha) ** 3 * det * det * pot
             det = det * (-(alpha**2))
+            i += 2
+        else:
+            det = det * state.star_norms[i]
+            pot = abs(det) * pot
+            i += 1
     return pot
 
 

@@ -22,7 +22,7 @@ from indeflll.generators import (
     gen_random_symmetric,
     gen_random_unimodular,
 )
-from indeflll.reducer import reduce
+from indeflll.reducer import ReducerParams, reduce
 
 # the closing example: diag(1,-1,1,-1) admits a transform of infinite order
 AUTOMORPHIC_G = GramMatrix([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
@@ -207,6 +207,21 @@ def test_verify_theorem_bound():
         other = gen_random_symmetric(3, 10, 5)
         res = reduce(other)
         verify_theorem_bound(res, gen_random_symmetric(3, 10, 6))
+
+
+def test_bound_report_counts_excess_definite_blocks():
+    # definite blocks less max(sigma - 1, 0)
+    cases = [
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], True, 0),  # two definite blocks, sigma 3
+        ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], False, 1),  # one definite block, sigma 1
+        # a plane between two scalars: no definite block, sigma 2
+        ([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], True, -1),
+    ]
+    for rows, sign, excess in cases:
+        g = GramMatrix(rows)
+        res = reduce(g, ReducerParams(sign_strategy=sign))
+        assert res.reduced == g
+        assert verify_theorem_bound(res, g).excess_definite == excess
 
 
 def test_verify_theorem_bound_refuses_a_singular_leading_block():

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -6,6 +7,7 @@ from indeflll.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
+    _int_nth_root,
     format_matrix_json,
     format_matrix_text,
     main,
@@ -37,6 +39,16 @@ def test_parse_errors_carry_positions():
         parse_matrix_text("2\n1 5\n4 1")
     with pytest.raises(ParseError, match="rows"):
         parse_matrix_text("3\n1 0 0\n0 1 0")
+
+
+def test_json_refuses_booleans():
+    # bool is a subclass of int, so true/false would pass as 1/0
+    with pytest.raises(ParseError, match="row 2, column 1"):
+        parse_matrix_json('{"dim": 2, "rows": [[1, 0], [false, 1]]}')
+    with pytest.raises(ParseError, match="row 1, column 1"):
+        parse_matrix_json('{"dim": 2, "rows": [[true, false], [false, true]]}')
+    with pytest.raises(ParseError, match='"dim"'):
+        parse_matrix_json('{"dim": true, "rows": [[1]]}')
 
 
 def test_cli_gen_and_reduce_identity(tmp_path, capsys):
@@ -150,6 +162,31 @@ def test_cli_analyze_structured(tmp_path, capsys, monkeypatch):
     assert (doc["rank"], doc["kernel_dim"], doc["nondeg_det"]) == (1, 1, "1")
 
 
+def test_int_nth_root_brackets_large_radicands():
+    rng = random.Random(3)
+    for n in [2**2001 - 1, 2**2000, 3**1300] + [rng.getrandbits(2000) | 1 << 1999 for _ in range(20)]:
+        for k in (1, 2, 3, 7, 16):
+            x = _int_nth_root(n, k)
+            assert x**k <= n < (x + 1) ** k
+
+
+def test_cli_analyze_large_determinant(tmp_path, capsys, monkeypatch):
+    # |det| has 2002 bits: the root needs integer arithmetic throughout
+    monkeypatch.setenv("INDEFLLL_REPORT", "structured")
+    a, b = 2**1000 + 1, 2**1001 + 3
+    f = tmp_path / "g.txt"
+    f.write_text(f"2\n{a} 0\n0 {-b}\n")
+    assert main(["analyze", str(f)]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    root = doc["det_root_floor"]
+    assert doc["nondeg_det"] == str(-a * b) and root**2 <= a * b < (root + 1) ** 2
+    whole, frac = doc["det_root_approx"].split(".")
+    assert int(whole) == root and len(frac) == 2
+    f.write_text("2\n2 0\n0 -3\n")
+    assert main(["analyze", str(f)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["det_root_approx"] == "2.45"
+
+
 def test_cli_compare_isotropic_baseline(tmp_path, capsys):
     f = tmp_path / "h.txt"
     f.write_text("2\n0 1\n1 0\n")
@@ -187,6 +224,7 @@ def test_cli_missing_file(capsys):
 
 
 def test_cli_reduce_reports_gso_positions(tmp_path, capsys):
+    from indeflll.analysis import verify_theorem_bound
     from indeflll.reducer import reduce
 
     g = gen_random_symmetric(5, 20, 8)
@@ -194,7 +232,9 @@ def test_cli_reduce_reports_gso_positions(tmp_path, capsys):
     f.write_text(format_matrix_text(g.rows))
     assert main(["reduce", str(f), "--out", str(tmp_path / "r.txt"), "--report", "structured"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
-    stats = reduce(g).stats
+    res = reduce(g)
+    stats = res.stats
     assert doc["gso_positions"] == stats.gso_positions > 0
     assert doc["walk_steps"] == stats.walk_steps > 0
     assert doc["u_bits"] == stats.u_bits > 0 and doc["g_bits"] == stats.g_bits > 0
+    assert doc["excess_definite_blocks"] == verify_theorem_bound(res, g).excess_definite

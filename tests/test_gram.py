@@ -10,11 +10,9 @@ from indeflll.generators import gen_hyperbolic_stack, gen_random_unimodular, gen
 from indeflll.gram import (
     GramMatrix,
     auto_gso,
-    generalized_gso,
     mat_det,
     mat_mul,
     mat_transpose,
-    prefix_determinant,
 )
 from indeflll.reducer import ReducerState, cleanup_size_reduce, reduce, reduce_baseline
 from test_reducer import _exactness_corpus
@@ -66,8 +64,8 @@ def test_basic_gso_examples():
     assert st.star_vector(1) == [Fraction(-1), Fraction(1)]
     assert st.star_norms == [1, 1]
 
-    st = generalized_gso(GramMatrix([[0, 5], [5, 0]]), 2, {0})
-    assert st.star_norms == [0, 0] and st.cross[0] == 5
+    st = auto_gso(GramMatrix([[0, 5], [5, 0]]))
+    assert st.star_norms == [0, 0] and st.cross[0] == 5 and st.bad == {0}
 
 
 def test_gso_orthogonality_invariant():
@@ -112,19 +110,19 @@ def test_inadmissible_detection():
         auto_gso(GramMatrix([[0, 0], [0, 1]]))
     with pytest.raises(InadmissiblePrefixError):
         auto_gso(GramMatrix([[0]]))
-    with pytest.raises(InadmissiblePrefixError):
-        generalized_gso(GramMatrix([[1, 0], [0, 1]]), 2, {0})
+    # a strict build admits no plane
+    with pytest.raises(InadmissiblePrefixError) as exc:
+        auto_gso(GramMatrix([[1, 0, 0], [0, 0, 5], [0, 5, 0]]), strict=True)
+    assert exc.value.index == 1
 
 
 def test_prefix_determinant():
-    st = auto_gso(GramMatrix([[1, 0], [0, -1]]))
-    assert prefix_determinant(st, 2) == -1
+    assert auto_gso(GramMatrix([[1, 0], [0, -1]])).det == -1
     st = auto_gso(GramMatrix([[0, 3], [3, 0]]))
-    assert prefix_determinant(st, 2) == -9
+    assert st.det == -9 and st.truncated(0).det == 1
     with pytest.raises(ValueError):
-        prefix_determinant(st, 1)
-    st = auto_gso(GramMatrix([[1, 1], [1, 2]]))
-    assert prefix_determinant(st, 2) == 1
+        st.truncated(1)
+    assert auto_gso(GramMatrix([[1, 1], [1, 2]])).det == 1
 
     # agreement with the fraction-free determinant on random admissibles
     rng = random.Random(21)
@@ -143,12 +141,12 @@ def test_prefix_determinant():
         for upto in range(d + 1):
             if upto > 0 and (upto - 1) in st.bad:
                 continue
-            assert prefix_determinant(st, upto) == mat_det([r[:upto] for r in rows[:upto]])
+            assert st.truncated(upto).det == mat_det([r[:upto] for r in rows[:upto]])
             if upto < d and upto not in st.bad:
                 # a scalar extension multiplies the determinant by the
                 # residual norm of the new vector against the prefix
                 residual = st.truncated(upto).residual_norm(rows[upto][:upto], rows[upto][upto])
-                assert prefix_determinant(st, upto + 1) == prefix_determinant(st, upto) * residual != 0
+                assert st.truncated(upto + 1).det == st.truncated(upto).det * residual != 0
         done += 1
 
 
@@ -282,17 +280,17 @@ def test_extend_admissible():
     # determinant by the residual norm of the new vector
     empty = auto_gso(GramMatrix.zeros(0))
     assert empty.residual_norm([], 3) == 3
-    assert prefix_determinant(auto_gso(GramMatrix([[3]])), 1) == 3
+    assert auto_gso(GramMatrix([[3]])).det == 3
 
     one = auto_gso(GramMatrix([[1]]))
     assert one.residual_norm([0], -2) == -2
-    assert prefix_determinant(auto_gso(GramMatrix([[1, 0], [0, -2]])), 2) == -2
+    assert auto_gso(GramMatrix([[1, 0], [0, -2]])).det == -2
 
     # adherent vector: product 1 against diag(1) with norm 1 has a zero
     # residual, so it cannot extend the prefix as a scalar
     assert one.residual_norm([1], 1) == 0
     with pytest.raises(InadmissiblePrefixError):
-        generalized_gso(GramMatrix([[1, 1], [1, 1]]), bad=set())
+        auto_gso(GramMatrix([[1, 1], [1, 1]]), strict=True)
 
 
 def test_congruence_helper():
@@ -327,7 +325,8 @@ def test_residual_norm_matches_theta_path():
     planes = 0
     for _ in range(80):
         d = rng.randrange(1, 7)
-        st = auto_gso(_flagged_prefix(rng, d))
+        g = _flagged_prefix(rng, d)
+        st = auto_gso(g)
         planes += len(st.bad)
         for _ in range(5):
             raw = [Fraction(rng.randrange(-9, 10), rng.choice((1, 1, 2, 3))) for _ in range(d)]
@@ -335,7 +334,7 @@ def test_residual_norm_matches_theta_path():
             assert st.residual_norm(raw, norm) == st.theta_and_residual_norm(raw, norm)[1]
         # a combination of prefix vectors has residual 0 on both paths
         coeffs = [rng.randrange(-3, 4) for _ in range(d)]
-        rows = st.gram.rows
+        rows = g.rows
         raw = [sum(coeffs[j] * rows[j][i] for j in range(d)) for i in range(d)]
         norm = sum(coeffs[i] * raw[i] for i in range(d))
         assert st.residual_norm(raw, norm) == 0 == st.theta_and_residual_norm(raw, norm)[1]
@@ -375,11 +374,11 @@ def test_gso_from_previous_state_matches_fresh():
             vouched = auto_gso(g2, upto, previous, start)
             assert vouched == fresh and vouched.reused == built.reused
             reused += built.reused
-            if not fresh.bad:
-                strict = generalized_gso(g2, upto, frozenset(), previous)
-                assert strict == fresh
-            declared = generalized_gso(g2, upto, fresh.bad, previous)
-            assert declared == fresh
+            if fresh.bad:
+                with pytest.raises(InadmissiblePrefixError):
+                    auto_gso(g2, upto, previous, strict=True)
+            else:
+                assert auto_gso(g2, upto, previous, strict=True) == fresh
     assert reused > 100
 
 
@@ -393,8 +392,8 @@ def _assert_same_gso(new, old, tails=()):
     assert [new.star_vector(i) for i in range(new.upto)] == [old.star_vector(i) for i in range(old.upto)]
     for upto in range(new.upto + 1):
         if not (upto and (upto - 1) in new.bad):
-            assert prefix_determinant(new, upto) == ref.prefix_determinant(old, upto)
-    assert Fraction(*new.potential()) == ref.local_potential(old.trace(), old)
+            assert new.truncated(upto).det == ref.prefix_determinant(old, upto)
+    assert Fraction(*new.potential()) == ref.local_potential(old)
     for raw, norm in tails:
         assert new.residual_norm(raw, norm) == old.residual_norm(raw, norm)
         assert new.theta_and_residual_norm(raw, norm) == old.theta_and_residual_norm(raw, norm)
@@ -404,18 +403,15 @@ def _tails(gram, upto):
     return [(gram.rows[t][:upto], gram.rows[t][t]) for t in range(upto, gram.dim)]
 
 
-def _compare_build(gram, upto, declared=None, previous=(None, None), tails=()):
+def _compare_build(gram, upto, strict=False, previous=(None, None), tails=()):
     """Build the integral GSO and the reference from the same previous
-    states (auto_gso, or generalized_gso for a declared bad set), or check
-    that both refuse the prefix with the same message and index.
-    Returns the two states, or None."""
+    states, or check that both refuse the prefix with the same message
+    and index.  Returns the two states, or None."""
     def build():
-        if declared is None:
-            return auto_gso(gram, upto, previous[0])
-        return generalized_gso(gram, upto, declared, previous[0])
+        return auto_gso(gram, upto, previous[0], strict=strict)
 
     try:
-        old = ref._build_gso(gram, upto, declared, previous[1])
+        old = ref._build_gso(gram, upto, strict, previous[1])
     except InadmissiblePrefixError as exc:
         with pytest.raises(InadmissiblePrefixError) as again:
             build()
@@ -444,7 +440,7 @@ def _check_refreshes(monkeypatch):
     def refresh(self, prefix, strict=False):
         gram = self.current_gram()
         try:
-            old = ref._build_gso(gram, prefix, frozenset() if strict else None)
+            old = ref._build_gso(gram, prefix, strict)
         except InadmissiblePrefixError as exc:
             with pytest.raises(InadmissiblePrefixError) as again:
                 original(self, prefix, strict)
@@ -457,9 +453,9 @@ def _check_refreshes(monkeypatch):
             (s, rho), zero = cleanup_size_reduce(a, pos, new)
             rnorm, old_zero = ref.cleanup_size_reduce(b, pos, old)
             assert (a.u, a.gc, zero) == (b.u, b.gc, old_zero)
-            assert rho == rnorm * prefix_determinant(new, prefix)
+            assert rho == rnorm * new.det
             if s is not None:  # lam_{w,j} of the reduced vector, j the last position
-                assert s == old.star_product(b.gc[pos], prefix - 1) * prefix_determinant(new, prefix - 1)
+                assert s == old.star_product(b.gc[pos], prefix - 1) * new.truncated(prefix - 1).det
             seen["moved"] += a.u != self.u
         seen["refreshes"] += 1
         seen["planes"] += len(new.bad)
@@ -505,8 +501,6 @@ def test_integral_gso_matches_fraction_gso(monkeypatch):
         g = _rational(rng, _flagged_prefix(rng, 5).rows, (1, 2, 3, 6))
         with pytest.raises(ValueError):
             auto_gso(g)
-        with pytest.raises(ValueError):
-            generalized_gso(g)
     planes = 0
     for g in grams:
         full = _compare_build(g, g.dim, tails=[(row, rng.randrange(-9, 10)) for row in g.rows])
@@ -518,13 +512,8 @@ def test_integral_gso_matches_fraction_gso(monkeypatch):
             planes += len(new.bad)
             if full is not None:
                 _assert_same_gso(full[0].truncated(upto), ref.GsoState.truncated(full[1], upto))
-            # the detected bad set declared, one plane short, one scalar too many
-            _compare_build(g, upto, new.bad)
-            if new.bad:
-                _compare_build(g, upto, new.bad - {min(new.bad)})
-            scalars = [i for i in range(upto - 1) if new.is_scalar(i)]
-            if scalars:
-                _compare_build(g, upto, new.bad | {rng.choice(scalars)})
-            # reuse from this state on a changed Gram
+            # the strict build, and reuse from this state on a changed Gram
+            _compare_build(g, upto, strict=True)
             _compare_build(_changed(rng, g), rng.randrange(0, g.dim + 1), previous=pair)
+            _compare_build(_changed(rng, g), rng.randrange(0, g.dim + 1), strict=True, previous=pair)
     assert planes > 150

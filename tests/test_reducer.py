@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 import fraction_walk as ref
 from indeflll import reducer as red
-from indeflll.analysis import verify_theorem_bound
+from indeflll.analysis import kernel_split, verify_theorem_bound
 from indeflll.errors import InadmissiblePrefixError, IsotropicVectorError, LatticeError
 from indeflll.generators import gen_hyperbolic_stack, gen_random_unimodular, gen_worstcase
 from indeflll.gram import (
@@ -13,7 +14,6 @@ from indeflll.gram import (
     GsoState,
     _reusable,
     auto_gso,
-    generalized_gso,
     mat_det,
     mat_mul,
     mat_transpose,
@@ -345,8 +345,7 @@ def checked_refresh(monkeypatch):
     seen = {"refreshes": 0, "positions": 0, "computed": 0}
 
     def fresh(state, prefix, strict):
-        gram = state.current_gram()
-        return generalized_gso(gram, prefix, frozenset()) if strict else auto_gso(gram, prefix)
+        return auto_gso(state.current_gram(), prefix, strict=strict)
 
     def refresh(self, prefix, strict=False):
         try:
@@ -479,7 +478,7 @@ def test_change_log_survives_rolled_back_placements(monkeypatch):
         if self.gso is not None:
             low = self.gso.lower
             assert all(full.rows[i][: i + 1] == low[i] for i in range(min(self.touched, self.gso.upto)))
-        want = _reusable(self.gso, full, prefix, frozenset() if strict else None)
+        want = _reusable(self.gso, full, prefix, strict=strict)
         held = refresh(self, prefix, strict)
         assert held.reused == want and self.touched == self.d
         seen["refreshes"] += 1
@@ -651,6 +650,45 @@ def test_transform_and_gram_bits_are_reported():
     assert r.transform == [[0, -1], [1, -2]] and r.reduced.rows == [[-1, 2], [2, 0]]
     assert (r.stats.u_bits, r.stats.g_bits) == (2, 2)
     assert reduce(GramMatrix.zeros(2)).stats.g_bits == 0
+
+
+def test_small_box_certificates():
+    """Every certificate on every 2x2 matrix in [-3, 3] under both
+    strategies and the baseline, and on every 7th 3x3 matrix in [-2, 2]
+    without the sign strategy and under the baseline: congruence,
+    |det U| = 1, the input's rank, an exactly zero tail and the bound,
+    plus reduced blocks except for the baseline, which does not promise
+    them and may only stop at an isotropic vector.  The 3x3 stride joins
+    the sign strategy when fault (a) is fixed."""
+    two = [[[a, b], [b, c]] for a, b, c in itertools.product(range(-3, 4), repeat=3)]
+    three = [
+        [[a, b, c], [b, e, f], [c, f, h]]
+        for n, (a, b, c, e, f, h) in enumerate(itertools.product(range(-2, 3), repeat=6))
+        if n % 7 == 0
+    ]
+    sign, plain = ReducerParams(), ReducerParams(sign_strategy=False)
+    isotropic = []
+    for inputs, strategies in ((two, (sign, plain)), (three, (plain,))):
+        stopped = 0
+        for rows in inputs:
+            g = GramMatrix(rows)
+            rank = kernel_split(g).rank
+            for params in (*strategies, None):  # None: the baseline
+                try:
+                    r = reduce(g, params) if params else reduce_baseline(g)
+                except IsotropicVectorError:
+                    assert params is None, rows
+                    stopped += 1
+                    continue
+                assert g.congruence(r.transform) == r.reduced, rows
+                assert abs(mat_det(r.transform)) == 1, rows
+                assert r.rank == rank, rows
+                assert all(x == 0 for row in r.reduced.rows[rank:] for x in row), rows
+                assert verify_theorem_bound(r, g).holds, rows
+                assert params is None or reduced_blocks_ok(r), rows
+        isotropic.append(stopped)
+    # the baseline's strict GSO stops on these many inputs
+    assert (len(two), len(three), isotropic) == (343, 2233, [79, 951])
 
 
 # Known faults of the sign strategy, kept as exact reproducers until the
