@@ -26,7 +26,7 @@ from .generators import (
     gen_random_unimodular,
     gen_worstcase,
 )
-from .numerics import format_rational, parse_rational
+from .numerics import format_rational, parse_int, parse_rational
 from .qform import BQForm, reduce_definite, reduce_indefinite
 from .reducer import (
     ReducerParams,
@@ -59,7 +59,7 @@ def parse_matrix_text(text: str, require_symmetric: bool = True) -> list[list[in
     if len(head) != 1:
         raise ParseError("row 1: expected a single dimension value")
     try:
-        dim = int(head[0])
+        dim = parse_int(head[0])
     except ValueError as exc:
         raise ParseError(f"row 1: bad dimension {head[0]!r}") from exc
     if dim < 0:
@@ -74,7 +74,7 @@ def parse_matrix_text(text: str, require_symmetric: bool = True) -> list[list[in
         row = []
         for j, tok in enumerate(parts):
             try:
-                row.append(int(tok))
+                row.append(parse_int(tok))
             except ValueError as exc:
                 raise ParseError(f"row {i + 2}, column {j + 1}: bad integer {tok!r}") from exc
         rows.append(row)

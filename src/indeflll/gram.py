@@ -15,7 +15,9 @@ the block of m.  A hyperbolic plane is one 2x2 pivot, which multiplies
 the prefix determinant by -alpha^2.  Rows follow Cohen's recursion and
 every division in it is exact.  Star norms, cross products, star
 vectors and the coefficient vector theta are exact rational views of
-these integers.  The GSO takes integral Grams only.
+these integers.  The GSO takes integral Grams only.  A build takes over
+the leading positions of a previous state that its caller vouches for,
+as the reducer does from its change log, and compares no rows itself.
 """
 
 from dataclasses import dataclass, field
@@ -173,17 +175,15 @@ class GsoState:
     a plane hold the determinant after the plane.  lam[i][m] =
     D'_m * b(v_i, v*_m) for m <= i: at a scalar position lam[i][i] =
     dets[i], inside a plane lam[i][i] = 0, and the second position of a
-    plane (j, j+1) holds A_j = lam[j+1][j] = D'_j * alpha_j.  lower[i]
-    is row i of the Gram through the diagonal, b(v_i, v_j) for j <= i,
-    which is all that row i of the GSO depends on.  `reused` counts the
-    leading positions a build took over from a previous state instead of
-    computing them.  `boundary`, when set, is (key, row, rho) of a vector
-    w with key the products b(w, v_m) for m < upto followed by b(w, w),
-    row its lambda row and rho its scaled residual: a build that extends
-    this state by one position holding exactly that key takes them over.
+    plane (j, j+1) holds A_j = lam[j+1][j] = D'_j * alpha_j.  `reused`
+    counts the leading positions a build took over from a previous state
+    instead of computing them.  `boundary`, when set, is (key, row, rho)
+    of a vector w with key the products b(w, v_m) for m < upto followed
+    by b(w, w), row its lambda row and rho its scaled residual: a build
+    that extends this state by one position holding exactly that key
+    takes them over.
     """
 
-    lower: list[list[int]]
     upto: int
     lam: list[list[int]]
     dets: list[int]
@@ -226,7 +226,6 @@ class GsoState:
         if upto > 0 and (upto - 1) in self.bad:
             raise ValueError(f"truncation at {upto} splits the hyperbolic pair at {upto - 1}")
         return GsoState(
-            lower=self.lower[:upto],
             upto=upto,
             lam=self.lam[:upto],
             dets=self.dets[:upto],
@@ -308,24 +307,23 @@ class GsoState:
         vec[i] = Fraction(1)
         return vec
 
-    def theta_and_residual_norm(
-        self, raw_products: list, norm
-    ) -> tuple[list[Fraction], Fraction]:
-        """Coefficients of w - w* in the basis, and b(w*, w*)."""
-        products, norm, t = self._integral_products(raw_products, norm)
-        row = self.lambda_row(products)
+    def theta_and_residual_norm(self, products: list, norm) -> tuple[list[Fraction], Fraction]:
+        """Coefficients of w - w* in the basis, and b(w*, w*), from the
+        products b(w, v_m) and the norm b(w, w)."""
+        ints, norm, t = self._integral_products(products, norm)
+        row = self.lambda_row(ints)
         theta = [x / t for x in self._theta(row, self.upto)]
         return theta, self._residual_view(row, norm, t)
 
-    def residual_norm(self, raw_products: list, norm) -> Fraction:
+    def residual_norm(self, products: list, norm) -> Fraction:
         """b(w*, w*) alone, without the coefficient vector."""
-        products, norm, t = self._integral_products(raw_products, norm)
-        return self._residual_view(self.lambda_row(products), norm, t)
+        ints, norm, t = self._integral_products(products, norm)
+        return self._residual_view(self.lambda_row(ints), norm, t)
 
-    def _integral_products(self, raw_products: list, norm) -> tuple[list[int], int, int]:
+    def _integral_products(self, products: list, norm) -> tuple[list[int], int, int]:
         """The products and norm of t * w, as ints, and the least t > 0
         that makes them integers."""
-        nums, t = clear_denominators([*raw_products[: self.upto], norm])
+        nums, t = clear_denominators([*products[: self.upto], norm])
         return nums[:-1], nums[-1] * t, t
 
     def _residual_view(self, row: list[int], norm: int, t: int) -> Fraction:
@@ -415,27 +413,18 @@ def _scaled_residual(lam, dets, bad, row: list[int], norm: int, upto: int) -> in
     return u
 
 
-def _reusable(
-    previous: GsoState | None, gram: GramMatrix, upto: int, unchanged: int = 0, strict: bool = False
-) -> int:
-    """How many leading positions of `previous` a build of `gram` would
-    reproduce exactly.
+def _reusable(previous: GsoState | None, upto: int, unchanged: int, strict: bool = False) -> int:
+    """How many leading positions of `previous` a build takes over.
 
-    Row i depends only on the leading (i+1)x(i+1) block, so the count
-    stops at the first row whose leading part changed, one place earlier
-    when that would split a hyperbolic pair.  The leading `unchanged`
-    rows are known to equal those of `previous` and are not compared.  A
-    strict build reuses nothing when a plane of `previous` lies below
-    that point.
+    Row i depends only on the leading (i+1)x(i+1) block, and the caller
+    vouches that the leading `unchanged` rows, through the diagonal, are
+    those `previous` was built from; the count stops there, one place
+    earlier when that would split a hyperbolic pair.  A strict build
+    takes over nothing when a plane of `previous` lies below that point.
     """
     if previous is None:
         return 0
-    keep = min(upto, previous.upto)
-    old, new = previous.lower, gram.rows
-    for i in range(unchanged, keep):
-        if new[i][: i + 1] != old[i]:
-            keep = i
-            break
+    keep = min(upto, previous.upto, unchanged)
     if keep and (keep - 1) in previous.bad:
         keep -= 1
     if strict and any(j < keep for j in previous.bad):
@@ -456,25 +445,23 @@ def auto_gso(
     A zero star norm starts a pair (j, j+1), which must have both star
     norms zero and a nonzero cross product; anything else reports an
     inadmissible prefix.  `strict` admits no pairs: the first zero star
-    norm reports it.  Positions that `previous` (a GSO of an earlier
-    Gram) provably shares with this one are taken over, not recomputed;
-    the caller may vouch that the leading `unchanged` rows of `gram`
-    equal those `previous` was built from, which spares comparing them.
+    norm reports it.  The caller vouches that the leading `unchanged`
+    rows of `gram`, through the diagonal, equal those `previous` (a GSO
+    of an earlier Gram) was built from; the positions they determine are
+    taken over, not recomputed (see `_reusable`), and no row is compared.
     The Gram must be integral on the rows the build reads (ValueError
-    otherwise).  The state keeps a copy of the rows it computes and
-    nothing of `gram` itself.
+    otherwise).  The state keeps nothing of `gram` itself.
     """
     if upto is None:
         upto = gram.dim
-    keep = _reusable(previous, gram, upto, unchanged, strict)
+    keep = _reusable(previous, upto, unchanged, strict)
+    rows = gram.rows
     # the leading `keep` rows are vouched for by the integral `previous`,
     # and the lower triangle of the others holds every entry the build reads
-    lower = [row[: i + 1] for i, row in enumerate(gram.rows[keep:upto], keep)]
-    if not all(isinstance(x, int) for row in lower for x in row):
+    if not all(isinstance(x, int) for i in range(keep, upto) for x in rows[i][: i + 1]):
         raise ValueError("the generalized GSO expects an integral Gram matrix")
     hint = None
     if keep:
-        lower[:0] = previous.lower[:keep]
         lam, dets = previous.lam[:keep], previous.dets[:keep]
         bad = {j for j in previous.bad if j < keep}
         if keep == previous.upto:
@@ -483,8 +470,8 @@ def auto_gso(
         lam, dets, bad = [], [], set()
     i = keep
     while i < upto:
-        low = lower[i]
-        if hint is not None and hint[0] == low:
+        low = rows[i]
+        if hint is not None and hint[0] == low[: i + 1]:
             _, row, diag = hint
         else:
             row = _lambda_row(lam, dets, bad, low, i)
@@ -504,7 +491,7 @@ def auto_gso(
         lam.append(row + [0])
         # the partner's row runs through position i, whose column gives A;
         # its star norm skips the pending position i
-        low = lower[i + 1]
+        low = rows[i + 1]
         partner = _lambda_row(lam, dets, bad, low, i + 1)
         diag = _scaled_residual(lam, dets, bad, partner, low[i + 1], i)
         a = partner[i]
@@ -518,7 +505,6 @@ def auto_gso(
         bad.add(i)
         i += 2
     return GsoState(
-        lower=lower,
         upto=upto,
         lam=lam,
         dets=dets,

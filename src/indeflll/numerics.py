@@ -6,6 +6,7 @@ point is used anywhere; comparisons against square roots are decided by
 sign analysis and squaring.
 """
 
+import re
 from collections.abc import Sequence
 from fractions import Fraction
 from math import isqrt, lcm
@@ -148,14 +149,27 @@ def _equals_int(a: Rational, b: Rational, d: Rational, n: int) -> bool:
     return cmp_with_sqrt(a - n, -bp, m) == 0
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """An ASCII decimal integer literal, [+-]?[0-9]+ (`int` alone also
+    takes digit-group underscores and non-ASCII digits); ValueError
+    otherwise."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer literal: {text!r}")
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse a decimal integer or a "p/q" literal into a Fraction."""
+    """Parse a decimal integer or a "p/q" literal, each part an ASCII
+    integer as `parse_int` reads it, into a Fraction."""
     s = text.strip()
     try:
         if "/" in s:
             num, den = s.split("/", 1)
-            return Fraction(int(num.strip()), int(den.strip()))
-        return Fraction(int(s))
+            return Fraction(parse_int(num.strip()), parse_int(den.strip()))
+        return Fraction(parse_int(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational literal: {text!r}") from exc
 

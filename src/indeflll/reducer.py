@@ -210,21 +210,17 @@ class ReducerState:
         Gram in `self.gso`.
 
         Star vector i depends only on the leading (i+1)x(i+1) block, so
-        the previously held state is kept up to the first row whose
-        leading part changed (one place earlier when that would split a
-        hyperbolic pair), and only the positions from there on are
-        computed; `stats.gso_positions` counts them.  Rows below
-        `touched` are not compared, and the working Gram is not copied:
-        the build copies the rows it computes.  `strict` admits no
-        hyperbolic pairs: the first zero star norm raises.
+        the previously held state is kept below `touched` (one place
+        earlier when that would split a hyperbolic pair), and only the
+        positions from there on are computed; `stats.gso_positions`
+        counts them.  No row is compared, and the working Gram is not
+        copied.  `strict` admits no hyperbolic pairs: the first zero
+        star norm raises.
         """
         self.gso = auto_gso(GramMatrix.trusted(self.gc), prefix, self.gso, self.touched, strict)
         self.touched = self.d
         self.stats.gso_positions += prefix - self.gso.reused
         return self.gso
-
-    def raw_products(self, prefix: int, pos: int) -> list:
-        return self.gc[pos][:prefix]
 
     def columns_match_pm(self, p: int, q: int, old_p: list, old_q: list) -> bool:
         """(v_p, v_q) equal to (old_p, old_q) up to independent signs."""
@@ -355,22 +351,6 @@ def _sign_target(gso: GsoState, prev: int) -> int | None:
     return None
 
 
-def _block_data(
-    state: ReducerState, k: int, residual: tuple[int, int] | None = None
-) -> tuple[int, int, int, int]:
-    """(N1, S, N2) of the projected block at 1-based (k-1, k) as integers
-    over their positive common denominator, and that denominator.
-    `residual` is (s, rho) of the vector at k-1 against the prefix, as
-    `cleanup_size_reduce` returns it, when already known."""
-    gso = state.gso
-    prev, pos = k - 2, k - 1
-    if residual is None:
-        w = state.gc[pos]
-        row = gso.lambda_row(w)
-        residual = row[prev], gso.scaled_residual(row, w[pos])
-    return gso.projected_block(prev, *residual)
-
-
 def _place_transformed_pair(state: ReducerState, k: int, t: Transform2) -> int:
     """Apply a block transform at (k-1, k) and run the placement tests.
 
@@ -394,51 +374,47 @@ def _place_transformed_pair(state: ReducerState, k: int, t: Transform2) -> int:
     return -1
 
 
-def _lovasz_definite(state: ReducerState, k: int, n1: int, s: int, n2: int) -> int:
-    """Definite projected block: size-reduce, swap on a gamma0 gain.
+def _lovasz_definite(state: ReducerState, k: int, n1: int, n2: int) -> int:
+    """Definite projected block (N1, S, N2): swap on a gamma0 gain.
 
-    The block (N1, S, N2) comes as integers over a positive common
-    denominator; the rounding and both comparisons are invariant under
-    it.  A strict sub-gamma0 improvement is also taken (counted as a
-    repair) so that final definite blocks satisfy |a| <= |c| exactly;
-    each such swap still strictly lowers the integer-valued potential,
-    so the loop cannot cycle on them.
+    The clean-up has already size-reduced the block, |S| <= |N1| / 2, so
+    only N1 and N2 matter; they come as integers over a positive common
+    denominator, and both comparisons are invariant under it.  A strict
+    sub-gamma0 improvement is also taken (counted as a repair) so that
+    final definite blocks satisfy |a| <= |c| exactly; each such swap
+    still strictly lowers the integer-valued potential, so the loop
+    cannot cycle on them.
     """
-    prev, pos = k - 2, k - 1
     gamma0 = state.params.gamma0
-    lam = nearest_div(s, n1)
-    n2_new = n2 - 2 * lam * s + lam * lam * n1
-    if lam:
-        state.col_addmul(pos, prev, -lam)
-    if abs(n2_new) < abs(n1):
-        if not (abs(n2_new) * gamma0.denominator < gamma0.numerator * abs(n1)):
+    if abs(n2) < abs(n1):
+        if not (abs(n2) * gamma0.denominator < gamma0.numerator * abs(n1)):
             state.stats.repairs += 1
-        state.col_swap(prev, pos)
+        state.col_swap(k - 2, k - 1)
         state.stats.swaps += 1
         return -1
     return +1
 
 
-def integrate_adherent(state: ReducerState, k: int) -> int:
+def integrate_adherent(state: ReducerState, k: int, n1: int, s: int, n2: int) -> int:
     """Fold an adherent (isotropic residual, non-integral coefficients)
     vector into the prefix through the degenerate projected block.
 
-    The rank-one 2x2 block is run down to a (0, 0, c) shape, which is a
-    GCD computation on the two projected vectors; the lift shortens the
-    prefix vector and leaves behind a combination that adheres further
-    down, so the main loop keeps cascading until the leftover becomes a
-    prefix zero.  Each pass divides the local determinant by at least 4.
+    The vector at k-1 has been size-reduced by `cleanup_size_reduce`, and
+    (N1, S, N2) is its projected block against position k-2, as integers
+    over a positive common denominator.  The rank-one 2x2 block is run
+    down to a (0, 0, c) shape, which is a GCD computation on the two
+    projected vectors; the lift shortens the prefix vector and leaves
+    behind a combination that adheres further down, so the main loop
+    keeps cascading until the leftover becomes a prefix zero.  Each pass
+    divides the local determinant by at least 4.
     """
     gso = state.gso
-    prev = k - 2
-    if not gso.is_scalar(prev):
+    if not gso.is_scalar(k - 2):
         raise ValueError("integrate_adherent requires a scalar neighbor position")
-    n1, s, n2, _ = _block_data(state, k)
     if s * s != n1 * n2:  # the residual norm is not zero
         raise ValueError("integrate_adherent requires an adherent vector")
-    raw = state.raw_products(k - 1, k - 1)
-    theta, _ = gso.theta_and_residual_norm(raw, state.gc[k - 1][k - 1])
-    if all(x.denominator == 1 for x in theta):
+    # after size reduction a prefix zero is a zero residual with a zero lambda row
+    if not any(gso.lambda_row(state.gc[k - 1])):
         raise ValueError("integrate_adherent rejects prefix zeroes")
     # the engine is scale invariant, so it takes the block times its denominator
     _, t = reduce_definite(BQForm(n1, 2 * s, n2))
@@ -522,19 +498,20 @@ def _indefinite_candidates(
     return [(BQForm(*f), Transform2(*t)) for f, t in first + second + repair]
 
 
-def vector_reduce(state: ReducerState, k: int, residual: tuple[int, int] | None = None) -> int:
-    """Reduce the projected block at (k-1, k); `residual` as for
-    `_block_data`.
+def vector_reduce(state: ReducerState, k: int, residual: tuple[int, int]) -> int:
+    """Reduce the projected block at 1-based (k-1, k) of the vector at
+    k-1, which `cleanup_size_reduce` has size-reduced and whose (s, rho)
+    it returned as `residual`.
 
     Under the sign strategy the new leading star norm is steered toward
     the sign opposite the previous scalar one.
     """
-    n1, s, n2, den = _block_data(state, k, residual)
+    n1, s, n2, den = state.gso.projected_block(k - 2, *residual)
     disc_alg = s * s - n1 * n2
     if disc_alg < 0:
-        return _lovasz_definite(state, k, n1, s, n2)
+        return _lovasz_definite(state, k, n1, n2)
     if disc_alg == 0:
-        return integrate_adherent(state, k)
+        return integrate_adherent(state, k, n1, s, n2)
     want = _sign_target(state.gso, k - 2) if state.params.sign_strategy else None
     gamma0 = state.params.gamma0
     walk = IntegralWalk.over((n1, 2 * s, n2), den)
@@ -770,13 +747,11 @@ def reduce_baseline(gram: GramMatrix, gamma0: Rational = Fraction(99, 100)) -> R
     Standard Gram-Schmidt only: the first isotropic orthogonalized
     vector aborts the run with IsotropicVectorError.
     """
-    gamma0 = Fraction(gamma0)
-    if not (0 < gamma0 < 1):
-        raise ValueError("gamma0 must lie strictly between 0 and 1")
+    params = ReducerParams(gamma0=gamma0)
+    gamma0 = params.gamma0
     if not gram.is_integral():
         raise ValueError("reduce_baseline expects an integral Gram matrix")
     d = gram.dim
-    params = ReducerParams(gamma0=gamma0)
     state = ReducerState(gram, params)
     if d == 0:
         return _finalize(state, 0)
@@ -793,7 +768,7 @@ def reduce_baseline(gram: GramMatrix, gamma0: Rational = Fraction(99, 100)) -> R
         rho = gso.scaled_residual(row, w[pos])
         _size_reduce_below(state, pos, row, gso, k - 1)
         gso.hand_over(w, pos, row, rho)
-        n_prev, _, proj, _ = _block_data(state, k, (row[k - 2], rho))
+        n_prev, _, proj, _ = gso.projected_block(k - 2, row[k - 2], rho)
         if abs(proj) * gamma0.denominator < gamma0.numerator * abs(n_prev):
             state.col_swap(k - 2, k - 1)
             state.stats.swaps += 1

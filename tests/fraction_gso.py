@@ -73,19 +73,19 @@ class GsoState:
             cross={j: a for j, a in self.cross.items() if j + 1 < upto},
         )
 
-    def star_product(self, raw_products: list, j: int) -> Fraction:
-        """b(w, star_j), given raw products b(w, v_m) (ints or Fractions)."""
-        return Fraction(self._scaled_star_product(raw_products, j), self.star_den[j])
+    def star_product(self, products: list, j: int) -> Fraction:
+        """b(w, star_j), given the products b(w, v_m) (ints or Fractions)."""
+        return Fraction(self._scaled_star_product(products, j), self.star_den[j])
 
-    def _scaled_star_product(self, raw_products: list, j: int):
-        """star_den[j] * b(w, star_j), in the type of the raw products."""
-        return sum(map(mul, self.star_num[j], raw_products))
+    def _scaled_star_product(self, products: list, j: int):
+        """star_den[j] * b(w, star_j), in the type of the products."""
+        return sum(map(mul, self.star_num[j], products))
 
     def theta_and_residual_norm(
-        self, raw_products: list, norm
+        self, products: list, norm
     ) -> tuple[list[Fraction], Fraction]:
         """Coefficients of w - w* in the basis, and b(w*, w*)."""
-        ps = [self.star_product(raw_products, j) for j in range(self.upto)]
+        ps = [self.star_product(products, j) for j in range(self.upto)]
         theta = [Fraction(0)] * self.upto
         i = 0
         while i < self.upto:
@@ -109,9 +109,9 @@ class GsoState:
                         if n:
                             theta[m] += mu * n
                 i += 1
-        return theta, self.residual_norm(raw_products, norm)
+        return theta, self.residual_norm(products, norm)
 
-    def residual_norm(self, raw_products: list, norm) -> Fraction:
+    def residual_norm(self, products: list, norm) -> Fraction:
         """b(w*, w*) alone, without the coefficient vector.  Adding
         prefix vectors to w leaves it unchanged.
 
@@ -122,9 +122,9 @@ class GsoState:
         num, den = 0, 1
         i = 0
         while i < self.upto:
-            p = self._scaled_star_product(raw_products, i)
+            p = self._scaled_star_product(products, i)
             if i in self.bad:
-                q = self._scaled_star_product(raw_products, i + 1)
+                q = self._scaled_star_product(products, i + 1)
                 alpha = self.cross[i]
                 t_num = 2 * p.numerator * q.numerator * alpha.denominator
                 t_den = p.denominator * q.denominator * self.star_den[i] * self.star_den[i + 1] * alpha.numerator
@@ -347,7 +347,7 @@ def cleanup_size_reduce(
     """
     gso = gso or state.gso
     kappa = gso.upto
-    rnorm = gso.residual_norm(state.raw_products(kappa, pos), state.gc[pos][pos])
+    rnorm = gso.residual_norm(state.gc[pos][:kappa], state.gc[pos][pos])
     if kappa == 0:
         return rnorm, rnorm == 0
     j = kappa - 1
@@ -377,7 +377,7 @@ def cleanup_size_reduce(
     if rnorm != 0:
         return rnorm, False
     # a prefix zero is straightened out entirely
-    theta, _ = gso.theta_and_residual_norm(state.raw_products(kappa, pos), rnorm)
+    theta, _ = gso.theta_and_residual_norm(state.gc[pos][:kappa], rnorm)
     if not all(t.denominator == 1 for t in theta):
         return rnorm, False
     for j, tj in enumerate(theta):

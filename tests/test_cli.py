@@ -41,6 +41,25 @@ def test_parse_errors_carry_positions():
         parse_matrix_text("3\n1 0 0\n0 1 0")
 
 
+def test_text_reads_ascii_integers_only():
+    # int() alone reads 1_0 as 10 and the Arabic-Indic digits as 3 and 2
+    with pytest.raises(ParseError, match="row 2, column 1"):
+        parse_matrix_text("2\n1_0 3\n3 3")
+    with pytest.raises(ParseError, match="row 3, column 2"):
+        parse_matrix_text("2\n10 3\n3 \u0663")
+    with pytest.raises(ParseError, match="row 1"):
+        parse_matrix_text("\u0662\n1 0\n0 1")
+    assert parse_matrix_text("2\n+10 -3\n-3 03") == [[10, -3], [-3, 3]]
+
+
+def test_cli_refuses_non_ascii_rationals(tmp_path, capsys):
+    f = tmp_path / "id.txt"
+    f.write_text("2\n1 0\n0 1\n")
+    assert main(["reduce", str(f), "--gamma0", "9_9/1_00"]) == EXIT_INPUT
+    assert "9_9/1_00" in capsys.readouterr().err
+    assert main(["qform", "reduce", "1", "0", "-\u0662"]) == EXIT_INPUT
+
+
 def test_json_refuses_booleans():
     # bool is a subclass of int, so true/false would pass as 1/0
     with pytest.raises(ParseError, match="row 2, column 1"):

@@ -359,26 +359,24 @@ def test_gso_from_previous_state_matches_fresh():
         cuts = [u for u in range(d + 1) if not (u > 0 and (u - 1) in full.bad)]
         previous = auto_gso(g, rng.choice(cuts))
         for upto in range(d + 1):
+            # rows below `start` are unchanged, and the caller vouches for them
             try:
                 fresh = auto_gso(g2, upto)
             except InadmissiblePrefixError as exc:
                 with pytest.raises(InadmissiblePrefixError) as again:
-                    auto_gso(g2, upto, previous)
+                    auto_gso(g2, upto, previous, start)
                 assert (str(again.value), again.value.index) == (str(exc), exc.index)
                 continue
-            built = auto_gso(g2, upto, previous)
+            built = auto_gso(g2, upto, previous, start)
             assert built == fresh  # every field but `reused`
-            assert built.reused <= min(upto, previous.upto)
-            # rows below `start` are unchanged: vouching for them spares
-            # comparing them and reuses exactly as much
-            vouched = auto_gso(g2, upto, previous, start)
-            assert vouched == fresh and vouched.reused == built.reused
+            assert built.reused <= min(upto, previous.upto, start)
+            assert auto_gso(g2, upto, previous).reused == 0  # nothing vouched for
             reused += built.reused
             if fresh.bad:
                 with pytest.raises(InadmissiblePrefixError):
-                    auto_gso(g2, upto, previous, strict=True)
+                    auto_gso(g2, upto, previous, start, strict=True)
             else:
-                assert auto_gso(g2, upto, previous, strict=True) == fresh
+                assert auto_gso(g2, upto, previous, start, strict=True) == fresh
     assert reused > 100
 
 
@@ -403,12 +401,14 @@ def _tails(gram, upto):
     return [(gram.rows[t][:upto], gram.rows[t][t]) for t in range(upto, gram.dim)]
 
 
-def _compare_build(gram, upto, strict=False, previous=(None, None), tails=()):
+def _compare_build(gram, upto, strict=False, previous=(None, None), tails=(), unchanged=0):
     """Build the integral GSO and the reference from the same previous
     states, or check that both refuse the prefix with the same message
-    and index.  Returns the two states, or None."""
+    and index.  The integral build takes over the rows below `unchanged`,
+    and the reference as many as it finds unchanged by comparing them.
+    Returns the two states, or None."""
     def build():
-        return auto_gso(gram, upto, previous[0], strict=strict)
+        return auto_gso(gram, upto, previous[0], unchanged, strict)
 
     try:
         old = ref._build_gso(gram, upto, strict, previous[1])
@@ -478,13 +478,16 @@ def _rational(rng, rows, dens):
 
 
 def _changed(rng, gram):
-    """`gram` with some entries changed from a random row on, symmetrically."""
+    """`gram` with some entries changed from a random row on, symmetrically,
+    and the first row that changed through the diagonal, as a change log
+    would report it."""
     rows = gram.copy_rows()
     for i in range(rng.randrange(0, gram.dim + 1), gram.dim):
         for j in range(gram.dim):
             if rng.random() < 0.5:
                 rows[i][j] = rows[j][i] = rows[i][j] + rng.randrange(-2, 3)
-    return GramMatrix(rows)
+    first = next((i for i, (a, b) in enumerate(zip(rows, gram.rows)) if a[: i + 1] != b[: i + 1]), gram.dim)
+    return GramMatrix(rows), first
 
 
 def test_integral_gso_matches_fraction_gso(monkeypatch):
@@ -514,6 +517,7 @@ def test_integral_gso_matches_fraction_gso(monkeypatch):
                 _assert_same_gso(full[0].truncated(upto), ref.GsoState.truncated(full[1], upto))
             # the strict build, and reuse from this state on a changed Gram
             _compare_build(g, upto, strict=True)
-            _compare_build(_changed(rng, g), rng.randrange(0, g.dim + 1), previous=pair)
-            _compare_build(_changed(rng, g), rng.randrange(0, g.dim + 1), strict=True, previous=pair)
+            for strict in (False, True):
+                changed, first = _changed(rng, g)
+                _compare_build(changed, rng.randrange(0, g.dim + 1), strict, pair, unchanged=first)
     assert planes > 150

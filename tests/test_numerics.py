@@ -162,3 +162,7 @@ def test_rational_parsing_and_printing():
         parse_rational("1.5")
     with pytest.raises(ParseError):
         parse_rational("3/0")
+    # only ASCII digits, without digit-group underscores
+    for text in ("9_9/1_00", "1_0", "\u0663", "3/\u0664", "\uff11"):
+        with pytest.raises(ParseError):
+            parse_rational(text)

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -113,7 +115,8 @@ def test_vector_reduce_trivial_plus_one():
     g = GramMatrix.identity(2)
     st = ReducerState(g, ReducerParams(sign_strategy=False))
     st.refresh_prefix_gso(1)
-    assert vector_reduce(st, 2) == +1
+    residual, _ = cleanup_size_reduce(st, 1)
+    assert vector_reduce(st, 2, residual) == +1
     assert st.gc == GramMatrix.identity(2).copy_rows()
 
 
@@ -122,7 +125,8 @@ def test_vector_reduce_shrinks_front():
     g = GramMatrix([[4, 0], [0, -1]])
     st = ReducerState(g, ReducerParams(sign_strategy=False))
     st.refresh_prefix_gso(1)
-    change = vector_reduce(st, 2)
+    residual, _ = cleanup_size_reduce(st, 1)
+    change = vector_reduce(st, 2, residual)
     assert change == -1
     assert abs(st.gc[0][0]) <= 2
     # transform stayed congruent and unimodular
@@ -145,7 +149,8 @@ def test_integrate_adherent_gcd():
     g = GramMatrix([[4, 2], [2, 1]])
     st = ReducerState(g, ReducerParams())
     st.refresh_prefix_gso(1)
-    change = integrate_adherent(st, 2)
+    residual, _ = cleanup_size_reduce(st, 1)
+    change = integrate_adherent(st, 2, *st.gso.projected_block(0, *residual)[:3])
     assert change == -1
     assert st.gc[0][0] == 1  # determinant dropped from 4 to 1
     assert st.stats.adherent_integrations == 1
@@ -157,8 +162,9 @@ def test_integrate_adherent_rejects_prefix_zero():
     g = GramMatrix([[1, 1], [1, 1]])
     st = ReducerState(g, ReducerParams())
     st.refresh_prefix_gso(1)
+    residual, _ = cleanup_size_reduce(st, 1)
     with pytest.raises(ValueError):
-        integrate_adherent(st, 2)
+        integrate_adherent(st, 2, *st.gso.projected_block(0, *residual)[:3])
 
 
 def test_vector_coupled_to_plane_moves_in_front():
@@ -336,6 +342,28 @@ def _exactness_corpus():
     return out
 
 
+def test_outputs_are_pinned():
+    """Everything `reduce` (under both strategies) and `reduce_baseline`
+    return or raise on the exactness corpus, the 2x2 box in [-3, 3] and
+    the first 10 criterion 2 inputs hashes to a committed digest: the
+    reduced rows, U, the rank, the block kinds, every stats field, and an
+    error's type, message and index."""
+    box = [GramMatrix([[a, b], [b, c]]) for a, b, c in itertools.product(range(-3, 4), repeat=3)]
+    scrambled = [gen_worstcase(5).congruence(gen_random_unimodular(10, 30, seed)) for seed in range(10)]
+    runs = (reduce, lambda g: reduce(g, ReducerParams(sign_strategy=False)), reduce_baseline)
+    digest = hashlib.sha256()
+    for g in _exactness_corpus() + box + scrambled:
+        for run in runs:
+            try:
+                r = run(g)
+            except LatticeError as exc:
+                out = (type(exc).__name__, str(exc), getattr(exc, "index", None))
+            else:
+                out = (r.reduced.rows, r.transform, r.rank, r.block_kinds, dataclasses.astuple(r.stats))
+            digest.update(repr(out).encode())
+    assert digest.hexdigest() == "d40cd8dd71abf36a0596f75a394b00a2c550b8d1e6fd74ba0d07d110927f47ad"
+
+
 @pytest.fixture
 def checked_refresh(monkeypatch):
     """After every prefix GSO refresh, compare the held state with a GSO
@@ -355,8 +383,8 @@ def checked_refresh(monkeypatch):
                 fresh(self, prefix, strict)
             assert (str(again.value), again.value.index) == (str(exc), exc.index)
             raise
-        # dataclass equality: the Gram, star vectors, denominators, norms,
-        # planes and cross products, all but the `reused` count
+        # dataclass equality: the extent, lambda rows, determinants and
+        # planes, all but the `reused` count
         assert held == fresh(self, prefix, strict)
         assert held is self.gso
         seen["refreshes"] += 1
@@ -458,12 +486,40 @@ def test_size_reduction_hands_over_exact_lambda_rows(monkeypatch):
     assert seen["rows"] > 3000 and seen["planes"] > 500
 
 
+def test_clean_up_decides_once(monkeypatch):
+    """The clean-up's size reduction is the only one: whole reductions with
+    adherent integrations build no coefficient vector theta, and every
+    definite block reaches `_lovasz_definite` already size-reduced,
+    2 |S| <= |N1|."""
+    lovasz = red._lovasz_definite
+    seen = {"adherent": 0, "definite": 0}
+
+    def no_theta(self, products, norm):
+        raise AssertionError("theta built during a reduction")
+
+    def checked_lovasz(state, k, n1, n2):
+        gso, w = state.gso, state.gc[k - 1]
+        row = gso.lambda_row(w)
+        block = gso.projected_block(k - 2, row[k - 2], gso.scaled_residual(row, w[k - 1]))
+        assert block[::2] == (n1, n2) and 2 * abs(block[1]) <= abs(n1)
+        seen["definite"] += 1
+        return lovasz(state, k, n1, n2)
+
+    monkeypatch.setattr(GsoState, "theta_and_residual_norm", no_theta)
+    monkeypatch.setattr(red, "_lovasz_definite", checked_lovasz)
+    for g in _exactness_corpus():
+        for params in (ReducerParams(), ReducerParams(sign_strategy=False)):
+            seen["adherent"] += reduce(g, params).stats.adherent_integrations
+    assert seen["adherent"] > 0 and seen["definite"] > 100, seen
+
+
 def test_change_log_survives_rolled_back_placements(monkeypatch):
     """The rows below `touched` are those of the last refresh, also after
     a placement that is rolled back, and each refresh reuses what a full
-    comparison of the Gram would reuse."""
+    comparison with a copy of the Gram at the last refresh would reuse."""
     place, refresh = red._place_transformed_pair, ReducerState.refresh_prefix_gso
     seen = {"rollbacks": 0, "refreshes": 0}
+    refreshed = {}  # state -> its Gram at its last refresh
 
     def checked_place(state, k, t):
         before = (state.touched, [row[:] for row in state.gc])
@@ -474,13 +530,15 @@ def test_change_log_survives_rolled_back_placements(monkeypatch):
         return change
 
     def checked_refresh(self, prefix, strict=False):
-        full = self.current_gram()
+        want = 0
         if self.gso is not None:
-            low = self.gso.lower
-            assert all(full.rows[i][: i + 1] == low[i] for i in range(min(self.touched, self.gso.upto)))
-        want = _reusable(self.gso, full, prefix, strict=strict)
+            old, keep = refreshed[self], min(prefix, self.gso.upto)
+            changed = next((i for i in range(keep) if self.gc[i][: i + 1] != old[i][: i + 1]), keep)
+            assert min(self.touched, keep) <= changed
+            want = _reusable(self.gso, prefix, changed, strict)
         held = refresh(self, prefix, strict)
         assert held.reused == want and self.touched == self.d
+        refreshed[self] = [row[:] for row in self.gc]
         seen["refreshes"] += 1
         return held
 
@@ -618,9 +676,9 @@ def test_repairs_count_kept_candidates_that_are_no_gain(monkeypatch):
             records[-1][2].append(change)
         return change
 
-    def record_lovasz(state, k, n1, s, n2):
+    def record_lovasz(state, k, n1, n2):
         before = state.stats.repairs
-        change = lovasz(state, k, n1, s, n2)
+        change = lovasz(state, k, n1, n2)
         definite[0] += state.stats.repairs - before
         return change
 
