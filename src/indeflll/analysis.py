@@ -2,16 +2,16 @@
 
 Kernel splitting via integer column elimination, signature counting
 both through the reduction output and through exact fraction-free
-congruence elimination (Sylvester's law of inertia), quality-bound
-checking, the Hermitian doubling embedding, and the hyperbolic-plane
-removal basis change.
+congruence elimination (Sylvester's law of inertia; one elimination,
+the kernel split only for singular input), quality bounds, the Hermitian
+doubling embedding, and the hyperbolic-plane removal basis change.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InadmissiblePrefixError, InternalInvariantError
-from .gram import GramMatrix, auto_gso, mat_identity
+from .gram import GramMatrix, _symmetric_product, auto_gso, mat_identity, mat_transpose
 from .numerics import Rational, clear_denominators
 from .reducer import ReducerParams, ReductionResult, reduce
 
@@ -51,45 +51,35 @@ def kernel_split(gram: GramMatrix) -> KernelSplit:
     if not gram.is_integral():
         raise ValueError("kernel_split expects an integral Gram matrix")
     d = gram.dim
-    a = [list(row) for row in gram.rows]  # worked on by column ops
-    v = mat_identity(d)
-
-    def col_addmul(dst, src, coef):
-        for r in range(d):
-            a[r][dst] += coef * a[r][src]
-            v[r][dst] += coef * v[r][src]
-
-    def col_swap(i, j):
-        for r in range(d):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
+    at, vt = gram.copy_rows(), mat_identity(d)  # columns of A = G V and of V
     pivot_col = 0
     for row in range(d):
-        active = [c for c in range(pivot_col, d) if a[row][c] != 0]
+        active = [c for c in range(pivot_col, d) if at[c][row] != 0]
         if not active:
             continue
         while len(active) > 1:
-            active.sort(key=lambda c: abs(a[row][c]))
+            active.sort(key=lambda c: abs(at[c][row]))
             base = active[0]
             remaining = [base]
             for c in active[1:]:
-                q = a[row][c] // a[row][base]
-                col_addmul(c, base, -q)
-                if a[row][c] != 0:
+                q = at[c][row] // at[base][row]
+                at[c] = [x - q * y for x, y in zip(at[c], at[base])]
+                vt[c] = [x - q * y for x, y in zip(vt[c], vt[base])]
+                if at[c][row] != 0:
                     remaining.append(c)
             active = remaining
-        col_swap(pivot_col, active[0])
+        c = active[0]
+        at[pivot_col], at[c], vt[pivot_col], vt[c] = at[c], at[pivot_col], vt[c], vt[pivot_col]
         pivot_col += 1
     rank = pivot_col
-    transformed = gram.congruence(v)
+    transformed = _symmetric_product(vt, at)  # V^T A = V^T G V
     for i in range(rank, d):
-        if any(transformed.rows[i][j] != 0 for j in range(d)):
+        if any(transformed[i]):
             raise InternalInvariantError("kernel columns did not clear")
-    lead = transformed.leading(rank)
+    lead = GramMatrix([row[:rank] for row in transformed[:rank]])
     if rank and lead.det() == 0:
         raise InternalInvariantError("leading block is singular after the kernel split")
-    return KernelSplit(transform=v, nondegenerate=lead)
+    return KernelSplit(transform=mat_transpose(vt), nondegenerate=lead)
 
 
 # ---------------------------------------------------------------------------
@@ -116,16 +106,18 @@ def char_poly(gram: GramMatrix) -> list[Fraction]:
 
 
 def _congruent_leading_minors(a: list[list[int]]) -> list[int]:
-    """Leading principal minors D_1..D_r of an integer matrix congruent
-    to the nonsingular symmetric `a`, by fraction-free (Bareiss)
-    symmetric elimination; `a` is overwritten.
+    """Leading principal minors D_1..D_rank of an integer matrix
+    congruent to the symmetric `a`, by fraction-free (Bareiss) symmetric
+    elimination; `a` is overwritten.
 
     Step k pivots on a remaining nonzero diagonal entry, moved to place
     k by a symmetric swap.  When every remaining diagonal entry is zero,
     the unimodular step e_i += e_j with a_ij != 0 first makes the new
     a_ii = 2 a_ij.  Both congruences act only on indices k and up, where
     the Bareiss entries are bordered minors and so transform the same
-    way; D_1..D_k stay as found and D_r = det(a).
+    way; D_1..D_k stay as found.  The remaining block is D_k times a
+    Schur complement, so the elimination stops when it is all zero;
+    D_rank = det(a) when `a` is nonsingular.
     """
     r = len(a)
     minors = []
@@ -135,7 +127,7 @@ def _congruent_leading_minors(a: list[list[int]]) -> list[int]:
         if p is None:
             p, j = next(((i, j) for i in range(k, r) for j in range(i + 1, r) if a[i][j]), (None, None))
             if p is None:
-                raise InternalInvariantError("singular block in the inertia count")
+                break
             ap, aj = a[p], a[j]
             for t in range(k, r):
                 ap[t] += aj[t]
@@ -170,20 +162,24 @@ def signature_via_sturm(gram: GramMatrix) -> LatticeInvariants:
     """Count positive and negative eigenvalues exactly.
 
     By Sylvester's law of inertia any congruent matrix has the same
-    counts.  Rational input is scaled to integral, the integer kernel
-    split gives the rank and a nonsingular block, and fraction-free
-    symmetric elimination of that block gives the leading principal
-    minors D_1..D_rank of a congruent matrix (D_0 = 1).  The sign
-    changes of this Sturm sequence at 0 count n_minus: the k-th
-    diagonal entry of the congruent diagonal form is D_k / D_(k-1).
-    The last minor is the block's determinant, so the nondegenerate
-    determinant is D_rank / scale^rank.
+    counts.  Rational input is scaled to integral, and fraction-free
+    symmetric elimination gives the leading principal minors
+    D_1..D_rank of a congruent matrix (D_0 = 1).  The sign changes of
+    this Sturm sequence at 0 count n_minus: the k-th diagonal entry of
+    the congruent diagonal form is D_k / D_(k-1).  The nondegenerate
+    determinant is D_rank / scale^rank, D_rank taken from the integer
+    kernel split's leading block when the input is singular.
     """
     scaled, lam = _integral_scale(gram)
-    split = kernel_split(scaled)
-    minors = _congruent_leading_minors(split.nondegenerate.copy_rows())
+    minors = _congruent_leading_minors(scaled.copy_rows())
+    rank = len(minors)
+    if rank < gram.dim:
+        lead = kernel_split(scaled).nondegenerate
+        minors = _congruent_leading_minors(lead.copy_rows())
+        if len(minors) < lead.dim:
+            raise InternalInvariantError("singular block in the inertia count")
+        rank = lead.dim
     n_minus = sum((x < 0) != (y < 0) for x, y in zip([1] + minors, minors))
-    rank = split.rank
     det_nondeg = Fraction(minors[-1], lam**rank) if rank else Fraction(0)
     return LatticeInvariants(
         dim=gram.dim, rank=rank, n_plus=rank - n_minus, n_minus=n_minus, nondeg_det=det_nondeg

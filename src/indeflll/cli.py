@@ -421,7 +421,7 @@ def _add_reduce_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma0", default="99/100", help="quality factor as a rational p/q")
     p.add_argument("--gamma-h", dest="gamma_h", choices=("same", "one"), default="same")
     p.add_argument("--sign", choices=("on", "off"), default="on")
-    p.add_argument("--max-extra", dest="max_extra", type=int, default=ReducerParams().max_extra)
+    p.add_argument("--max-extra", dest="max_extra", type=parse_int, default=ReducerParams().max_extra)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,20 +446,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="baseline vs no-sign vs sign reduction")
     p.add_argument("file")
     p.add_argument("--gamma0", default="99/100")
-    p.add_argument("--max-extra", dest="max_extra", type=int, default=ReducerParams().max_extra)
+    p.add_argument("--max-extra", dest="max_extra", type=parse_int, default=ReducerParams().max_extra)
     p.add_argument("--report", choices=("text", "structured"), default=None)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("gen", help="write a generated instance")
     p.add_argument("--kind", required=True,
                    choices=("random", "worstcase", "large-signature", "hyperbolic-stack", "unimodular"))
-    p.add_argument("--dim", type=int, default=10)
-    p.add_argument("--bound", type=int, default=100)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--d", type=int, default=5, help="half-dimension of the worst-case family")
-    p.add_argument("--n", type=int, default=1, help="number of hyperbolic-stack copies")
-    p.add_argument("--alpha", type=int, action="append", help="cross term(s) for the stack")
-    p.add_argument("--steps", type=int, default=None, help="elementary moves for kind=unimodular")
+    p.add_argument("--dim", type=parse_int, default=10)
+    p.add_argument("--bound", type=parse_int, default=100)
+    p.add_argument("--seed", type=parse_int, default=1)
+    p.add_argument("--d", type=parse_int, default=5, help="half-dimension of the worst-case family")
+    p.add_argument("--n", type=parse_int, default=1, help="number of hyperbolic-stack copies")
+    p.add_argument("--alpha", type=parse_int, action="append", help="cross term(s) for the stack")
+    p.add_argument("--steps", type=parse_int, default=None, help="elementary moves for kind=unimodular")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_gen)
@@ -477,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("a")
     q.add_argument("b")
     q.add_argument("c")
-    q.add_argument("--max-extra", dest="max_extra", type=int, default=0)
+    q.add_argument("--max-extra", dest="max_extra", type=parse_int, default=0)
     q.set_defaults(func=cmd_qform_reduce)
 
     return ap

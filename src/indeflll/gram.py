@@ -22,6 +22,7 @@ as the reducer does from its change log, and compares no rows itself.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .errors import InadmissiblePrefixError
 from .numerics import Rational, clear_denominators, format_rational, normalize
@@ -40,19 +41,13 @@ def mat_transpose(m: list[list]) -> list[list]:
     return [list(row) for row in zip(*m)]
 
 
-def mat_mul(a: list[list], b: list[list]) -> list[list]:
-    n, k, p = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * p for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            ait = ai[t]
-            if ait == 0:
-                continue
-            bt = b[t]
-            for j in range(p):
-                oi[j] += ait * bt[j]
+def _symmetric_product(xs: list, ys: list) -> list[list]:
+    """The matrix of dot products x_i . y_j when it is known to be
+    symmetric, as U^T (G U) is: only the upper triangle is multiplied
+    out, and each row starts with the column its predecessors built."""
+    out = []
+    for i, x in enumerate(xs):
+        out.append([row[i] for row in out] + [sum(map(mul, x, y)) for y in ys[i:]])
     return out
 
 
@@ -139,8 +134,11 @@ class GramMatrix:
         return GramMatrix([row[:k] for row in self.rows[:k]])
 
     def congruence(self, u: list[list[int]]) -> "GramMatrix":
-        """U^T * G * U for a square integer matrix U."""
-        return GramMatrix(mat_mul(mat_transpose(u), mat_mul(self.rows, u)))
+        """U^T * G * U for a square integer matrix U; G U is formed once,
+        as the rows of its transpose U^T G, then `_symmetric_product`."""
+        ut = mat_transpose(u)
+        gu_t = [[sum(map(mul, col, row)) for row in self.rows] for col in ut]
+        return GramMatrix(_symmetric_product(ut, gu_t))
 
     def det(self) -> Fraction:
         return mat_det(self.rows)

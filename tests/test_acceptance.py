@@ -12,7 +12,7 @@ from math import gcd
 
 from indeflll.analysis import signature_via_sturm, verify_theorem_bound
 from indeflll.cli import _int_nth_root
-from indeflll.gram import GramMatrix, auto_gso, mat_det, mat_mul, mat_transpose
+from indeflll.gram import GramMatrix, auto_gso, mat_det, mat_transpose
 from indeflll.generators import (
     SAMPLE_LARGE_SIGNATURE_10,
     SAMPLE_RANDOM_10,
@@ -33,6 +33,7 @@ from indeflll.qform import (
 from indeflll.analysis import automorphy_check, remove_hyperbolic_plane
 from indeflll.numerics import is_rational_square
 from indeflll.reducer import ReducerParams, first_unreduced_block, reduce, reduce_baseline
+from test_reducer import mat_mul
 
 WORSTCASE_10_VERBATIM = GramMatrix([
     [32768, 16384, 0, 0, 0, 0, 0, 0, 0, 0],

@@ -5,7 +5,11 @@ from math import lcm
 
 import pytest
 
+from indeflll import analysis
 from indeflll.analysis import (
+    KernelSplit,
+    LatticeInvariants,
+    _congruent_leading_minors,
     automorphy_check,
     char_poly,
     hermitian_embed,
@@ -16,13 +20,15 @@ from indeflll.analysis import (
     verify_theorem_bound,
 )
 from indeflll.errors import InadmissiblePrefixError, InternalInvariantError
-from indeflll.gram import GramMatrix, mat_det, mat_mul, mat_transpose
+from indeflll.gram import GramMatrix, mat_det, mat_transpose
 from indeflll.generators import (
     gen_hyperbolic_stack,
     gen_random_symmetric,
     gen_random_unimodular,
+    gen_worstcase,
 )
 from indeflll.reducer import ReducerParams, reduce
+from test_reducer import mat_mul
 
 # the closing example: diag(1,-1,1,-1) admits a transform of infinite order
 AUTOMORPHIC_G = GramMatrix([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
@@ -191,6 +197,97 @@ def test_signature_invariant_under_conjugation():
         w = gen_random_unimodular(5, 10, 1000 + i)
         moved = signature_via_sturm(g.congruence(w))
         assert (moved.n_plus, moved.n_minus) == (base.n_plus, base.n_minus)
+
+
+def _split_route(g: GramMatrix) -> LatticeInvariants:
+    """The oracle by its earlier route: the integer kernel split on every
+    input, then the leading minors of its nonsingular block."""
+    scale = lcm(*[Fraction(x).denominator for row in g.rows for x in row])
+    split = kernel_split(GramMatrix([[x * scale for x in row] for row in g.rows]))
+    minors = _congruent_leading_minors(split.nondegenerate.copy_rows())
+    assert len(minors) == split.rank
+    n_minus = sum((x < 0) != (y < 0) for x, y in zip([1] + minors, minors))
+    det = Fraction(minors[-1], scale**split.rank) if split.rank else Fraction(0)
+    return LatticeInvariants(g.dim, split.rank, split.rank - n_minus, n_minus, det)
+
+
+def _rank_deficient(rng, d, rk, bound):
+    """M C M^T for a random d x rk matrix M and symmetric rk x rk core C."""
+    if not rk:
+        return GramMatrix.zeros(d)
+    m = [[rng.randrange(-bound, bound + 1) for _ in range(rk)] for _ in range(d)]
+    core = [[0] * rk for _ in range(rk)]
+    for i in range(rk):
+        for j in range(i, rk):
+            core[i][j] = core[j][i] = rng.randrange(-bound, bound + 1)
+    return GramMatrix(mat_mul(m, mat_mul(core, mat_transpose(m))))
+
+
+def test_sturm_oracle_matches_the_split_route():
+    singular = 0
+    for index in range(5**6):
+        a11, a12, a13, a22, a23, a33 = (index // 5**k % 5 - 2 for k in range(5, -1, -1))
+        g = GramMatrix([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
+        inv = signature_via_sturm(g)
+        assert inv == _split_route(g), g
+        singular += inv.rank < 3
+    assert singular == 1513
+    rng = random.Random(71)
+    for _ in range(60):
+        d = rng.randrange(2, 9)
+        g = _rank_deficient(rng, d, rng.randrange(0, d), 4)
+        inv = signature_via_sturm(g)
+        assert inv.rank < d and inv == _split_route(g), g
+        half = GramMatrix([[Fraction(x, 6) for x in row] for row in g.rows])
+        assert signature_via_sturm(half) == _split_route(half), g
+
+
+def test_minors_stop_at_the_rank():
+    assert _congruent_leading_minors([[1, 1], [1, 1]]) == [1]
+    assert _congruent_leading_minors([[0, 0], [0, 0]]) == []
+    assert len(_congruent_leading_minors([[0, 2, 0], [2, 0, 0], [0, 0, 0]])) == 2
+    rng = random.Random(72)
+    for _ in range(30):
+        d = rng.randrange(1, 8)
+        rk = rng.randrange(0, d + 1)
+        g = _rank_deficient(rng, d, rk, 3)
+        assert len(_congruent_leading_minors(g.copy_rows())) == kernel_split(g).rank
+
+
+def test_full_rank_input_takes_no_kernel_split(monkeypatch):
+    def refuse(gram):
+        raise AssertionError("kernel_split called on full-rank input")
+
+    monkeypatch.setattr(analysis, "kernel_split", refuse)
+    full = [
+        GramMatrix.zeros(0),
+        GramMatrix([[0, 4], [4, 0]]),
+        gen_hyperbolic_stack(3, [1, 2, -2]),
+        gen_worstcase(5).congruence(gen_random_unimodular(10, 30, 0)),
+        GramMatrix([[Fraction(1, 2), 1, 0], [1, Fraction(1, 3), Fraction(-1, 2)], [0, Fraction(-1, 2), 0]]),
+    ]
+    rng = random.Random(73)
+    while len(full) < 25:
+        g = gen_random_symmetric(rng.randrange(2, 9), 30, rng.randrange(10**6))
+        if g.det():
+            full.append(g)
+    for g in full:
+        assert signature_via_sturm(g).rank == g.dim
+    calls = []
+    monkeypatch.setattr(analysis, "kernel_split", lambda gram: calls.append(gram) or kernel_split(gram))
+    inv = signature_via_sturm(GramMatrix([[1, 1, 0], [1, 1, 0], [0, 0, -2]]))
+    assert (inv.rank, inv.n_plus, inv.n_minus, inv.nondeg_det, len(calls)) == (2, 1, 1, -2, 1)
+
+
+def test_singular_split_block_still_raises(monkeypatch):
+    # a split whose leading block is itself singular is a bug in the split
+    for g, lead in ((GramMatrix([[1, 1], [1, 1]]), [[0]]),
+                    (GramMatrix([[1, 1, 0], [1, 1, 0], [0, 0, 0]]), [[1, 1], [1, 1]])):
+        bad = KernelSplit(transform=[[int(i == j) for j in range(g.dim)] for i in range(g.dim)],
+                          nondegenerate=GramMatrix(lead))
+        monkeypatch.setattr(analysis, "kernel_split", lambda gram: bad)
+        with pytest.raises(InternalInvariantError, match="singular block in the inertia count"):
+            signature_via_sturm(g)
 
 
 def test_verify_theorem_bound():

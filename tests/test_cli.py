@@ -60,6 +60,21 @@ def test_cli_refuses_non_ascii_rationals(tmp_path, capsys):
     assert main(["qform", "reduce", "1", "0", "-\u0662"]) == EXIT_INPUT
 
 
+def test_cli_integer_options_read_ascii_only(tmp_path, capsys):
+    # argparse's type=int alone would read the dimension 3 and the seed 10
+    f = tmp_path / "r.txt"
+    for argv in (["gen", "--kind", "random", "--dim", "\u0663", "--seed", "1", "--out", str(f)],
+                 ["gen", "--kind", "random", "--dim", "3", "--seed", "1_0", "--out", str(f)],
+                 ["qform", "reduce", "1", "0", "-2", "--max-extra", "\u0662"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid" in capsys.readouterr().err
+    assert not f.exists()
+    assert main(["gen", "--kind", "random", "--dim", "+3", "--seed", "010", "--out", str(f)]) == EXIT_OK
+    assert len(parse_matrix_text(f.read_text())) == 3
+
+
 def test_json_refuses_booleans():
     # bool is a subclass of int, so true/false would pass as 1/0
     with pytest.raises(ParseError, match="row 2, column 1"):

@@ -11,11 +11,10 @@ from indeflll.gram import (
     GramMatrix,
     auto_gso,
     mat_det,
-    mat_mul,
     mat_transpose,
 )
 from indeflll.reducer import ReducerState, cleanup_size_reduce, reduce, reduce_baseline
-from test_reducer import _exactness_corpus
+from test_reducer import _exactness_corpus, mat_mul
 
 
 def test_gram_matrix_validation():
@@ -299,6 +298,31 @@ def test_congruence_helper():
     out = g.congruence(u)
     ut = mat_transpose(u)
     assert out.rows == mat_mul(ut, mat_mul(g.rows, u))
+
+
+def test_congruence_matches_plain_product():
+    def plain(g, u):
+        return mat_mul(mat_transpose(u), mat_mul(g.rows, u))
+
+    assert GramMatrix.zeros(0).congruence([]).rows == []
+    rng = random.Random(23)
+    for _ in range(40):
+        d = rng.randrange(1, 7)
+        rows = [[0] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
+                rows[i][j] = rows[j][i] = Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 3, 4, 6)))
+        g = GramMatrix(rows)
+        u = [[rng.randrange(-5, 6) for _ in range(d)] for _ in range(d)]
+        out = g.congruence(u)
+        assert out.rows == plain(g, u)
+        # entries with denominator 1 come back as ints, as GramMatrix keeps them
+        assert all(type(x) is int or x.denominator > 1 for row in out.rows for x in row)
+    for seed in range(4):
+        g = gen_worstcase(5).congruence(gen_random_unimodular(10, 30, seed))
+        r = reduce(g)
+        assert max(abs(x).bit_length() for row in r.transform for x in row) > 500
+        assert g.congruence(r.transform).rows == plain(g, r.transform) == r.reduced.rows
 
 
 def _flagged_prefix(rng, d):

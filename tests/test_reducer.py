@@ -17,7 +17,6 @@ from indeflll.gram import (
     _reusable,
     auto_gso,
     mat_det,
-    mat_mul,
     mat_transpose,
 )
 from indeflll.numerics import clear_denominators
@@ -33,6 +32,12 @@ from indeflll.reducer import (
     reduce_baseline,
     vector_reduce,
 )
+
+
+def mat_mul(a: list[list], b: list[list]) -> list[list]:
+    """The plain matrix product, for building test inputs such as M C M^T."""
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def reduced_blocks_ok(result) -> bool:
