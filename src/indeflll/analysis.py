@@ -261,7 +261,6 @@ def verify_theorem_bound(result: ReductionResult, gram_in: GramMatrix) -> BoundR
     rhs = (1 / gamma0) ** (ell * (ell - 1)) * d_const**sum_n * abs(det)
     holds = lhs <= rhs
     slack = rhs / lhs if lhs else None
-    heur_lhs = first**ell
     # signature read off the reduced block structure
     n_pos, n_neg = gso.sign_counts()
     sig = abs(n_pos - n_neg)
@@ -275,9 +274,9 @@ def verify_theorem_bound(result: ReductionResult, gram_in: GramMatrix) -> BoundR
         rhs=rhs,
         holds=holds,
         slack=slack,
-        heuristic_lhs=heur_lhs,
+        heuristic_lhs=lhs,
         heuristic_rhs=heur_rhs,
-        heuristic_holds=heur_lhs <= heur_rhs,
+        heuristic_holds=lhs <= heur_rhs,
         excess_definite=result.block_kinds.count("definite") - max(sig - 1, 0),
     )
 
@@ -335,10 +334,3 @@ def remove_hyperbolic_plane(g3: GramMatrix) -> tuple[GramMatrix, list[list[int]]
         raise ValueError("expected the shape [[1,0,0],[0,0,a],[0,a,0]] with a > 0")
     u = [[1, 1, 1], [1, 1, 0], [-1, 0, -1]]
     return g3.congruence(u), u
-
-
-def automorphy_check(gram: GramMatrix, u: list[list[int]]) -> bool:
-    """Whether U^T G U = G exactly."""
-    if len(u) != gram.dim or any(len(row) != gram.dim for row in u):
-        raise ValueError("transform dimensions do not match")
-    return gram.congruence(u) == gram

@@ -66,6 +66,8 @@ def parse_matrix_text(text: str, require_symmetric: bool = True) -> list[list[in
         raise ParseError("row 1: dimension must be non-negative")
     if len(lines) - 1 < dim:
         raise ParseError(f"expected {dim} rows, found {len(lines) - 1}")
+    if len(lines) - 1 > dim:
+        raise ParseError(f"row {dim + 2}: extra row past the declared dimension {dim}")
     rows = []
     for i in range(dim):
         parts = lines[1 + i].split()

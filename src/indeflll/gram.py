@@ -13,11 +13,12 @@ that ends with its block, and the integer row
 lambda_{i,m} = D'_m * b(v_i, v*_m), where D'_m is the determinant before
 the block of m.  A hyperbolic plane is one 2x2 pivot, which multiplies
 the prefix determinant by -alpha^2.  Rows follow Cohen's recursion and
-every division in it is exact.  Star norms, cross products, star
-vectors and the coefficient vector theta are exact rational views of
-these integers.  The GSO takes integral Grams only.  A build takes over
-the leading positions of a previous state that its caller vouches for,
-as the reducer does from its change log, and compares no rows itself.
+every division in it is exact.  The one rational view of these
+integers is `theta_and_residual_norm`: the coefficient vector theta of
+a vector's projection on the prefix, and its residual norm.  The GSO
+takes integral Grams only.  A build takes over the leading positions of
+a previous state that its caller vouches for, as the reducer does from
+its change log, and compares no rows itself.
 """
 
 from dataclasses import dataclass, field
@@ -135,10 +136,13 @@ class GramMatrix:
 
     def congruence(self, u: list[list[int]]) -> "GramMatrix":
         """U^T * G * U for a square integer matrix U; G U is formed once,
-        as the rows of its transpose U^T G, then `_symmetric_product`."""
+        as the rows of its transpose U^T G, then `_symmetric_product`,
+        which is square and symmetric by construction, so its entries
+        are only normalized."""
         ut = mat_transpose(u)
         gu_t = [[sum(map(mul, col, row)) for row in self.rows] for col in ut]
-        return GramMatrix(_symmetric_product(ut, gu_t))
+        product = _symmetric_product(ut, gu_t)
+        return GramMatrix.trusted([[normalize(x) for x in row] for row in product])
 
     def det(self) -> Fraction:
         return mat_det(self.rows)
@@ -282,50 +286,18 @@ class GsoState:
                 i += 1
         return num, den
 
-    # -- exact rational views ----------------------------------------------
-
-    @property
-    def star_norms(self) -> list[Fraction]:
-        """b(v*_i, v*_i) per position: dets[i] / D'_i, and 0 in a plane."""
-        return [
-            Fraction(self.dets[i], self.before(i)) if self.is_scalar(i) else Fraction(0)
-            for i in range(self.upto)
-        ]
-
-    @property
-    def cross(self) -> dict[int, Fraction]:
-        """alpha_j = b(v*_j, v*_j+1) = A_j / D'_j per plane (j, j+1)."""
-        return {j: Fraction(self.lam[j + 1][j], self.before(j)) for j in sorted(self.bad)}
-
-    def star_vector(self, i: int) -> list[Fraction]:
-        """Coordinates of v*_i in the basis: v_i less its projection on
-        the blocks before its own."""
-        start = _block_start(self.bad, i)
-        vec = [-t for t in self._theta(self.lam[i], start)] + [Fraction(0)] * (self.upto - start)
-        vec[i] = Fraction(1)
-        return vec
+    # -- exact rational view ------------------------------------------------
 
     def theta_and_residual_norm(self, products: list, norm) -> tuple[list[Fraction], Fraction]:
         """Coefficients of w - w* in the basis, and b(w*, w*), from the
-        products b(w, v_m) and the norm b(w, w)."""
-        ints, norm, t = self._integral_products(products, norm)
-        row = self.lambda_row(ints)
-        theta = [x / t for x in self._theta(row, self.upto)]
-        return theta, self._residual_view(row, norm, t)
-
-    def residual_norm(self, products: list, norm) -> Fraction:
-        """b(w*, w*) alone, without the coefficient vector."""
-        ints, norm, t = self._integral_products(products, norm)
-        return self._residual_view(self.lambda_row(ints), norm, t)
-
-    def _integral_products(self, products: list, norm) -> tuple[list[int], int, int]:
-        """The products and norm of t * w, as ints, and the least t > 0
-        that makes them integers."""
+        products b(w, v_m) and the norm b(w, w).  Both are read off the
+        integer rows of t * w, for the least t > 0 that makes its products
+        and norm integers."""
         nums, t = clear_denominators([*products[: self.upto], norm])
-        return nums[:-1], nums[-1] * t, t
-
-    def _residual_view(self, row: list[int], norm: int, t: int) -> Fraction:
-        return Fraction(self.scaled_residual(row, norm), t * t * self.det)
+        row = self.lambda_row(nums[:-1])
+        theta = [x / t for x in self._theta(row, self.upto)]
+        residual = Fraction(self.scaled_residual(row, nums[-1] * t), t * t * self.det)
+        return theta, residual
 
     def _star_coefficients(self, row: list[int], upto: int) -> list[Fraction]:
         """Coefficients on v*_0 .. v*_upto-1 of the projection of a vector
@@ -370,14 +342,6 @@ def _lambda_row(lam, dets, bad, products, upto: int) -> list[int]:
     2x2 pivot, u to (A (lam_{j,m+1} lam_{w,m} + lam_{j,m} lam_{w,m+1})
     - A^2 u) / D'_m^2 with A = A_m.  Every division is exact."""
     row: list[int] = []
-    if not bad:
-        pre = [1, *dets]
-        for j in range(upto):
-            u = products[j]
-            for d, p, a, b in zip(dets, pre, lam[j], row):
-                u = (d * u - a * b) // p
-            row.append(u)
-        return row
     for j in range(upto):
         u, lj, p, m = products[j], lam[j], 1, 0
         stop = _block_start(bad, j)

@@ -137,16 +137,8 @@ def floor_mixed(a: Rational, b: Rational, d: Rational) -> int:
 
 
 def ceil_mixed(a: Rational, b: Rational, d: Rational) -> int:
-    """ceil(a + b*sqrt(d)) computed exactly, d >= 0."""
-    n = floor_mixed(a, b, d)
-    return n if _equals_int(a, b, d, n) else n + 1
-
-
-def _equals_int(a: Rational, b: Rational, d: Rational, n: int) -> bool:
-    a, b, d = Fraction(a), Fraction(b), Fraction(d)
-    m = d.numerator * d.denominator
-    bp = b / d.denominator
-    return cmp_with_sqrt(a - n, -bp, m) == 0
+    """ceil(a + b*sqrt(d)) = -floor(-a - b*sqrt(d)), computed exactly, d >= 0."""
+    return -floor_mixed(-a, -b, d)
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")

@@ -106,15 +106,8 @@ class BQForm:
     def coeffs(self) -> tuple[Rational, Rational, Rational]:
         return (self.a, self.b, self.c)
 
-    def scaled(self, lam: Rational) -> "BQForm":
-        return BQForm(self.a * lam, self.b * lam, self.c * lam)
-
     def __repr__(self) -> str:
         return f"BQForm({self.a}, {self.b}, {self.c})"
-
-
-def discriminant(f: BQForm) -> Rational:
-    return f.disc
 
 
 def apply(f: BQForm, t: Transform2) -> BQForm:
@@ -337,18 +330,6 @@ class IntegralWalk:
     def boundary(self, f: Form, t: Mat) -> tuple[BQForm, Transform2]:
         """f and t as the input's own form and transform."""
         return _unscaled(f, self.scale), Transform2(*t)
-
-
-def reduce_indefinite_step(f: BQForm) -> tuple[BQForm, Transform2]:
-    """One step (a, b, c) -> (c, -b + 2*c*delta, a - b*delta + c*delta^2).
-
-    Requires disc > 0 and c != 0; the square-disc terminal shapes with
-    c = 0 are the caller's business.
-    """
-    walk = IntegralWalk(f)
-    if f.c == 0:
-        raise ValueError("step undefined for c = 0 (terminal square-disc shape)")
-    return walk.boundary(*_rho(walk.start, walk.root))
 
 
 def reduce_indefinite(f: BQForm, max_extra: int = 0) -> list[tuple[BQForm, Transform2]]:

@@ -24,13 +24,7 @@ from .numerics import (
     floor_sqrt_div,
     nearest_div,
 )
-from .qform import (
-    BQForm,
-    IntegralWalk,
-    Transform2,
-    is_reduced as qf_is_reduced,
-    reduce_definite,
-)
+from .qform import BQForm, Form, IntegralWalk, Mat, is_reduced as qf_is_reduced, reduce_definite
 
 
 @dataclass
@@ -159,23 +153,25 @@ class ReducerState:
             gc[r][i], gc[r][j] = gc[r][j], gc[r][i]
         gc[i], gc[j] = gc[j], gc[i]
 
-    def col_transform2(self, p: int, q: int, t: Transform2) -> None:
-        """(v_p, v_q) <- (m11 v_p + m21 v_q, m12 v_p + m22 v_q)."""
+    def col_transform2(self, p: int, q: int, t: Mat) -> None:
+        """(v_p, v_q) <- (m11 v_p + m21 v_q, m12 v_p + m22 v_q) for the
+        entries t = (m11, m12, m21, m22) of a 2x2 transform."""
         self.touched = min(self.touched, p, q)
+        m11, m12, m21, m22 = t
         for r in range(self.d):
             a, b = self.u[r][p], self.u[r][q]
-            self.u[r][p] = t.m11 * a + t.m21 * b
-            self.u[r][q] = t.m12 * a + t.m22 * b
+            self.u[r][p] = m11 * a + m21 * b
+            self.u[r][q] = m12 * a + m22 * b
         gc = self.gc
         for i in range(self.d):
             a, b = gc[i][p], gc[i][q]
-            gc[i][p] = t.m11 * a + t.m21 * b
-            gc[i][q] = t.m12 * a + t.m22 * b
+            gc[i][p] = m11 * a + m21 * b
+            gc[i][q] = m12 * a + m22 * b
         rp, rq = gc[p], gc[q]
         for j in range(self.d):
             a, b = rp[j], rq[j]
-            rp[j] = t.m11 * a + t.m21 * b
-            rq[j] = t.m12 * a + t.m22 * b
+            rp[j] = m11 * a + m21 * b
+            rq[j] = m12 * a + m22 * b
 
     def cyclic_shift(self, dst: int, src: int) -> None:
         """(v_dst, ..., v_src) -> (v_src, v_dst, ..., v_{src-1})."""
@@ -351,8 +347,9 @@ def _sign_target(gso: GsoState, prev: int) -> int | None:
     return None
 
 
-def _place_transformed_pair(state: ReducerState, k: int, t: Transform2) -> int:
-    """Apply a block transform at (k-1, k) and run the placement tests.
+def _place_transformed_pair(state: ReducerState, k: int, t: Mat) -> int:
+    """Apply a block transform, as its entries (m11, m12, m21, m22), at
+    (k-1, k) and run the placement tests.
 
     The new front vector is size-reduced against the shorter prefix,
     classified, and the pair is kept (front first, or swapped when the
@@ -417,7 +414,7 @@ def integrate_adherent(state: ReducerState, k: int, n1: int, s: int, n2: int) ->
     if not any(gso.lambda_row(state.gc[k - 1])):
         raise ValueError("integrate_adherent rejects prefix zeroes")
     # the engine is scale invariant, so it takes the block times its denominator
-    _, t = reduce_definite(BQForm(n1, 2 * s, n2))
+    t = reduce_definite(BQForm(n1, 2 * s, n2))[1].entries()
     state.stats.adherent_integrations += 1
     change = _place_transformed_pair(state, k, t)
     if change != -1:
@@ -430,7 +427,7 @@ def _indefinite_candidates(
     gamma0: Fraction,
     max_extra: int,
     want_sign: int | None,
-) -> list[tuple[BQForm, Transform2]]:
+) -> list[tuple[Form, Mat]]:
     """Ordered transform candidates for a projected indefinite block.
 
     Unreduced input: step until reduced, remembering the point where
@@ -445,7 +442,8 @@ def _indefinite_candidates(
     potential).  Reduced input: cycle steps only, gated on a strict
     gamma0 gain with the right sign, up to the first repeated form (the
     move is deterministic, so only non-gains would follow).  Candidates
-    are forms of the walk's integral scaling `walk.start`.
+    are the walk's own (form, transform) int tuples: forms of its integral
+    scaling `walk.start`, and transforms as (m11, m12, m21, m22).
     """
     start = walk.start
     a0 = abs(start[0])
@@ -463,7 +461,7 @@ def _indefinite_candidates(
             if f in seen:
                 break
             if gamma_gain(f):
-                return [(BQForm(*f), Transform2(*t))]
+                return [(f, t)]
             seen.add(f)
         return []
 
@@ -495,7 +493,7 @@ def _indefinite_candidates(
         elif abs(f[0]) <= a0 and walk.is_reduced(f):
             repair.append((f, t))
     repair.sort(key=lambda ft: (abs(ft[0][0]), not sign_ok(ft[0][0])))
-    return [(BQForm(*f), Transform2(*t)) for f, t in first + second + repair]
+    return first + second + repair
 
 
 def vector_reduce(state: ReducerState, k: int, residual: tuple[int, int]) -> int:
@@ -518,10 +516,10 @@ def vector_reduce(state: ReducerState, k: int, residual: tuple[int, int]) -> int
     candidates = _indefinite_candidates(walk, gamma0, state.params.max_extra, want)
     state.stats.walk_steps += walk.steps
     a0 = abs(walk.start[0])  # the candidates are forms of the walk's scaling
-    for cand, t in candidates:
+    for f, t in candidates:
         if _place_transformed_pair(state, k, t) == -1:
-            if not (abs(cand.a) * gamma0.denominator < gamma0.numerator * a0):
-                if walk.start[2] == 0 and cand.c != 0:
+            if not (abs(f[0]) * gamma0.denominator < gamma0.numerator * a0):
+                if walk.start[2] == 0 and f[2] != 0:
                     state.stats.worthwhile_c_zero += 1
                 else:
                     state.stats.repairs += 1

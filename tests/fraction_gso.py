@@ -4,9 +4,11 @@ This is the GSO as it was before `gram` moved to an integral LDL^T:
 star vectors are integer coordinate vectors over a common denominator,
 built by Fraction Gram-Schmidt (`_build_gso.orthogonalize`), and the
 residual norm, the coefficient vector theta, the prefix determinant and
-the potential are Fraction computations on them.  `cleanup_size_reduce`
-is the size reduction that ran on it.  The integral GSO and the
-reducer's integer size reduction must reproduce them exactly.
+the potential are Fraction computations on them, and `dets_and_lam`
+reads the integral GSO's determinants and lambda rows off them.
+`cleanup_size_reduce` is the size reduction that ran on it.  The
+integral GSO and the reducer's integer size reduction must reproduce
+them exactly.
 """
 
 from dataclasses import dataclass, field
@@ -327,6 +329,18 @@ def local_potential(state: GsoState) -> Fraction:
             pot = abs(det) * pot
             i += 1
     return pot
+
+
+def dets_and_lam(state: GsoState) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """The integers the integral GSO holds, read off the star vectors:
+    dets[i], the determinant through the block of position i, and
+    lam[i][m] = D'_m * b(v_i, v*_m) for m <= i, with D'_m the determinant
+    before the block of m."""
+    rows, bad = state.gram.rows, state.bad
+    before = [prefix_determinant(state, m - 1 if (m - 1) in bad else m) for m in range(state.upto)]
+    dets = [prefix_determinant(state, i + 1 + (i in bad)) for i in range(state.upto)]
+    lam = [[before[m] * state.star_product(rows[i], m) for m in range(i + 1)] for i in range(state.upto)]
+    return dets, lam
 
 
 def cleanup_size_reduce(

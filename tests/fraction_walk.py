@@ -24,6 +24,11 @@ from indeflll.qform import SWAP, BQForm, Transform2, apply
 IMPROPER_SWAP = Transform2(0, 1, 1, 0)
 
 
+def scale_form(f: BQForm, lam) -> BQForm:
+    """The form lam * f."""
+    return BQForm(*(lam * x for x in f.coeffs()))
+
+
 def translate(lam: int) -> Transform2:
     """(a, b, c) -> (a, b + 2*lam*a, c + lam*b + lam^2*a)."""
     return Transform2(1, lam, 0, 1)
@@ -189,7 +194,7 @@ def indefinite_candidates(
     the first repeated form."""
     scale = lcm(*[x.denominator for x in form.coeffs()])
     if scale != 1:
-        form = form.scaled(scale)
+        form = scale_form(form, scale)
     a0 = abs(form.a)
     disc = form.disc
 
@@ -297,7 +302,7 @@ def sample_forms(rng, n: int, bound: int = 60) -> list[BQForm]:
             a, b, c = (Fraction(x, rng.randrange(1, 13)) for x in (a, b, c))
         f = BQForm(a, b, c)
         if kind == 3:
-            f = f.scaled(Fraction(rng.randrange(1, 13), rng.randrange(1, 13)))
+            f = scale_form(f, Fraction(rng.randrange(1, 13), rng.randrange(1, 13)))
         if f.disc > 0:
             out.append(f)
     return out

@@ -23,14 +23,13 @@ from indeflll.generators import (
 )
 from indeflll.qform import (
     BQForm,
+    IntegralWalk,
     apply as qf_apply,
-    is_reduced as qf_is_reduced,
     reduce_definite,
     reduce_indefinite,
-    reduce_indefinite_step,
     reduce_square_disc,
 )
-from indeflll.analysis import automorphy_check, remove_hyperbolic_plane
+from indeflll.analysis import remove_hyperbolic_plane
 from indeflll.numerics import is_rational_square
 from indeflll.reducer import ReducerParams, first_unreduced_block, reduce, reduce_baseline
 from test_reducer import mat_mul
@@ -212,12 +211,10 @@ def test_criterion_6_quadratic_form_suite():
 
     # the 19-digit pathological form reaches reducedness within 200 steps
     f = BQForm(5133516356526721720, -2 * 5133515988396719824, 5133515620266744327)
-    steps = 0
-    g = f
-    while not qf_is_reduced(g):
-        g, _ = reduce_indefinite_step(g)
-        steps += 1
-        assert steps <= 200, "two-regime rule exceeded 200 steps"
+    walk = IntegralWalk(f)
+    *_, (g, _) = walk.descend()
+    assert walk.is_reduced(g), "the walk stopped short of a reduced form"
+    assert walk.steps <= 200, "two-regime rule exceeded 200 steps"
 
     # definite reduction reaches the brute-force minimum |a|
     done = 0
@@ -225,7 +222,8 @@ def test_criterion_6_quadratic_form_suite():
         a = rng.randrange(1, 21)
         b = rng.randrange(-20, 21)
         c = rng.randrange(1, 21)
-        f = BQForm(a, b, c).scaled(rng.choice((1, -1)))
+        sign = rng.choice((1, -1))
+        f = BQForm(sign * a, sign * b, sign * c)
         if f.disc >= 0:
             continue
         g, _ = reduce_definite(f)
@@ -252,7 +250,7 @@ def test_criterion_6_quadratic_form_suite():
         sign_prev = 1 if g.a > 0 else -1
         length = 0
         while True:
-            g, _ = reduce_indefinite_step(g)
+            g, _ = reduce_indefinite(g, 1)[1]  # one cycle move
             s = 1 if g.a > 0 else -1
             assert s == -sign_prev, "leading signs failed to alternate"
             sign_prev = s
@@ -276,7 +274,7 @@ def test_criterion_7_appendix_checks():
     uk = base
     for k in range(1, 7):
         if k <= 3:
-            assert automorphy_check(g, uk), f"automorphy failed for power {k}"
+            assert g.congruence(uk) == g, f"automorphy failed for power {k}"
         assert uk[0][0] == Fraction((-1) ** k + 7 + 2 * k * k, 8), f"entry formula failed at {k}"
         uk = mat_mul(uk, base)
     elapsed = time.perf_counter() - t0

@@ -103,6 +103,17 @@ def test_cli_reduce_bad_file(tmp_path, capsys):
     assert "symmetric" in capsys.readouterr().err
 
 
+def test_cli_refuses_rows_past_the_dimension(tmp_path, capsys):
+    # a file longer than its declared dimension is refused, not truncated
+    f = tmp_path / "long.txt"
+    f.write_text("2\n1 0\n0 1\n5 5 5\n")
+    assert main(["analyze", str(f)]) == EXIT_INPUT
+    assert "row 4" in capsys.readouterr().err
+    with pytest.raises(ParseError, match="row 4"):
+        parse_matrix_text("2\n1 0\n\n0 1\n7\n8\n")
+    assert parse_matrix_text("2\n1 0\n0 1\n\n  \n") == [[1, 0], [0, 1]]
+
+
 def test_cli_gen_worstcase_reproduces(tmp_path):
     f = tmp_path / "wc.txt"
     assert main(["gen", "--kind", "worstcase", "--d", "5", "--out", str(f)]) == EXIT_OK

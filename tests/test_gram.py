@@ -55,16 +55,32 @@ def test_mat_det_oracle():
         assert mat_det(m) == perm_det(m)
 
 
+def _stars_from_theta(st, rows):
+    """Each star vector of `st` and its star norm, from the library's one
+    rational view: v*_i is v_i less theta against the blocks before its
+    own, and its norm is the residual norm there."""
+    out = []
+    for i in range(st.upto):
+        start = i - 1 if (i - 1) in st.bad else i
+        theta, norm = st.truncated(start).theta_and_residual_norm(rows[i][:start], rows[i][i])
+        vec = [-t for t in theta] + [Fraction(0)] * (st.upto - start)
+        vec[i] = Fraction(1)
+        out.append((vec, norm))
+    return out
+
+
 def test_basic_gso_examples():
     st = auto_gso(GramMatrix([[1, 0], [0, -1]]))
-    assert st.star_norms == [1, -1] and not st.bad
+    assert (st.dets, st.lam) == ([1, -1], [[1], [0, -1]]) and not st.bad
 
-    st = auto_gso(GramMatrix([[1, 1], [1, 2]]))
-    assert st.star_vector(1) == [Fraction(-1), Fraction(1)]
-    assert st.star_norms == [1, 1]
+    rows = [[1, 1], [1, 2]]
+    st = auto_gso(GramMatrix(rows))
+    assert _stars_from_theta(st, rows)[1] == ([-1, 1], 1)
+    assert (st.dets, st.lam) == ([1, 1], [[1], [1, 1]])
 
+    # a plane: both positions hold -alpha^2, and A = lam[1][0] = alpha
     st = auto_gso(GramMatrix([[0, 5], [5, 0]]))
-    assert st.star_norms == [0, 0] and st.cross[0] == 5 and st.bad == {0}
+    assert (st.dets, st.lam, st.bad) == ([-25, -25], [[0], [5, 0]], {0})
 
 
 def test_gso_orthogonality_invariant():
@@ -82,7 +98,7 @@ def test_gso_orthogonality_invariant():
         except InadmissiblePrefixError:
             continue
         done += 1
-        stars = [st.star_vector(i) for i in range(d)]
+        stars, norms = zip(*_stars_from_theta(st, rows))
 
         def b(x, y):
             return sum(
@@ -94,14 +110,16 @@ def test_gso_orthogonality_invariant():
         for i in range(d):
             # companion identity: b(v*_i, v*_i) = b(v*_i, v_i)
             ei = [Fraction(1) if m == i else Fraction(0) for m in range(d)]
-            assert b(stars[i], stars[i]) == st.star_norms[i]
-            assert b(stars[i], ei) == st.star_norms[i]
+            assert b(stars[i], stars[i]) == norms[i]
+            assert b(stars[i], ei) == norms[i]
+            # dets[i] / D'_i at a scalar position, 0 inside a plane
+            assert norms[i] == (Fraction(st.dets[i], st.before(i)) if st.is_scalar(i) else 0)
             for j in range(i):
                 expect_zero = not (j in st.bad and i == j + 1)
                 if expect_zero:
                     assert b(stars[i], stars[j]) == 0
-                else:
-                    assert b(stars[i], stars[j]) == st.cross[j] != 0
+                else:  # alpha_j = A_j / D'_j
+                    assert b(stars[i], stars[j]) == Fraction(st.lam[i][j], st.before(j)) != 0
 
 
 def test_inadmissible_detection():
@@ -144,7 +162,7 @@ def test_prefix_determinant():
             if upto < d and upto not in st.bad:
                 # a scalar extension multiplies the determinant by the
                 # residual norm of the new vector against the prefix
-                residual = st.truncated(upto).residual_norm(rows[upto][:upto], rows[upto][upto])
+                _, residual = st.truncated(upto).theta_and_residual_norm(rows[upto][:upto], rows[upto][upto])
                 assert st.truncated(upto + 1).det == st.truncated(upto).det * residual != 0
         done += 1
 
@@ -166,13 +184,7 @@ def test_truncation_matches_fresh_gso():
         for upto in range(d):
             if upto > 0 and (upto - 1) in st.bad:
                 continue
-            fresh = auto_gso(g, upto)
-            trunc = st.truncated(upto)
-            assert fresh.star_norms == trunc.star_norms
-            assert fresh.bad == trunc.bad
-            assert [fresh.star_vector(i) for i in range(upto)] == [
-                trunc.star_vector(i) for i in range(upto)
-            ]
+            assert auto_gso(g, upto) == st.truncated(upto)
         done += 1
 
 
@@ -278,16 +290,16 @@ def test_extend_admissible():
     # a scalar extension of an admissible prefix multiplies its
     # determinant by the residual norm of the new vector
     empty = auto_gso(GramMatrix.zeros(0))
-    assert empty.residual_norm([], 3) == 3
+    assert empty.theta_and_residual_norm([], 3)[1] == 3
     assert auto_gso(GramMatrix([[3]])).det == 3
 
     one = auto_gso(GramMatrix([[1]]))
-    assert one.residual_norm([0], -2) == -2
+    assert one.theta_and_residual_norm([0], -2)[1] == -2
     assert auto_gso(GramMatrix([[1, 0], [0, -2]])).det == -2
 
     # adherent vector: product 1 against diag(1) with norm 1 has a zero
     # residual, so it cannot extend the prefix as a scalar
-    assert one.residual_norm([1], 1) == 0
+    assert one.theta_and_residual_norm([1], 1)[1] == 0
     with pytest.raises(InadmissiblePrefixError):
         auto_gso(GramMatrix([[1, 1], [1, 1]]), strict=True)
 
@@ -344,24 +356,26 @@ def _flagged_prefix(rng, d):
     return GramMatrix(rows).congruence(u)
 
 
-def test_residual_norm_matches_theta_path():
+def test_residual_norm_matches_fraction_reference():
+    # theta and the residual norm of rational products and norms, over
+    # prefixes with planes
     rng = random.Random(17)
     planes = 0
     for _ in range(80):
         d = rng.randrange(1, 7)
         g = _flagged_prefix(rng, d)
-        st = auto_gso(g)
+        st, old = auto_gso(g), ref._build_gso(g, d)
         planes += len(st.bad)
         for _ in range(5):
             raw = [Fraction(rng.randrange(-9, 10), rng.choice((1, 1, 2, 3))) for _ in range(d)]
             norm = rng.choice((rng.randrange(-20, 21), Fraction(rng.randrange(-20, 21), 3)))
-            assert st.residual_norm(raw, norm) == st.theta_and_residual_norm(raw, norm)[1]
-        # a combination of prefix vectors has residual 0 on both paths
+            assert st.theta_and_residual_norm(raw, norm) == old.theta_and_residual_norm(raw, norm)
+        # a combination of prefix vectors has residual 0
         coeffs = [rng.randrange(-3, 4) for _ in range(d)]
         rows = g.rows
         raw = [sum(coeffs[j] * rows[j][i] for j in range(d)) for i in range(d)]
         norm = sum(coeffs[i] * raw[i] for i in range(d))
-        assert st.residual_norm(raw, norm) == 0 == st.theta_and_residual_norm(raw, norm)[1]
+        assert st.theta_and_residual_norm(raw, norm)[1] == 0 == old.residual_norm(raw, norm)
     assert planes > 20
 
 
@@ -406,18 +420,16 @@ def test_gso_from_previous_state_matches_fresh():
 
 def _assert_same_gso(new, old, tails=()):
     """The integral GSO `new` and the Fraction reference `old` describe the
-    same prefix, and give the same residual norm and theta for every
+    same prefix: the same dets and lambda rows, read off the reference's
+    star vectors, and the same residual norm and theta for every
     (raw products, norm) in `tails`."""
     assert (new.upto, new.bad) == (old.upto, old.bad)
-    assert new.star_norms == old.star_norms
-    assert new.cross == old.cross
-    assert [new.star_vector(i) for i in range(new.upto)] == [old.star_vector(i) for i in range(old.upto)]
+    assert (new.dets, new.lam) == ref.dets_and_lam(old)
     for upto in range(new.upto + 1):
         if not (upto and (upto - 1) in new.bad):
             assert new.truncated(upto).det == ref.prefix_determinant(old, upto)
     assert Fraction(*new.potential()) == ref.local_potential(old)
     for raw, norm in tails:
-        assert new.residual_norm(raw, norm) == old.residual_norm(raw, norm)
         assert new.theta_and_residual_norm(raw, norm) == old.theta_and_residual_norm(raw, norm)
 
 

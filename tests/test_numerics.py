@@ -17,7 +17,8 @@ from indeflll.numerics import (
     parse_rational,
 )
 from indeflll.errors import ParseError
-from indeflll.qform import BQForm, reduce_indefinite_step
+from indeflll.qform import BQForm
+from fraction_walk import indefinite_step
 
 
 def test_nearest_int_examples():
@@ -150,7 +151,7 @@ def test_integer_kernel_on_the_pathological_form():
         a, b, c = f.coeffs()
         for p, q in ((b, 2 * c), (b, -2 * c), (-b, 2 * a), (-b, -2 * a)):
             _check_integer_kernel(p, d, q)
-        f, _ = reduce_indefinite_step(f)
+        f, _ = indefinite_step(f)
 
 
 def test_rational_parsing_and_printing():

@@ -9,13 +9,12 @@ from indeflll.numerics import is_rational_square
 from indeflll.qform import (
     BQForm,
     SWAP,
+    IntegralWalk,
     Transform2,
     apply,
-    discriminant,
     is_reduced,
     reduce_definite,
     reduce_indefinite,
-    reduce_indefinite_step,
     reduce_square_disc,
 )
 
@@ -35,9 +34,10 @@ def brute_apply(f: BQForm, t: Transform2) -> BQForm:
 
 
 def test_discriminant_examples():
-    assert discriminant(BQForm(1, 0, 1)) == -4
-    assert discriminant(BQForm(0, 7, 0)) == 49
-    assert discriminant(BQForm(2, 1, 2)) == -15
+    assert BQForm(1, 0, 1).disc == -4
+    assert BQForm(0, 7, 0).disc == 49
+    assert BQForm(2, 1, 2).disc == -15
+    assert BQForm(Fraction(1, 2), 1, Fraction(-1, 3)).disc == Fraction(5, 3)
 
 
 def test_apply_examples():
@@ -116,7 +116,7 @@ def test_reduce_definite_reaches_minimum():
         if f.disc >= 0:
             continue
         sign = rng.choice((1, -1))
-        f = f.scaled(sign)
+        f = ref.scale_form(f, sign)
         g, t = reduce_definite(f)
         assert is_reduced(g)
         assert apply(f, t).coeffs() == g.coeffs()
@@ -125,14 +125,14 @@ def test_reduce_definite_reaches_minimum():
 
 
 def test_indefinite_step_examples():
-    g, t = reduce_indefinite_step(BQForm(1, 0, -2))
-    assert g.coeffs() == (-2, 0, 1)
-    g2, t2 = reduce_indefinite_step(g)
-    assert g2.coeffs() == (1, 2, -1)
+    walk = IntegralWalk(BQForm(1, 0, -2))
+    assert [f for f, _ in walk.descend()] == [(1, 0, -2), (-2, 0, 1), (1, 2, -1)]
+    assert walk.steps == 2
     with pytest.raises(ValueError):
-        reduce_indefinite_step(BQForm(1, 0, 1))
-    with pytest.raises(ValueError):
-        reduce_indefinite_step(BQForm(1, 6, 0))  # terminal square shape
+        IntegralWalk(BQForm(1, 0, 1))
+    # a terminal square shape has no further move
+    walk = IntegralWalk(BQForm(1, 6, 0))
+    assert list(walk.cycle(walk.start, 3)) == [] and walk.steps == 0
 
 
 def test_reduce_indefinite_trajectory():
@@ -157,7 +157,7 @@ def test_pathological_form_reduces_quickly():
     steps = 0
     g = f
     while not is_reduced(g):
-        g, _ = reduce_indefinite_step(g)
+        g, _ = ref.indefinite_step(g)
         steps += 1
         assert steps <= 200
     traj = reduce_indefinite(f, 0)
@@ -224,29 +224,30 @@ def test_scale_invariance():
                 continue
             if is_rational_square(d) is not None:
                 g1, t1 = reduce_square_disc(f)
-                g2, t2 = reduce_square_disc(f.scaled(lam))
+                g2, t2 = reduce_square_disc(ref.scale_form(f, lam))
             else:
                 g1, t1 = reduce_indefinite(f, 0)[-1]
-                g2, t2 = reduce_indefinite(f.scaled(lam), 0)[-1]
+                g2, t2 = reduce_indefinite(ref.scale_form(f, lam), 0)[-1]
         elif f.a or f.b or f.c:
             g1, t1 = reduce_definite(f)
-            g2, t2 = reduce_definite(f.scaled(lam))
+            g2, t2 = reduce_definite(ref.scale_form(f, lam))
         else:
             continue
         assert t1.rows() == t2.rows()
-        assert g2.coeffs() == g1.scaled(lam).coeffs()
+        assert g2.coeffs() == ref.scale_form(g1, lam).coeffs()
         done += 1
 
 
 def cycle_of(f: BQForm, limit: int = 10000) -> list[BQForm]:
-    """Walk the cycle from a reduced indefinite non-square form."""
+    """Walk the cycle from a reduced indefinite non-square form, one
+    cycle move of `reduce_indefinite` at a time."""
     assert is_reduced(f)
     out = [f]
-    g, _ = reduce_indefinite_step(f)
+    g, _ = reduce_indefinite(f, 1)[1]
     steps = 1
     while g.coeffs() != f.coeffs():
         out.append(g)
-        g, _ = reduce_indefinite_step(g)
+        g, _ = reduce_indefinite(g, 1)[1]
         steps += 1
         assert steps <= limit, "cycle did not close"
     return out
@@ -289,8 +290,6 @@ def test_integer_kernel_matches_fraction_walk():
         assert is_reduced(f) == ref.is_reduced(f), f
         for max_extra in (0, 2, 12):
             assert _walk_key(reduce_indefinite(f, max_extra)) == _walk_key(ref.reduce_indefinite(f, max_extra)), f
-        if f.c != 0:
-            assert _walk_key([reduce_indefinite_step(f)]) == _walk_key([ref.indefinite_step(f)]), f
         if is_rational_square(f.disc) is not None:
             assert _walk_key([reduce_square_disc(f)]) == _walk_key(ref.reduce_indefinite(f)[:1]), f
             squares += 1
