@@ -107,9 +107,12 @@ class ReductionResult:
 
 
 class ReducerState:
-    """Mutable working state: transform columns and the current Gram.
+    """Mutable working state: the transform U and the working Gram.
 
-    `touched` is the first position that a column operation changed
+    The state is the one owner of `u` and `gc`, and keeps `gc` exactly
+    U^T G U: after construction both change only through the three basis
+    moves `col_addmul`, `col_transform2` and `cyclic_shift`, and neither
+    is ever copied.  `touched` is the first position that a move changed
     since the last prefix GSO refresh: the leading rows of the Gram
     below it, through the diagonal, are those that refresh read.
     """
@@ -142,17 +145,6 @@ class ReducerState:
         for j in range(self.d):
             row_dst[j] = row_dst[j] + coef * row_src[j]
 
-    def col_swap(self, i: int, j: int) -> None:
-        if i == j:
-            return
-        self.touched = min(self.touched, i, j)
-        for r in range(self.d):
-            self.u[r][i], self.u[r][j] = self.u[r][j], self.u[r][i]
-        gc = self.gc
-        for r in range(self.d):
-            gc[r][i], gc[r][j] = gc[r][j], gc[r][i]
-        gc[i], gc[j] = gc[j], gc[i]
-
     def col_transform2(self, p: int, q: int, t: Mat) -> None:
         """(v_p, v_q) <- (m11 v_p + m21 v_q, m12 v_p + m22 v_q) for the
         entries t = (m11, m12, m21, m22) of a 2x2 transform."""
@@ -178,28 +170,14 @@ class ReducerState:
         if dst == src:
             return
         self.touched = min(self.touched, dst)
-        for r in range(self.d):
-            row = self.u[r]
-            row[dst : src + 1] = [row[src]] + row[dst:src]
+        for row in self.u:
+            row.insert(dst, row.pop(src))
         gc = self.gc
-        for r in range(self.d):
-            row = gc[r]
-            row[dst : src + 1] = [row[src]] + row[dst:src]
-        gc[dst : src + 1] = [gc[src]] + gc[dst:src]
+        for row in gc:
+            row.insert(dst, row.pop(src))
+        gc.insert(dst, gc.pop(src))
 
-    def snapshot(self):
-        return ([row[:] for row in self.u], [row[:] for row in self.gc], self.touched)
-
-    def restore(self, snap) -> None:
-        self.u = [row[:] for row in snap[0]]
-        self.gc = [row[:] for row in snap[1]]
-        self.touched = snap[2]
-
-    # -- views -------------------------------------------------------------
-
-    def current_gram(self) -> GramMatrix:
-        """A copy of the working Gram (integer column operations keep it normalized)."""
-        return GramMatrix.trusted([row[:] for row in self.gc])
+    # -- prefix GSO --------------------------------------------------------
 
     def refresh_prefix_gso(self, prefix: int, strict: bool = False) -> GsoState:
         """Hold the GSO of the leading `prefix` positions of the current
@@ -217,14 +195,6 @@ class ReducerState:
         self.touched = self.d
         self.stats.gso_positions += prefix - self.gso.reused
         return self.gso
-
-    def columns_match_pm(self, p: int, q: int, old_p: list, old_q: list) -> bool:
-        """(v_p, v_q) equal to (old_p, old_q) up to independent signs."""
-        col_p = [self.u[r][p] for r in range(self.d)]
-        col_q = [self.u[r][q] for r in range(self.d)]
-        same_p = col_p == old_p or col_p == [-x for x in old_p]
-        same_q = col_q == old_q or col_q == [-x for x in old_q]
-        return same_p and same_q
 
 
 # ---------------------------------------------------------------------------
@@ -353,19 +323,26 @@ def _place_transformed_pair(state: ReducerState, k: int, t: Mat) -> int:
 
     The new front vector is size-reduced against the shorter prefix,
     classified, and the pair is kept (front first, or swapped when the
-    front is a prefix zero) unless it equals the old pair up to signs,
-    in which case everything is rolled back.
+    front is a prefix zero) unless it equals the old pair up to signs.
+    No other column moved and U is nonsingular, so that is exactly when
+    both new columns of U are +-the old ones; the sign transform then
+    puts them back, the Gram (kept exactly U^T G U) returns bit for bit,
+    and so does `touched`.
     """
     prev, pos = k - 2, k - 1
-    snap = state.snapshot()
-    old_p = [snap[0][r][prev] for r in range(state.d)]
-    old_q = [snap[0][r][pos] for r in range(state.d)]
+    u, touched = state.u, state.touched
+    old = [[row[prev] for row in u], [row[pos] for row in u]]
     state.col_transform2(prev, pos, t)
     short = state.gso.truncated(prev)
     if cleanup_size_reduce(state, prev, gso=short)[1]:
-        state.col_swap(prev, pos)
-    if state.columns_match_pm(prev, pos, old_p, old_q):
-        state.restore(snap)
+        state.cyclic_shift(prev, pos)
+    signs = []
+    for j, was in zip((prev, pos), old):
+        col = [row[j] for row in u]
+        signs.append(1 if col == was else -1 if col == [-x for x in was] else 0)
+    if 0 not in signs:
+        state.col_transform2(prev, pos, (signs[0], 0, 0, signs[1]))
+        state.touched = touched
         return +1
     state.stats.swaps += 1
     return -1
@@ -386,7 +363,7 @@ def _lovasz_definite(state: ReducerState, k: int, n1: int, n2: int) -> int:
     if abs(n2) < abs(n1):
         if not (abs(n2) * gamma0.denominator < gamma0.numerator * abs(n1)):
             state.stats.repairs += 1
-        state.col_swap(k - 2, k - 1)
+        state.cyclic_shift(k - 2, k - 1)
         state.stats.swaps += 1
         return -1
     return +1
@@ -551,7 +528,7 @@ def plane_reduce(state: ReducerState, k: int, incoming_pair: bool) -> int:
         beta = state.gc[p1][v]
         norm = state.gc[v][v]
         if alpha == 0 and beta != 0:
-            state.col_swap(p0, p1)
+            state.cyclic_shift(p0, p1)
             alpha, beta = beta, alpha
         if alpha != 0 or gh_den * abs(norm) < gh_num * abs(cross):
             state.cyclic_shift(p0, v)
@@ -633,7 +610,7 @@ def first_unreduced_block(gso: GsoState) -> int | None:
 
 
 def _finalize(state: ReducerState, rank: int) -> ReductionResult:
-    gram_out = state.current_gram()
+    gram_out = GramMatrix.trusted(state.gc)  # the state ends here
     check = state.g_in.congruence(state.u)
     if check != gram_out:
         raise InternalInvariantError("congruence lost: U^T G U differs from the working Gram")
@@ -768,7 +745,7 @@ def reduce_baseline(gram: GramMatrix, gamma0: Rational = Fraction(99, 100)) -> R
         gso.hand_over(w, pos, row, rho)
         n_prev, _, proj, _ = gso.projected_block(k - 2, row[k - 2], rho)
         if abs(proj) * gamma0.denominator < gamma0.numerator * abs(n_prev):
-            state.col_swap(k - 2, k - 1)
+            state.cyclic_shift(k - 2, k - 1)
             state.stats.swaps += 1
             k = max(2, k - 1)
         else:

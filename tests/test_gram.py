@@ -461,7 +461,8 @@ def _compare_build(gram, upto, strict=False, previous=(None, None), tails=(), un
 
 def _twin(state):
     twin = copy.copy(state)
-    twin.restore(state.snapshot())
+    twin.u = [row[:] for row in state.u]
+    twin.gc = [row[:] for row in state.gc]
     return twin
 
 
@@ -474,7 +475,7 @@ def _check_refreshes(monkeypatch):
     seen = {"refreshes": 0, "planes": 0, "moved": 0}
 
     def refresh(self, prefix, strict=False):
-        gram = self.current_gram()
+        gram = GramMatrix(self.gc)
         try:
             old = ref._build_gso(gram, prefix, strict)
         except InadmissiblePrefixError as exc:

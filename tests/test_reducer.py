@@ -379,7 +379,7 @@ def checked_refresh(monkeypatch):
     seen = {"refreshes": 0, "positions": 0, "computed": 0}
 
     def fresh(state, prefix, strict):
-        return auto_gso(state.current_gram(), prefix, strict=strict)
+        return auto_gso(GramMatrix(state.gc), prefix, strict=strict)
 
     def refresh(self, prefix, strict=False):
         try:
@@ -431,7 +431,7 @@ def test_gso_and_size_reduction_create_no_fraction(monkeypatch):
     it run on integers alone."""
     g = gen_worstcase(5).congruence(gen_random_unimodular(10, 30, 0))
     st = ReducerState(g, ReducerParams())
-    gram = st.current_gram()
+    gram = GramMatrix(st.gc)
     created = []
     new = Fraction.__new__
 
@@ -520,18 +520,20 @@ def test_clean_up_decides_once(monkeypatch):
 
 
 def test_change_log_survives_rolled_back_placements(monkeypatch):
-    """The rows below `touched` are those of the last refresh, also after
-    a placement that is rolled back, and each refresh reuses what a full
-    comparison with a copy of the Gram at the last refresh would reuse."""
+    """A placement that is rolled back leaves U, the Gram and `touched` as
+    it found them (equal Grams do not pin U when G is singular), the rows
+    below `touched` are those of the last refresh, and each refresh reuses
+    what a full comparison with a copy of the Gram at the last refresh
+    would reuse."""
     place, refresh = red._place_transformed_pair, ReducerState.refresh_prefix_gso
     seen = {"rollbacks": 0, "refreshes": 0}
     refreshed = {}  # state -> its Gram at its last refresh
 
     def checked_place(state, k, t):
-        before = (state.touched, [row[:] for row in state.gc])
+        before = (state.touched, [row[:] for row in state.u], [row[:] for row in state.gc])
         change = place(state, k, t)
         if change == +1:
-            assert (state.touched, state.gc) == before
+            assert (state.touched, state.u, state.gc) == before
             seen["rollbacks"] += 1
         return change
 
