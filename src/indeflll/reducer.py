@@ -551,7 +551,7 @@ def plane_reduce(state: ReducerState, k: int, incoming_pair: bool) -> int:
         return k + 2
     state.cyclic_shift(k - 2, k)
     state.cyclic_shift(k - 1, k)
-    return k + 1
+    return k - 1
 
 
 # ---------------------------------------------------------------------------
