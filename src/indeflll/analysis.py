@@ -214,16 +214,15 @@ def signature_via_gso(gram: GramMatrix, params: ReducerParams | None = None) -> 
 class BoundReport:
     rank: int
     sum_definite: int
-    first_value: Fraction
     nondeg_det: Fraction
     lhs: Fraction
     rhs: Fraction
     holds: bool
     slack: Fraction | None
-    heuristic_lhs: Fraction
     heuristic_rhs: Fraction
     heuristic_holds: bool
     excess_definite: int  # definite blocks less max(sigma - 1, 0); planes can make it negative
+    signature: int  # sigma = |n_plus - n_minus| of the reduced block structure
 
 
 def verify_theorem_bound(result: ReductionResult, gram_in: GramMatrix) -> BoundReport:
@@ -233,7 +232,8 @@ def verify_theorem_bound(result: ReductionResult, gram_in: GramMatrix) -> BoundR
     with D = gamma0^2 / (gamma0 - 1/4), evaluated over exact rationals;
     `first` is the first squared norm, or the first hyperbolic cross
     term when the front vector is isotropic.  The informational variant
-    with base 4/3 and unit constants is reported alongside.
+    with base 4/3 and unit constants is reported alongside, against the
+    same lhs, and so is the signature of the reduced block structure.
     """
     if gram_in.congruence(result.transform) != result.reduced:
         raise ValueError("result does not belong to this input (congruence fails)")
@@ -243,8 +243,7 @@ def verify_theorem_bound(result: ReductionResult, gram_in: GramMatrix) -> BoundR
     ell = result.rank
     if ell == 0:
         one = Fraction(1)
-        return BoundReport(0, 0, Fraction(0), Fraction(1), Fraction(0), one, True, None,
-                           Fraction(0), one, True, 0)
+        return BoundReport(0, 0, Fraction(1), Fraction(0), one, True, None, one, True, 0, 0)
     # one GSO of the leading rank block gives |det| and the signature;
     # an admissible block is nonsingular, so a singular one is refused
     try:
@@ -268,16 +267,15 @@ def verify_theorem_bound(result: ReductionResult, gram_in: GramMatrix) -> BoundR
     return BoundReport(
         rank=ell,
         sum_definite=sum_n,
-        first_value=result.first_entry(),
         nondeg_det=det,
         lhs=lhs,
         rhs=rhs,
         holds=holds,
         slack=slack,
-        heuristic_lhs=lhs,
         heuristic_rhs=heur_rhs,
         heuristic_holds=lhs <= heur_rhs,
         excess_definite=result.block_kinds.count("definite") - max(sig - 1, 0),
+        signature=sig,
     )
 
 

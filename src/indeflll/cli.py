@@ -52,33 +52,34 @@ REPORT_ENV = "INDEFLLL_REPORT"
 
 
 def parse_matrix_text(text: str, require_symmetric: bool = True) -> list[list[int]]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Rows in errors are the file's own 1-based lines; blank lines are
+    skipped but counted."""
+    lines = [(n, ln.split()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ParseError("empty matrix file")
-    head = lines[0].split()
+    n, head = lines[0]
     if len(head) != 1:
-        raise ParseError("row 1: expected a single dimension value")
+        raise ParseError(f"row {n}: expected a single dimension value")
     try:
         dim = parse_int(head[0])
     except ValueError as exc:
-        raise ParseError(f"row 1: bad dimension {head[0]!r}") from exc
+        raise ParseError(f"row {n}: bad dimension {head[0]!r}") from exc
     if dim < 0:
-        raise ParseError("row 1: dimension must be non-negative")
+        raise ParseError(f"row {n}: dimension must be non-negative")
     if len(lines) - 1 < dim:
         raise ParseError(f"expected {dim} rows, found {len(lines) - 1}")
     if len(lines) - 1 > dim:
-        raise ParseError(f"row {dim + 2}: extra row past the declared dimension {dim}")
+        raise ParseError(f"row {lines[dim + 1][0]}: extra row past the declared dimension {dim}")
     rows = []
-    for i in range(dim):
-        parts = lines[1 + i].split()
+    for n, parts in lines[1:]:
         if len(parts) != dim:
-            raise ParseError(f"row {i + 2}: expected {dim} entries, found {len(parts)}")
+            raise ParseError(f"row {n}: expected {dim} entries, found {len(parts)}")
         row = []
         for j, tok in enumerate(parts):
             try:
                 row.append(parse_int(tok))
             except ValueError as exc:
-                raise ParseError(f"row {i + 2}, column {j + 1}: bad integer {tok!r}") from exc
+                raise ParseError(f"row {n}, column {j + 1}: bad integer {tok!r}") from exc
         rows.append(row)
     if require_symmetric:
         _check_symmetric(rows)
@@ -179,8 +180,7 @@ def _int_nth_root(n: int, k: int) -> int:
 
 def build_report(name: str, gram: GramMatrix, result: ReductionResult, wall: float) -> dict:
     bound = verify_theorem_bound(result, gram)
-    inv = signature_via_sturm(result.reduced)
-    sigma = inv.signature
+    sigma = bound.signature
     return {
         "name": name,
         "input_digest": _digest([[int(x) for x in row] for row in gram.rows]),

@@ -299,6 +299,7 @@ def test_verify_theorem_bound():
         assert rep.holds
         assert rep.slack is None or rep.slack >= 1
         assert rep.rank == res.rank
+        assert rep.signature == signature_via_sturm(g).signature
     with pytest.raises(ValueError):
         other = gen_random_symmetric(3, 10, 5)
         res = reduce(other)
@@ -317,7 +318,8 @@ def test_bound_report_counts_excess_definite_blocks():
         g = GramMatrix(rows)
         res = reduce(g, ReducerParams(sign_strategy=sign))
         assert res.reduced == g
-        assert verify_theorem_bound(res, g).excess_definite == excess
+        rep = verify_theorem_bound(res, g)
+        assert (rep.excess_definite, rep.signature) == (excess, signature_via_sturm(g).signature)
 
 
 def test_verify_theorem_bound_refuses_a_singular_leading_block():

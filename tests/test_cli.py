@@ -109,8 +109,11 @@ def test_cli_refuses_rows_past_the_dimension(tmp_path, capsys):
     f.write_text("2\n1 0\n0 1\n5 5 5\n")
     assert main(["analyze", str(f)]) == EXIT_INPUT
     assert "row 4" in capsys.readouterr().err
-    with pytest.raises(ParseError, match="row 4"):
+    # rows are the file's own lines, blank lines included
+    with pytest.raises(ParseError, match="row 5"):
         parse_matrix_text("2\n1 0\n\n0 1\n7\n8\n")
+    with pytest.raises(ParseError, match="row 3, column 2"):
+        parse_matrix_text("2\n\n1 x\n0 1\n")
     assert parse_matrix_text("2\n1 0\n0 1\n\n  \n") == [[1, 0], [0, 1]]
 
 
