@@ -243,7 +243,7 @@ def verify_theorem_bound(result: ReductionResult, gram_in: GramMatrix) -> BoundR
     ell = result.rank
     if ell == 0:
         one = Fraction(1)
-        return BoundReport(0, 0, Fraction(1), Fraction(0), one, True, None, one, True, 0, 0)
+        return BoundReport(0, 0, one, Fraction(0), one, True, None, one, True, 0, 0)
     # one GSO of the leading rank block gives |det| and the signature;
     # an admissible block is nonsingular, so a singular one is refused
     try:
