@@ -3,8 +3,9 @@
 Kernel splitting via integer column elimination, signature counting
 both through the reduction output and through exact fraction-free
 congruence elimination (Sylvester's law of inertia; one elimination,
-the kernel split only for singular input), quality bounds, the Hermitian
-doubling embedding, and the hyperbolic-plane removal basis change.
+the kernel split only for singular input), the quality bound decided in
+integers, the Hermitian doubling embedding, and the hyperbolic-plane
+removal basis change.
 """
 
 from dataclasses import dataclass
@@ -39,19 +40,17 @@ class KernelSplit:
         return self.nondegenerate.dim
 
 
-def kernel_split(gram: GramMatrix) -> KernelSplit:
-    """Split off the integer kernel of an integral Gram matrix.
+def _eliminate_columns(at: list[list[int]], vt: list[list[int]]) -> int:
+    """Unimodular integer column elimination of A = G V, in place.
 
-    Unimodular column operations clear the columns spanning the kernel;
-    the transform then satisfies U^T G U = diag(G_rank, 0) with the
-    leading block invertible.  The zero columns of U form a basis of
-    ker(G) intersected with the integer lattice (primitive because U is
-    unimodular).
+    `at` holds the columns of A and `vt` those of V (V = I on entry);
+    both take the same column operations, so A = G V throughout.  Each
+    row's nonzero entries among the columns not yet pivoted are reduced
+    to one by repeated division, and that column moves to the next pivot
+    place.  Returns the number of pivots, the rank; every later column
+    of A is then zero when the arithmetic is right.
     """
-    if not gram.is_integral():
-        raise ValueError("kernel_split expects an integral Gram matrix")
-    d = gram.dim
-    at, vt = gram.copy_rows(), mat_identity(d)  # columns of A = G V and of V
+    d = len(at)
     pivot_col = 0
     for row in range(d):
         active = [c for c in range(pivot_col, d) if at[c][row] != 0]
@@ -71,7 +70,23 @@ def kernel_split(gram: GramMatrix) -> KernelSplit:
         c = active[0]
         at[pivot_col], at[c], vt[pivot_col], vt[c] = at[c], at[pivot_col], vt[c], vt[pivot_col]
         pivot_col += 1
-    rank = pivot_col
+    return pivot_col
+
+
+def kernel_split(gram: GramMatrix) -> KernelSplit:
+    """Split off the integer kernel of an integral Gram matrix.
+
+    Unimodular column operations clear the columns spanning the kernel;
+    the transform then satisfies U^T G U = diag(G_rank, 0) with the
+    leading block invertible.  The zero columns of U form a basis of
+    ker(G) intersected with the integer lattice (primitive because U is
+    unimodular).
+    """
+    if not gram.is_integral():
+        raise ValueError("kernel_split expects an integral Gram matrix")
+    d = gram.dim
+    at, vt = gram.copy_rows(), mat_identity(d)  # columns of A = G V and of V
+    rank = _eliminate_columns(at, vt)
     transformed = _symmetric_product(vt, at)  # V^T A = V^T G V
     for i in range(rank, d):
         if any(transformed[i]):
@@ -80,6 +95,23 @@ def kernel_split(gram: GramMatrix) -> KernelSplit:
     if rank and lead.det() == 0:
         raise InternalInvariantError("leading block is singular after the kernel split")
     return KernelSplit(transform=mat_transpose(vt), nondegenerate=lead)
+
+
+def _nondegenerate_block(rows: list[list[int]]) -> list[list[int]]:
+    """The leading rank x rank block of V^T G V for the integral Gram
+    `rows`, V the unimodular transform of `_eliminate_columns`.
+
+    The signature oracle's split: it takes its caller's word that `rows`
+    is integral, checks the kernel columns on A = G V itself (V is
+    unimodular, so they are zero exactly when those of V^T A are), and
+    multiplies out only the leading rows.  Whether that block is
+    singular its caller's elimination tells.
+    """
+    at, vt = [list(row) for row in rows], mat_identity(len(rows))
+    rank = _eliminate_columns(at, vt)
+    if any(any(col) for col in at[rank:]):
+        raise InternalInvariantError("kernel columns did not clear")
+    return _symmetric_product(vt[:rank], at[:rank])
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +182,13 @@ def _congruent_leading_minors(a: list[list[int]]) -> list[int]:
 
 def _integral_scale(gram: GramMatrix) -> tuple[GramMatrix, int]:
     """Scale a rational Gram matrix by the least positive integer making
-    it integral, and that integer; scaling preserves the signature."""
+    it integral, and that integer; scaling preserves the signature.  An
+    integral input comes back as it is."""
     flat, scale = clear_denominators([x for row in gram.rows for x in row])
     if scale == 1:
         return gram, 1
     d = gram.dim
-    return GramMatrix([flat[i : i + d] for i in range(0, d * d, d)]), scale
+    return GramMatrix.trusted([flat[i : i + d] for i in range(0, d * d, d)]), scale
 
 
 def signature_via_sturm(gram: GramMatrix) -> LatticeInvariants:
@@ -174,11 +207,11 @@ def signature_via_sturm(gram: GramMatrix) -> LatticeInvariants:
     minors = _congruent_leading_minors(scaled.copy_rows())
     rank = len(minors)
     if rank < gram.dim:
-        lead = kernel_split(scaled).nondegenerate
-        minors = _congruent_leading_minors(lead.copy_rows())
-        if len(minors) < lead.dim:
+        lead = _nondegenerate_block(scaled.rows)
+        minors = _congruent_leading_minors(lead)
+        if len(minors) < len(lead):
             raise InternalInvariantError("singular block in the inertia count")
-        rank = lead.dim
+        rank = len(lead)
     n_minus = sum((x < 0) != (y < 0) for x, y in zip([1] + minors, minors))
     det_nondeg = Fraction(minors[-1], lam**rank) if rank else Fraction(0)
     return LatticeInvariants(
@@ -229,11 +262,14 @@ def verify_theorem_bound(result: ReductionResult, gram_in: GramMatrix) -> BoundR
     """Check the output quality inequality exactly.
 
     |first|^rank <= gamma0^(-rank(rank-1)) * D^(sum N_i) * |det_nonzero|
-    with D = gamma0^2 / (gamma0 - 1/4), evaluated over exact rationals;
-    `first` is the first squared norm, or the first hyperbolic cross
-    term when the front vector is isotropic.  The informational variant
-    with base 4/3 and unit constants is reported alongside, against the
-    same lhs, and so is the signature of the reduced block structure.
+    with D = gamma0^2 / (gamma0 - 1/4); `first` is the first squared
+    norm, or the first hyperbolic cross term when the front vector is
+    isotropic.  With gamma0 = p/q, D = 4p^2 / (q(4p - q)), and the
+    inequality is decided in integers by cross-multiplying its positive
+    denominators; the rational fields of the report are built once from
+    the same integers.  The informational variant with base 4/3 and unit
+    constants is reported alongside, against the same lhs, and so is the
+    signature of the reduced block structure.
     """
     if gram_in.congruence(result.transform) != result.reduced:
         raise ValueError("result does not belong to this input (congruence fails)")
@@ -252,28 +288,34 @@ def verify_theorem_bound(result: ReductionResult, gram_in: GramMatrix) -> BoundR
         if result.reduced.leading(ell).det() == 0:
             raise InternalInvariantError("nondegenerate determinant vanished") from None
         raise
-    det = Fraction(gso.det)
-    first = abs(result.first_entry())
+    det = abs(gso.det)
+    # the GSO read the leading block, so the entry there is an integer
+    first_pow = abs(result.first_entry()).numerator ** ell
     sum_n = result.sum_definite_exponent()
-    d_const = gamma0 * gamma0 / (gamma0 - Fraction(1, 4))
-    lhs = first**ell
-    rhs = (1 / gamma0) ** (ell * (ell - 1)) * d_const**sum_n * abs(det)
-    holds = lhs <= rhs
-    slack = rhs / lhs if lhs else None
+    # first^ell * p^e * (q(4p - q))^N <= q^e * (4p^2)^N * |det|, with the
+    # powers of p and q common to both sides cancelled first: that keeps
+    # the integers, and the gcd that normalizes rhs, small
+    p, q = gamma0.numerator, gamma0.denominator
+    e = ell * (ell - 1)
+    kp, kq = min(2 * sum_n, e), min(sum_n, e)
+    rhs_num = q ** (e - kq) * 4**sum_n * p ** (2 * sum_n - kp) * det
+    rhs_den = p ** (e - kp) * q ** (sum_n - kq) * (4 * p - q) ** sum_n
+    lhs, rhs = Fraction(first_pow), Fraction(rhs_num, rhs_den)
     # signature read off the reduced block structure
     n_pos, n_neg = gso.sign_counts()
     sig = abs(n_pos - n_neg)
-    heur_rhs = Fraction(4, 3) ** (sig * (sig - 1)) * abs(det)
+    h = sig * (sig - 1)
+    heur_num, heur_den = 4**h * det, 3**h
     return BoundReport(
         rank=ell,
         sum_definite=sum_n,
-        nondeg_det=det,
+        nondeg_det=Fraction(gso.det),
         lhs=lhs,
         rhs=rhs,
-        holds=holds,
-        slack=slack,
-        heuristic_rhs=heur_rhs,
-        heuristic_holds=lhs <= heur_rhs,
+        holds=first_pow * rhs_den <= rhs_num,
+        slack=rhs / lhs if first_pow else None,
+        heuristic_rhs=Fraction(heur_num, heur_den),
+        heuristic_holds=first_pow * heur_den <= heur_num,
         excess_definite=result.block_kinds.count("definite") - max(sig - 1, 0),
         signature=sig,
     )

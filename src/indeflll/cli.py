@@ -16,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .analysis import kernel_split, signature_via_sturm, verify_theorem_bound
+from .analysis import signature_via_sturm, verify_theorem_bound
 from .errors import InternalInvariantError, IsotropicVectorError, LatticeError, ParseError
 from .gram import GramMatrix, auto_gso, mat_det
 from .generators import (
@@ -351,16 +351,23 @@ def cmd_verify(args) -> int:
 
     congruent = gram.congruence(u_rows) == reduced
     checks.append(("congruence U^T G U = G'", congruent, ""))
-    det = mat_det(u_rows)
-    checks.append(("unimodular |det U| = 1", abs(det) == 1, f"det = {format_rational(det)}"))
+    # the rank of the input, so a nonzero row past it fails the tail
+    inv = signature_via_sturm(gram) if congruent else None
+    if inv is not None and 0 < inv.rank == gram.dim:
+        # U^T G U = G' gives det G' = det(U)^2 det G, and det G != 0
+        square = reduced.det() / inv.nondeg_det
+        unimodular, note = square == 1, f"det(U)^2 = {format_rational(square)}"
+    else:
+        det = mat_det(u_rows)
+        unimodular, note = abs(det) == 1, f"det = {format_rational(det)}"
+    checks.append(("unimodular |det U| = 1", unimodular, note))
 
     blocks_ok = True
     tail_ok = True
     bound_ok = True
     detail = ""
-    if congruent and abs(det) == 1:
-        # the rank of the input, so a nonzero row past it fails the tail
-        rank = kernel_split(gram).rank
+    if congruent and unimodular:
+        rank = inv.rank
         tail_ok = all(x == 0 for row in reduced.rows[rank:] for x in row)
         try:
             gso = auto_gso(reduced, rank)

@@ -614,12 +614,19 @@ def _finalize(state: ReducerState, rank: int) -> ReductionResult:
     check = state.g_in.congruence(state.u)
     if check != gram_out:
         raise InternalInvariantError("congruence lost: U^T G U differs from the working Gram")
-    if abs(mat_det(state.u)) != 1:
-        raise InternalInvariantError("transform is not unimodular")
     for i in range(rank, state.d):
         if any(gram_out.rows[i][j] != 0 for j in range(state.d)):
             raise InternalInvariantError(f"tail row {i} is not exactly zero")
     gso = auto_gso(gram_out, rank, state.gso, state.touched)
+    # U^T G U = G' exactly gives det G' = det(U)^2 det G.  At full rank
+    # det G' = gso.det is nonzero, so |det U| = 1 exactly when the two
+    # Gram determinants agree, and G's costs less than U's large entries.
+    if rank == state.d:
+        unimodular = gso.det == mat_det(state.g_in.rows)
+    else:
+        unimodular = abs(mat_det(state.u)) == 1
+    if not unimodular:
+        raise InternalInvariantError("transform is not unimodular")
     state.stats.u_bits = _max_bits(state.u)
     state.stats.g_bits = _max_bits(gram_out.rows)
     return ReductionResult(

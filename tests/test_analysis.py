@@ -7,7 +7,6 @@ import pytest
 
 from indeflll import analysis
 from indeflll.analysis import (
-    KernelSplit,
     LatticeInvariants,
     _congruent_leading_minors,
     char_poly,
@@ -19,7 +18,7 @@ from indeflll.analysis import (
     verify_theorem_bound,
 )
 from indeflll.errors import InadmissiblePrefixError, InternalInvariantError
-from indeflll.gram import GramMatrix, mat_det, mat_transpose
+from indeflll.gram import GramMatrix, auto_gso, mat_det, mat_transpose
 from indeflll.generators import (
     gen_hyperbolic_stack,
     gen_random_symmetric,
@@ -254,10 +253,11 @@ def test_minors_stop_at_the_rank():
 
 
 def test_full_rank_input_takes_no_kernel_split(monkeypatch):
-    def refuse(gram):
-        raise AssertionError("kernel_split called on full-rank input")
+    def refuse(rows):
+        raise AssertionError("the oracle's kernel split ran on full-rank input")
 
-    monkeypatch.setattr(analysis, "kernel_split", refuse)
+    split = analysis._nondegenerate_block
+    monkeypatch.setattr(analysis, "_nondegenerate_block", refuse)
     full = [
         GramMatrix.zeros(0),
         GramMatrix([[0, 4], [4, 0]]),
@@ -273,7 +273,7 @@ def test_full_rank_input_takes_no_kernel_split(monkeypatch):
     for g in full:
         assert signature_via_sturm(g).rank == g.dim
     calls = []
-    monkeypatch.setattr(analysis, "kernel_split", lambda gram: calls.append(gram) or kernel_split(gram))
+    monkeypatch.setattr(analysis, "_nondegenerate_block", lambda rows: calls.append(rows) or split(rows))
     inv = signature_via_sturm(GramMatrix([[1, 1, 0], [1, 1, 0], [0, 0, -2]]))
     assert (inv.rank, inv.n_plus, inv.n_minus, inv.nondeg_det, len(calls)) == (2, 1, 1, -2, 1)
 
@@ -282,11 +282,26 @@ def test_singular_split_block_still_raises(monkeypatch):
     # a split whose leading block is itself singular is a bug in the split
     for g, lead in ((GramMatrix([[1, 1], [1, 1]]), [[0]]),
                     (GramMatrix([[1, 1, 0], [1, 1, 0], [0, 0, 0]]), [[1, 1], [1, 1]])):
-        bad = KernelSplit(transform=[[int(i == j) for j in range(g.dim)] for i in range(g.dim)],
-                          nondegenerate=GramMatrix(lead))
-        monkeypatch.setattr(analysis, "kernel_split", lambda gram: bad)
+        monkeypatch.setattr(analysis, "_nondegenerate_block", lambda rows: [list(r) for r in lead])
         with pytest.raises(InternalInvariantError, match="singular block in the inertia count"):
             signature_via_sturm(g)
+
+
+def test_split_checks_catch_a_wrong_elimination(monkeypatch):
+    # an elimination that miscounts its pivots leaves a nonzero kernel
+    # column (one too few) or a zero row in the leading block (one too many)
+    eliminate = analysis._eliminate_columns
+    g = GramMatrix([[1, 1, 0], [1, 1, 0], [0, 0, -2]])
+    monkeypatch.setattr(analysis, "_eliminate_columns", lambda at, vt: eliminate(at, vt) - 1)
+    with pytest.raises(InternalInvariantError, match="kernel columns did not clear"):
+        kernel_split(g)
+    with pytest.raises(InternalInvariantError, match="kernel columns did not clear"):
+        signature_via_sturm(g)
+    monkeypatch.setattr(analysis, "_eliminate_columns", lambda at, vt: eliminate(at, vt) + 1)
+    with pytest.raises(InternalInvariantError, match="leading block is singular after the kernel split"):
+        kernel_split(g)
+    with pytest.raises(InternalInvariantError, match="singular block in the inertia count"):
+        signature_via_sturm(g)
 
 
 def test_verify_theorem_bound():
@@ -304,6 +319,68 @@ def test_verify_theorem_bound():
         other = gen_random_symmetric(3, 10, 5)
         res = reduce(other)
         verify_theorem_bound(res, gen_random_symmetric(3, 10, 6))
+
+
+def _reference_bound(result, gram):
+    """lhs, rhs, slack, heuristic_rhs, holds, heuristic_holds, nondeg_det
+    and signature of the quality bound, evaluated over Fraction powers."""
+    gamma0 = result.params.gamma0
+    ell = result.rank
+    if ell == 0:
+        return Fraction(0), Fraction(1), None, Fraction(1), True, True, Fraction(1), 0
+    gso = auto_gso(result.reduced, ell)
+    det = Fraction(gso.det)
+    first = abs(result.first_entry())
+    sum_n = result.sum_definite_exponent()
+    d_const = gamma0 * gamma0 / (gamma0 - Fraction(1, 4))
+    lhs = first**ell
+    rhs = (1 / gamma0) ** (ell * (ell - 1)) * d_const**sum_n * abs(det)
+    n_pos, n_neg = gso.sign_counts()
+    sig = abs(n_pos - n_neg)
+    heur_rhs = Fraction(4, 3) ** (sig * (sig - 1)) * abs(det)
+    slack = rhs / lhs if lhs else None
+    return lhs, rhs, slack, heur_rhs, lhs <= rhs, lhs <= heur_rhs, det, sig
+
+
+def _bound_corpus():
+    rng = random.Random(64)
+    yield GramMatrix.zeros(0)
+    yield GramMatrix.zeros(3)  # rank 0
+    yield GramMatrix([[-3]])
+    yield GramMatrix([[1, 2], [2, 4]])  # rank 1
+    yield GramMatrix([[0, 4], [4, 0]])  # isotropic front vector
+    yield gen_hyperbolic_stack(2, [3, -2])
+    yield GramMatrix([[-2, -2, -2], [-2, 0, 1], [-2, 1, 1]])  # fault (a): the bound fails
+    yield gen_worstcase(5).congruence(gen_random_unimodular(10, 30, 0))
+    for n, alphas, useed in ((1, [2], 21), (2, [1, -3], 22), (3, [2, 1, -2], 23)):
+        yield gen_hyperbolic_stack(n, alphas).congruence(gen_random_unimodular(3 * n, 10, useed))
+    for _ in range(40):
+        d = rng.randrange(1, 7)
+        yield gen_random_symmetric(d, 40, rng.randrange(10**6))
+        yield _rank_deficient(rng, d + 1, rng.randrange(0, min(d, 3) + 1), 3)
+
+
+def test_bound_report_matches_the_fraction_formula():
+    fields = ("lhs", "rhs", "slack", "heuristic_rhs", "holds", "heuristic_holds", "nondeg_det", "signature")
+    seen = {"rank 0": 0, "rank 1": 0, "isotropic front": 0, "singular": 0, "fails": 0}
+    for g in _bound_corpus():
+        for gamma0 in (Fraction(99, 100), Fraction(3, 4), Fraction(26, 100)):
+            for sign_strategy in (True, False):
+                res = reduce(g, ReducerParams(gamma0=gamma0, sign_strategy=sign_strategy))
+                rep = verify_theorem_bound(res, g)
+                got = tuple(getattr(rep, f) for f in fields)
+                assert got == _reference_bound(res, g), (g, gamma0, sign_strategy)
+                assert all(isinstance(x, Fraction) for x in (rep.lhs, rep.rhs, rep.heuristic_rhs, rep.nondeg_det))
+                seen["rank 0"] += res.rank == 0
+                seen["rank 1"] += res.rank == 1
+                seen["isotropic front"] += res.rank >= 2 and res.reduced.rows[0][0] == 0
+                seen["singular"] += 0 < res.rank < g.dim
+                seen["fails"] += not rep.holds
+    assert all(seen.values()), seen
+    res = reduce(GramMatrix([[2, 1], [1, -3]]))
+    for gamma0 in (Fraction(1, 4), Fraction(1, 5)):
+        with pytest.raises(ValueError, match="gamma0 > 1/4"):
+            verify_theorem_bound(replace(res, params=ReducerParams(gamma0=gamma0)), GramMatrix([[2, 1], [1, -3]]))
 
 
 def test_bound_report_counts_excess_definite_blocks():

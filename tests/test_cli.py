@@ -166,6 +166,21 @@ def test_cli_verify_identity(tmp_path, capsys):
     assert main(["verify", str(f), str(f), str(f)]) == EXIT_OK
 
 
+def test_cli_verify_refuses_a_congruent_transform_that_is_not_unimodular(tmp_path, capsys):
+    # U = 2I is congruent to G' = 4G; at full rank the Gram determinants
+    # refuse it, below full rank det U itself
+    for g_text, red_text, note in (("2\n1 2\n2 -3\n", "2\n4 8\n8 -12\n", "det(U)^2 = 16"),
+                                   ("2\n1 0\n0 0\n", "2\n4 0\n0 0\n", "det = 4")):
+        g, u, red = tmp_path / "g.txt", tmp_path / "u.txt", tmp_path / "red.txt"
+        g.write_text(g_text)
+        u.write_text("2\n2 0\n0 2\n")
+        red.write_text(red_text)
+        assert main(["verify", str(g), str(u), str(red)]) == EXIT_VERIFY_FAILED
+        out = capsys.readouterr().out
+        assert "ok   congruence" in out
+        assert f"FAIL unimodular |det U| = 1  ({note})" in out
+
+
 def test_cli_verify_tail_uses_input_rank(tmp_path, capsys):
     # rank 1 input: the nonzero second row of G' is a tail row
     g = tmp_path / "g.txt"

@@ -9,7 +9,7 @@ import pytest
 import fraction_walk as ref
 from indeflll import reducer as red
 from indeflll.analysis import kernel_split, verify_theorem_bound
-from indeflll.errors import InadmissiblePrefixError, IsotropicVectorError, LatticeError
+from indeflll.errors import InadmissiblePrefixError, InternalInvariantError, IsotropicVectorError, LatticeError
 from indeflll.generators import gen_hyperbolic_stack, gen_random_unimodular, gen_worstcase
 from indeflll.gram import (
     GramMatrix,
@@ -84,6 +84,30 @@ def test_rank_deficient_inputs():
     assert r.reduced.rows[1] == [0, 0] and r.reduced.rows[0][1] == 0
     r = reduce(GramMatrix.zeros(3))
     assert r.rank == 0 and r.reduced == GramMatrix.zeros(3)
+
+
+def test_finalize_refuses_a_congruent_transform_that_is_not_unimodular():
+    # U = 2I with the working Gram 4G passes the congruence check, so
+    # only the unimodularity check can refuse it: at full rank through
+    # the Gram determinants, below it through det U
+    cases = (
+        ([[1, 2], [2, -3]], 2),
+        ([[0, 1], [1, 0]], 2),
+        ([[2, 1, 0], [1, -1, 0], [0, 0, 0]], 2),
+        ([[0, 0], [0, 0]], 0),
+    )
+    for rows, rank in cases:
+        d = len(rows)
+        state = ReducerState(GramMatrix(rows), ReducerParams())
+        state.u = [[2 * (i == j) for j in range(d)] for i in range(d)]
+        state.gc = [[4 * x for x in row] for row in rows]
+        with pytest.raises(InternalInvariantError, match="transform is not unimodular"):
+            red._finalize(state, rank)
+        # det U = -1 is unimodular
+        flip = [[(-1 if i == 0 else 1) * (i == j) for j in range(d)] for i in range(d)]
+        state = ReducerState(GramMatrix(rows), ReducerParams())
+        state.u, state.gc = flip, GramMatrix(rows).congruence(flip).copy_rows()
+        assert red._finalize(state, rank).transform == flip
 
 
 def test_cleanup_ordinary_branch():
@@ -721,8 +745,9 @@ def test_transform_and_gram_bits_are_reported():
 
 def test_small_box_certificates():
     """Every certificate on every 2x2 matrix in [-3, 3] under both
-    strategies and the baseline, and on every 7th 3x3 matrix in [-2, 2]
-    without the sign strategy and under the baseline: congruence,
+    strategies, each with gamma_h = gamma0 and gamma_h = 1, and the
+    baseline, and on every 7th 3x3 matrix in [-2, 2] without the sign
+    strategy (both gamma_h) and under the baseline: congruence,
     |det U| = 1, the input's rank, an exactly zero tail and the bound,
     plus reduced blocks except for the baseline, which does not promise
     them and may only stop at an isotropic vector.  The 3x3 stride joins
@@ -734,8 +759,9 @@ def test_small_box_certificates():
         if n % 7 == 0
     ]
     sign, plain = ReducerParams(), ReducerParams(sign_strategy=False)
+    sign_h1, plain_h1 = ReducerParams(gamma_h=1), ReducerParams(gamma_h=1, sign_strategy=False)
     isotropic = []
-    for inputs, strategies in ((two, (sign, plain)), (three, (plain,))):
+    for inputs, strategies in ((two, (sign, plain, sign_h1, plain_h1)), (three, (plain, plain_h1))):
         stopped = 0
         for rows in inputs:
             g = GramMatrix(rows)
