@@ -183,7 +183,8 @@ class GsoState:
     of a vector w with key the products b(w, v_m) for m < upto followed
     by b(w, w), row its lambda row and rho its scaled residual: a build
     that extends this state by one position holding exactly that key
-    takes them over.
+    takes them over, and the reducer reads row and rho of the vector it
+    has just size-reduced from here.
     """
 
     upto: int
@@ -268,6 +269,16 @@ class GsoState:
         if p < 0:
             return -d, -s, -n2, -p
         return d, s, n2, p
+
+    def row_before(self, j: int, row: list[int], rho: int) -> tuple[list[int], int]:
+        """Lambda row and scaled residual of a vector w against the prefix
+        before scalar position j, from its `row` and rho = dets[j] *
+        b(w*, w*) against the prefix through j: the row cut at j, and the
+        exact (rho * D'_j + lam_{w,j}^2) / dets[j], the numerator of N2 in
+        `projected_block`."""
+        s = row[j]
+        before = self.dets[j - 1] if j else 1  # D'_j, as j is scalar
+        return row[:j], (rho * before + s * s) // self.dets[j]
 
     def potential(self) -> tuple[int, int]:
         """Inductive potential of the prefix as (numerator, positive

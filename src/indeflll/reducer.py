@@ -115,6 +115,9 @@ class ReducerState:
     is ever copied.  `touched` is the first position that a move changed
     since the last prefix GSO refresh: the leading rows of the Gram
     below it, through the diagonal, are those that refresh read.
+    `carry`, when set, is the exact (lambda row, scaled residual) against
+    the next prefix of the vector that a move has just put at the front of
+    the tail, which the next main-loop clean-up takes instead of building.
     """
 
     def __init__(self, gram: GramMatrix, params: ReducerParams):
@@ -126,6 +129,7 @@ class ReducerState:
         self.stats = ReductionStats()
         self.gso: GsoState | None = None  # GSO of the current prefix
         self.touched = 0
+        self.carry: tuple[list[int], int] | None = None
         self._pot_max_dim = 0
         self._pot_last = (1, 1)  # potential as (numerator, positive denominator)
 
@@ -170,9 +174,16 @@ class ReducerState:
         if dst == src:
             return
         self.touched = min(self.touched, dst)
+        gc = self.gc
+        if src == dst + 1:  # an adjacent swap, made in place
+            for row in self.u:
+                row[dst], row[src] = row[src], row[dst]
+            for row in gc:
+                row[dst], row[src] = row[src], row[dst]
+            gc[dst], gc[src] = gc[src], gc[dst]
+            return
         for row in self.u:
             row.insert(dst, row.pop(src))
-        gc = self.gc
         for row in gc:
             row.insert(dst, row.pop(src))
         gc.insert(dst, gc.pop(src))
@@ -261,7 +272,10 @@ def _size_reduce_below(
 
 
 def cleanup_size_reduce(
-    state: ReducerState, pos: int, gso: GsoState | None = None
+    state: ReducerState,
+    pos: int,
+    gso: GsoState | None = None,
+    front: tuple[list[int], int] | None = None,
 ) -> tuple[tuple[int | None, int], bool]:
     """Size-reduce the vector at `pos` against the prefix held in `gso`.
 
@@ -269,25 +283,40 @@ def cleanup_size_reduce(
     rule above (anticipating that the vector lands right after it); all
     earlier scalar positions get plain nearest-integer reduction and
     hyperbolic pairs get the pair rule on both cross coefficients.
-    Everything runs on the vector's integer lambda row, built once and
-    updated after each column operation.  Adding prefix vectors leaves
-    the scaled residual rho = D * b(w*, w*) unchanged, so it is computed
-    once, up front.  The row and rho are handed over to `gso` for the
-    build that extends it by this vector.  Returns (s, rho), with
-    s = lam_{w,j} against the last prefix position j when that is scalar
-    (else None), and whether the vector is a prefix zero: an integer
-    combination of the prefix plus a vector orthogonal to it and
-    isotropic.  Rounding from the last position down takes integral
-    coefficients off exactly (with rho = 0 the last-position rule is
-    plain nearest rounding), so after it a prefix zero is exactly a zero
-    residual with a zero lambda row, already orthogonal to the prefix.
+    Everything runs on the vector's integer lambda row, updated after
+    each column operation.  Adding prefix vectors leaves the scaled
+    residual rho = D * b(w*, w*) unchanged.  Row and rho are built by
+    Cohen's recursion only when no move knows them: a placement passes
+    those of its fresh front vector as `front`, and a main-loop clean-up
+    (no `gso`: the prefix in `state.gso`) takes and clears
+    `state.carry`.  A carried row came out of a clean-up against this
+    prefix or a longer one, so it is nearest-reduced below its top, a
+    fixed point of `_size_reduce_below` (ties round toward zero), and
+    that scan is skipped unless the last-position rule moves the vector.
+    The row and rho are handed over to `gso` for the build that extends
+    it by this vector.  Returns (s, rho), with s = lam_{w,j} against the
+    last prefix position j when that is scalar (else None), and whether
+    the vector is a prefix zero: an integer combination of the prefix
+    plus a vector orthogonal to it and isotropic.  Rounding from the last
+    position down takes integral coefficients off exactly (with rho = 0
+    the last-position rule is plain nearest rounding), so after it a
+    prefix zero is exactly a zero residual with a zero lambda row,
+    already orthogonal to the prefix.
     """
-    gso = gso or state.gso
-    kappa = gso.upto
+    if gso is None:
+        gso, carried, state.carry = state.gso, state.carry, None
+        settled = carried is not None
+    else:
+        carried, settled = front, False
     w = state.gc[pos]
-    row = gso.lambda_row(w)
-    rho = gso.scaled_residual(row, w[pos])
+    if carried is None:
+        row = gso.lambda_row(w)
+        rho = gso.scaled_residual(row, w[pos])
+    else:
+        row, rho = carried
+    kappa = gso.upto
     if kappa == 0:
+        gso.hand_over(w, pos, row, rho)
         return (None, rho), rho == 0
     top, s = kappa, None
     if gso.is_scalar(kappa - 1):
@@ -295,8 +324,10 @@ def cleanup_size_reduce(
         lam = _cleanup_lambda(*gso.projected_block(top, row[top], rho)[:3])
         if lam:
             _add_prefix_vector(state, pos, row, gso, top, lam)
+            settled = False
         s = row[top]
-    _size_reduce_below(state, pos, row, gso, top)
+    if not settled:
+        _size_reduce_below(state, pos, row, gso, top)
     gso.hand_over(w, pos, row, rho)
     return (s, rho), rho == 0 and not any(row)
 
@@ -327,14 +358,24 @@ def _place_transformed_pair(state: ReducerState, k: int, t: Mat) -> int:
     No other column moved and U is nonsingular, so that is exactly when
     both new columns of U are +-the old ones; the sign transform then
     puts them back, the Gram (kept exactly U^T G U) returns bit for bit,
-    and so does `touched`.
+    and so does `touched`.  A front kept first leaves its reduced row
+    and rho in `state.carry` for the next clean-up of it, against the
+    same prefix.
     """
     prev, pos = k - 2, k - 1
-    u, touched = state.u, state.touched
+    u, touched, gso = state.u, state.touched, state.gso
     old = [[row[prev] for row in u], [row[pos] for row in u]]
+    # the front m11 v_prev + m21 w, for the w whose clean-up handed over to
+    # gso: its row through prev is m11 lam_prev + m21 lam_w, and its residual
+    # there m21^2 times w's, as the v_prev part lies in that prefix
+    _, row, rho = gso.boundary
+    m11, _, m21, _ = t
+    full = [m11 * x + m21 * y for x, y in zip(gso.lam[prev], row)]
+    front = gso.row_before(prev, full, m21 * m21 * rho)
     state.col_transform2(prev, pos, t)
-    short = state.gso.truncated(prev)
-    if cleanup_size_reduce(state, prev, gso=short)[1]:
+    short = gso.truncated(prev)
+    zero = cleanup_size_reduce(state, prev, short, front)[1]
+    if zero:
         state.cyclic_shift(prev, pos)
     signs = []
     for j, was in zip((prev, pos), old):
@@ -344,6 +385,8 @@ def _place_transformed_pair(state: ReducerState, k: int, t: Mat) -> int:
         state.col_transform2(prev, pos, (signs[0], 0, 0, signs[1]))
         state.touched = touched
         return +1
+    if not zero:
+        state.carry = short.boundary[1:]
     state.stats.swaps += 1
     return -1
 
@@ -357,12 +400,15 @@ def _lovasz_definite(state: ReducerState, k: int, n1: int, n2: int) -> int:
     sub-gamma0 improvement is also taken (counted as a repair) so that
     final definite blocks satisfy |a| <= |c| exactly; each such swap
     still strictly lowers the integer-valued potential, so the loop
-    cannot cycle on them.
+    cannot cycle on them.  A swap carries the moved vector's row to its
+    next clean-up.
     """
     gamma0 = state.params.gamma0
     if abs(n2) < abs(n1):
         if not (abs(n2) * gamma0.denominator < gamma0.numerator * abs(n1)):
             state.stats.repairs += 1
+        _, row, rho = state.gso.boundary  # of the vector at k-1, which moves back
+        state.carry = state.gso.row_before(k - 2, row, rho)
         state.cyclic_shift(k - 2, k - 1)
         state.stats.swaps += 1
         return -1
@@ -387,8 +433,9 @@ def integrate_adherent(state: ReducerState, k: int, n1: int, s: int, n2: int) ->
         raise ValueError("integrate_adherent requires a scalar neighbor position")
     if s * s != n1 * n2:  # the residual norm is not zero
         raise ValueError("integrate_adherent requires an adherent vector")
-    # after size reduction a prefix zero is a zero residual with a zero lambda row
-    if not any(gso.lambda_row(state.gc[k - 1])):
+    # after size reduction a prefix zero is a zero residual with a zero lambda
+    # row, and the clean-up handed that row over
+    if not any(gso.boundary[1]):
         raise ValueError("integrate_adherent rejects prefix zeroes")
     # the engine is scale invariant, so it takes the block times its denominator
     t = reduce_definite(BQForm(n1, 2 * s, n2))[1].entries()

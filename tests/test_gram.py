@@ -463,6 +463,7 @@ def _twin(state):
     twin = copy.copy(state)
     twin.u = [row[:] for row in state.u]
     twin.gc = [row[:] for row in state.gc]
+    twin.carry = None  # a carried row belongs to the state's own next clean-up
     return twin
 
 
