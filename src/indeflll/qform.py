@@ -232,6 +232,15 @@ def step_toward_reduced(f: Form, r: int, square: bool) -> tuple[Form, Mat]:
     return _act(f, step), step
 
 
+def compose(steps: list[Mat]) -> Mat:
+    """The product of the step matrices in their order (the identity for
+    none), as a walk composes them."""
+    t = _ID
+    for step in steps:
+        t = _mul(t, step)
+    return t
+
+
 def _cycle_move(f: Form, r: int, square: bool) -> tuple[Form, Mat] | None:
     """Continue along the cycle from a reduced indefinite form.
 
@@ -326,6 +335,19 @@ class IntegralWalk:
             t = _mul(t, step)
             self.steps += 1
             yield f, t
+
+    def moves(self, f: Form, steps: int) -> Iterator[tuple[Form, Mat]]:
+        """The moves of `cycle` from f, each with its own step matrix and
+        none composed: the transform to a form is `compose` of the steps
+        up to it."""
+        r, square = self.root, self.square
+        for _ in range(steps):
+            move = _cycle_move(f, r, square)
+            if move is None:
+                return
+            f = move[0]
+            self.steps += 1
+            yield move
 
     def boundary(self, f: Form, t: Mat) -> tuple[BQForm, Transform2]:
         """f and t as the input's own form and transform."""

@@ -24,7 +24,7 @@ from .numerics import (
     floor_sqrt_div,
     nearest_div,
 )
-from .qform import BQForm, Form, IntegralWalk, Mat, is_reduced as qf_is_reduced, reduce_definite
+from .qform import BQForm, Form, IntegralWalk, Mat, compose, is_reduced as qf_is_reduced, reduce_definite
 
 
 @dataclass
@@ -112,9 +112,15 @@ class ReducerState:
     The state is the one owner of `u` and `gc`, and keeps `gc` exactly
     U^T G U: after construction both change only through the three basis
     moves `col_addmul`, `col_transform2` and `cyclic_shift`, and neither
-    is ever copied.  `touched` is the first position that a move changed
-    since the last prefix GSO refresh: the leading rows of the Gram
-    below it, through the diagonal, are those that refresh read.
+    is ever copied.  So `gc` is symmetric: it starts as the rows of a
+    validated `GramMatrix`, and each move keeps it so, which lets the two
+    column moves multiply out only the moved columns and copy them into
+    the moved rows.  They assign those rows in place, so every row list
+    of `gc` keeps its identity (a clean-up holds `gc[pos]` across moves),
+    and only `cyclic_shift` reorders them.  `touched` is the first
+    position that a move changed since the last prefix GSO refresh: the
+    leading rows of the Gram below it, through the diagonal, are those
+    that refresh read.
     `carry`, when set, is the exact (lambda row, scaled residual) against
     the next prefix of the vector that a move has just put at the front of
     the tail, which the next main-loop clean-up takes instead of building.
@@ -140,34 +146,42 @@ class ReducerState:
         if coef == 0 or dst == src:
             return
         self.touched = min(self.touched, dst)
-        for r in range(self.d):
-            self.u[r][dst] += coef * self.u[r][src]
+        for row in self.u:
+            row[dst] += coef * row[src]
         gc = self.gc
-        for i in range(self.d):
-            gc[i][dst] = gc[i][dst] + coef * gc[i][src]
-        row_dst, row_src = gc[dst], gc[src]
-        for j in range(self.d):
-            row_dst[j] = row_dst[j] + coef * row_src[j]
+        for row in gc:
+            row[dst] += coef * row[src]
+        # by symmetry the new row dst is the new column, but for the
+        # diagonal, which also takes coef * b(v_src, new v_dst)
+        row_dst = gc[dst]
+        row_dst[:] = [row[dst] for row in gc]
+        row_dst[dst] += coef * gc[src][dst]
 
     def col_transform2(self, p: int, q: int, t: Mat) -> None:
         """(v_p, v_q) <- (m11 v_p + m21 v_q, m12 v_p + m22 v_q) for the
         entries t = (m11, m12, m21, m22) of a 2x2 transform."""
         self.touched = min(self.touched, p, q)
         m11, m12, m21, m22 = t
-        for r in range(self.d):
-            a, b = self.u[r][p], self.u[r][q]
-            self.u[r][p] = m11 * a + m21 * b
-            self.u[r][q] = m12 * a + m22 * b
+        for row in self.u:
+            a, b = row[p], row[q]
+            row[p] = m11 * a + m21 * b
+            row[q] = m12 * a + m22 * b
         gc = self.gc
-        for i in range(self.d):
-            a, b = gc[i][p], gc[i][q]
-            gc[i][p] = m11 * a + m21 * b
-            gc[i][q] = m12 * a + m22 * b
+        for row in gc:
+            a, b = row[p], row[q]
+            row[p] = m11 * a + m21 * b
+            row[q] = m12 * a + m22 * b
+        # rows p and q are the new columns, but for the 2x2 block, which
+        # the row rule takes from the column-updated rows
         rp, rq = gc[p], gc[q]
-        for j in range(self.d):
-            a, b = rp[j], rq[j]
-            rp[j] = m11 * a + m21 * b
-            rq[j] = m12 * a + m22 * b
+        pp = m11 * rp[p] + m21 * rq[p]
+        pq = m11 * rp[q] + m21 * rq[q]
+        qq = m12 * rp[q] + m22 * rq[q]
+        rp[:] = [row[p] for row in gc]
+        rq[:] = [row[q] for row in gc]
+        rp[p] = pp
+        rp[q] = rq[p] = pq
+        rq[q] = qq
 
     def cyclic_shift(self, dst: int, src: int) -> None:
         """(v_dst, ..., v_src) -> (v_src, v_dst, ..., v_{src-1})."""
@@ -358,18 +372,24 @@ def _place_transformed_pair(state: ReducerState, k: int, t: Mat) -> int:
     No other column moved and U is nonsingular, so that is exactly when
     both new columns of U are +-the old ones; the sign transform then
     puts them back, the Gram (kept exactly U^T G U) returns bit for bit,
-    and so does `touched`.  A front kept first leaves its reduced row
-    and rho in `state.carry` for the next clean-up of it, against the
-    same prefix.
+    and so does `touched`.  The new columns are m11 v_prev + m21 w plus
+    prefix vectors and m12 v_prev + m22 w, in swapped slots for a prefix
+    zero, and the old columns of U are linearly independent: so the pair
+    can return only when t is a signed permutation, diagonal without the
+    swap and antidiagonal with it.  Only then are the columns copied and
+    compared (the clean-up may still have added prefix vectors); every
+    other t is kept.  A front kept first leaves its reduced row and rho
+    in `state.carry` for the next clean-up of it, against the same prefix.
     """
     prev, pos = k - 2, k - 1
     u, touched, gso = state.u, state.touched, state.gso
-    old = [[row[prev] for row in u], [row[pos] for row in u]]
+    m11, m12, m21, m22 = t
+    diagonal, antidiagonal = m12 == m21 == 0, m11 == m22 == 0
+    old = [[row[prev] for row in u], [row[pos] for row in u]] if diagonal or antidiagonal else None
     # the front m11 v_prev + m21 w, for the w whose clean-up handed over to
     # gso: its row through prev is m11 lam_prev + m21 lam_w, and its residual
     # there m21^2 times w's, as the v_prev part lies in that prefix
     _, row, rho = gso.boundary
-    m11, _, m21, _ = t
     full = [m11 * x + m21 * y for x, y in zip(gso.lam[prev], row)]
     front = gso.row_before(prev, full, m21 * m21 * rho)
     state.col_transform2(prev, pos, t)
@@ -377,14 +397,15 @@ def _place_transformed_pair(state: ReducerState, k: int, t: Mat) -> int:
     zero = cleanup_size_reduce(state, prev, short, front)[1]
     if zero:
         state.cyclic_shift(prev, pos)
-    signs = []
-    for j, was in zip((prev, pos), old):
-        col = [row[j] for row in u]
-        signs.append(1 if col == was else -1 if col == [-x for x in was] else 0)
-    if 0 not in signs:
-        state.col_transform2(prev, pos, (signs[0], 0, 0, signs[1]))
-        state.touched = touched
-        return +1
+    if antidiagonal if zero else diagonal:
+        signs = []
+        for j, was in zip((prev, pos), old):
+            col = [row[j] for row in u]
+            signs.append(1 if col == was else -1 if col == [-x for x in was] else 0)
+        if 0 not in signs:
+            state.col_transform2(prev, pos, (signs[0], 0, 0, signs[1]))
+            state.touched = touched
+            return +1
     if not zero:
         state.carry = short.boundary[1:]
     state.stats.swaps += 1
@@ -480,12 +501,14 @@ def _indefinite_candidates(
         return abs(f[0]) * gain_den < gain_bound and sign_ok(f[0])
 
     if walk.is_reduced(start):
-        seen = {start}
-        for f, t in walk.cycle(start, max_extra):
+        # at most one form is returned, so only its transform is composed
+        seen, steps = {start}, []
+        for f, step in walk.moves(start, max_extra):
+            steps.append(step)
             if f in seen:
                 break
             if gamma_gain(f):
-                return [(f, t)]
+                return [(f, compose(steps))]
             seen.add(f)
         return []
 
@@ -774,7 +797,9 @@ def reduce_baseline(gram: GramMatrix, gamma0: Rational = Fraction(99, 100)) -> R
     comparison (the Simon-style baseline).
 
     Standard Gram-Schmidt only: the first isotropic orthogonalized
-    vector aborts the run with IsotropicVectorError.
+    vector aborts the run with IsotropicVectorError.  A swap past k = 2
+    carries the moved vector's row and rho to its next size reduction,
+    against the prefix one shorter.
     """
     params = ReducerParams(gamma0=gamma0)
     gamma0 = params.gamma0
@@ -785,7 +810,7 @@ def reduce_baseline(gram: GramMatrix, gamma0: Rational = Fraction(99, 100)) -> R
     if d == 0:
         return _finalize(state, 0)
     cap = 1000 + 80 * d * d * max(1, _max_bits(gram.rows))
-    k = 2
+    k, carry = 2, None
     while k <= d:
         state.stats.loop_iterations += 1
         if state.stats.loop_iterations > cap:
@@ -793,12 +818,17 @@ def reduce_baseline(gram: GramMatrix, gamma0: Rational = Fraction(99, 100)) -> R
         gso = _strict_gso(state, k - 1)
         pos = k - 1
         w = state.gc[pos]
-        row = gso.lambda_row(w)
-        rho = gso.scaled_residual(row, w[pos])
+        if carry is None:
+            row = gso.lambda_row(w)
+            rho = gso.scaled_residual(row, w[pos])
+        else:
+            (row, rho), carry = carry, None
         _size_reduce_below(state, pos, row, gso, k - 1)
         gso.hand_over(w, pos, row, rho)
         n_prev, _, proj, _ = gso.projected_block(k - 2, row[k - 2], rho)
         if abs(proj) * gamma0.denominator < gamma0.numerator * abs(n_prev):
+            if k > 2:  # the vector moves back to k - 2, after the prefix through k - 3
+                carry = gso.row_before(k - 2, row, rho)
             state.cyclic_shift(k - 2, k - 1)
             state.stats.swaps += 1
             k = max(2, k - 1)

@@ -21,7 +21,7 @@ from indeflll.gram import (
     mat_transpose,
 )
 from indeflll.numerics import clear_denominators
-from indeflll.qform import BQForm, IntegralWalk, Transform2, apply as qf_apply, is_reduced as qf_is_reduced
+from indeflll.qform import BQForm, IntegralWalk, Transform2, apply as qf_apply, compose, is_reduced as qf_is_reduced
 from indeflll.reducer import (
     ReducerParams,
     ReducerState,
@@ -109,6 +109,101 @@ def test_finalize_refuses_a_congruent_transform_that_is_not_unimodular():
         state = ReducerState(GramMatrix(rows), ReducerParams())
         state.u, state.gc = flip, GramMatrix(rows).congruence(flip).copy_rows()
         assert red._finalize(state, rank).transform == flip
+
+
+def _reference_addmul(u, gc, dst, src, coef):
+    """v_dst += coef * v_src, multiplying out U's column, the Gram's column
+    and then the Gram's row in full."""
+    if coef == 0 or dst == src:
+        return
+    d = len(u)
+    for r in range(d):
+        u[r][dst] += coef * u[r][src]
+    for i in range(d):
+        gc[i][dst] = gc[i][dst] + coef * gc[i][src]
+    row_dst, row_src = gc[dst], gc[src]
+    for j in range(d):
+        row_dst[j] = row_dst[j] + coef * row_src[j]
+
+
+def _reference_transform2(u, gc, p, q, t):
+    """(v_p, v_q) <- (m11 v_p + m21 v_q, m12 v_p + m22 v_q), multiplying out
+    U's columns, the Gram's columns and then the Gram's rows in full."""
+    m11, m12, m21, m22 = t
+    d = len(u)
+    for r in range(d):
+        a, b = u[r][p], u[r][q]
+        u[r][p] = m11 * a + m21 * b
+        u[r][q] = m12 * a + m22 * b
+    for i in range(d):
+        a, b = gc[i][p], gc[i][q]
+        gc[i][p] = m11 * a + m21 * b
+        gc[i][q] = m12 * a + m22 * b
+    rp, rq = gc[p], gc[q]
+    for j in range(d):
+        a, b = rp[j], rq[j]
+        rp[j] = m11 * a + m21 * b
+        rq[j] = m12 * a + m22 * b
+
+
+def _reference_shift(u, gc, dst, src):
+    for row in u + gc:
+        row.insert(dst, row.pop(src))
+    gc.insert(dst, gc.pop(src))
+
+
+def test_basis_moves_match_the_multiply_add_reference():
+    """Seeded random sequences of the three basis moves, on definite,
+    indefinite and singular Grams and with 2x2 transforms of determinant
+    +1 and -1, keep U and the working Gram equal bit for bit to moves
+    that multiply out every moved row, keep the Gram symmetric and equal
+    to U^T G U, and the two column moves keep every row list of it."""
+    rng = random.Random(909)
+    grams = []
+    for d in (2, 3, 5, 7):
+        b = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+        while mat_det(b) == 0:
+            b = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+        signs = [1] * (d - d // 2) + [-1] * (d // 2)
+        grams.append(GramMatrix(mat_mul(mat_transpose(b), b)))
+        grams.append(GramMatrix(mat_mul(mat_transpose(b), [[s * x for x in row] for s, row in zip(signs, b)])))
+        m = [[rng.randint(-2, 2) for _ in range(d - 1)] for _ in range(d)]
+        core = random_symmetric(rng, d - 1, 5).rows
+        grams.append(GramMatrix(mat_mul(m, mat_mul(core, mat_transpose(m)))))
+    assert [mat_det(g.rows) == 0 for g in grams] == [False, False, True] * 4
+    # det B^T diag(+-1) B has the sign (-1)^(d // 2)
+    assert [mat_det(g.rows) < 0 for g in grams[1::3]] == [True, True, False, True]
+    dets = set()
+    for g in grams:
+        d = g.dim
+        state = ReducerState(g, ReducerParams())
+        u, gc = [row[:] for row in state.u], g.copy_rows()
+        for _ in range(60):
+            kind = rng.randrange(3)
+            p, q = rng.sample(range(d), 2)
+            ids = [id(row) for row in state.gc]
+            if kind == 0:
+                coef = rng.randint(-3, 3)
+                state.col_addmul(p, q, coef)
+                _reference_addmul(u, gc, p, q, coef)
+            elif kind == 1:
+                t = compose([rng.choice(((1, 0, 0, 1), (0, 1, 1, 0), (-1, 0, 0, 1), (0, -1, 1, 0)))] + [
+                    rng.choice(((1, lam, 0, 1), (1, 0, lam, 1)))
+                    for lam in (rng.randint(-3, 3) for _ in range(rng.randrange(4)))
+                ])
+                dets.add(t[0] * t[3] - t[1] * t[2])
+                state.col_transform2(p, q, t)
+                _reference_transform2(u, gc, p, q, t)
+            else:
+                p, q = min(p, q), max(p, q)
+                state.cyclic_shift(p, q)
+                _reference_shift(u, gc, p, q)
+            if kind != 2:
+                assert [id(row) for row in state.gc] == ids
+            assert state.u == u and state.gc == gc
+            assert all(state.gc[i][j] == state.gc[j][i] for i in range(d) for j in range(i))
+            assert g.congruence(state.u).rows == state.gc
+    assert dets == {1, -1}
 
 
 def test_cleanup_ordinary_branch():
@@ -289,6 +384,29 @@ def test_baseline_agrees_with_classic_lll_on_definite():
         norms = [Fraction(gso.dets[i], gso.before(i)) for i in range(d)]
         for i in range(d - 1):
             assert norms[i + 1] >= (Fraction(99, 100) - Fraction(1, 4)) * norms[i]
+
+
+def test_baseline_carries_the_swapped_vector_row(monkeypatch):
+    """On 20 dense positive definite d = 12 inputs B^T B (B uniform in
+    [-2, 2]), building the row of every vector a swap moves back took
+    3 864 `_lambda_row` calls over 1 812 swaps; carrying it, the baseline
+    takes 2 131.  The guard is 60 % of the first figure."""
+    rng = random.Random(12)
+    d = 12
+    grams = []
+    for _ in range(20):
+        b = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+        grams.append(GramMatrix(mat_mul(mat_transpose(b), b)))
+    calls = [0]
+    build = gram_mod._lambda_row
+
+    def counted(*args):
+        calls[0] += 1
+        return build(*args)
+
+    monkeypatch.setattr(gram_mod, "_lambda_row", counted)
+    swaps = sum(reduce_baseline(g).stats.swaps for g in grams)
+    assert swaps == 1812 and 5 * calls[0] <= 3 * 3864, calls
 
 
 def test_idempotence():
@@ -624,11 +742,12 @@ def test_clean_up_decides_once(monkeypatch):
 
 
 def test_change_log_survives_rolled_back_placements(monkeypatch):
-    """A placement that is rolled back leaves U, the Gram and `touched` as
-    it found them (equal Grams do not pin U when G is singular), the rows
-    below `touched` are those of the last refresh, and each refresh reuses
-    what a full comparison with a copy of the Gram at the last refresh
-    would reuse."""
+    """A placement is rolled back exactly when it returns the old pair up to
+    signs, which only a signed-permutation transform can; then it leaves
+    U, the Gram and `touched` as it found them (equal Grams do not pin U
+    when G is singular).  The rows below `touched` are those of the last
+    refresh, and each refresh reuses what a full comparison with a copy
+    of the Gram at the last refresh would reuse."""
     place, refresh = red._place_transformed_pair, ReducerState.refresh_prefix_gso
     seen = {"rollbacks": 0, "refreshes": 0}
     refreshed = {}  # state -> its Gram at its last refresh
@@ -636,9 +755,13 @@ def test_change_log_survives_rolled_back_placements(monkeypatch):
     def checked_place(state, k, t):
         before = (state.touched, [row[:] for row in state.u], [row[:] for row in state.gc])
         change = place(state, k, t)
+        pair = [([row[j] for row in before[1]], [row[j] for row in state.u]) for j in (k - 2, k - 1)]
         if change == +1:
             assert (state.touched, state.u, state.gc) == before
+            assert sorted(map(abs, t)) == [0, 0, 1, 1]  # a signed permutation
             seen["rollbacks"] += 1
+        else:  # a kept pair never returns up to signs
+            assert not all(new in (old, [-x for x in old]) for old, new in pair)
         return change
 
     def checked_refresh(self, prefix, strict=False):
@@ -706,10 +829,30 @@ def _candidate_key(candidates):
     return [(f.coeffs(), t.entries()) for f, t in candidates]
 
 
+def _composing_candidates(walk, gamma0, max_extra, want_sign):
+    """The candidate search with the reduced-input scan taking its forms
+    from `walk.cycle`, which composes the transform at every step.  An
+    unreduced start goes to the reducer's own branch, which walks that
+    way already."""
+    start = walk.start
+    if not walk.is_reduced(start):
+        return red._indefinite_candidates(walk, gamma0, max_extra, want_sign)
+    bound = gamma0.numerator * abs(start[0])
+    seen = {start}
+    for f, t in walk.cycle(start, max_extra):
+        if f in seen:
+            break
+        if abs(f[0]) * gamma0.denominator < bound and (want_sign is None or f[0] * want_sign <= 0):
+            return [(f, t)]
+        seen.add(f)
+    return []
+
+
 def test_candidates_match_fraction_walk(recorded_blocks):
     """The integer candidate walk returns the Fraction walk's list, in its
     order, on recorded and random blocks, for every sign target, walk
-    length and two quality factors."""
+    length and two quality factors, and takes the steps of a walk that
+    composes every transform it passes."""
     forms, _ = recorded_blocks
     rng = random.Random(4242)
     recorded = list(forms.items())
@@ -717,16 +860,21 @@ def test_candidates_match_fraction_walk(recorded_blocks):
     assert len(recorded) > 400 and rational > 100
     blocks = [f for f, _ in rng.sample(recorded, 400)] + ref.sample_forms(rng, 400)
     blocks += ref.sample_forms(rng, 40, bound=1 << 40)
-    nonempty = 0
+    nonempty = scanned = 0
     for f in blocks:
         for want in (None, 1, -1):
             for max_extra in (0, 2, 12):
                 for gamma0 in (Fraction(99, 100), Fraction(1, 2)):
-                    got = red._indefinite_candidates(IntegralWalk(f), gamma0, max_extra, want)
+                    walk, composing = IntegralWalk(f), IntegralWalk(f)
+                    got = red._indefinite_candidates(walk, gamma0, max_extra, want)
                     expected = ref.indefinite_candidates(f, gamma0, max_extra, want)
                     assert got == _candidate_key(expected), (f, want, max_extra, gamma0)
+                    assert got == _composing_candidates(composing, gamma0, max_extra, want)
+                    assert walk.steps == composing.steps, (f, want, max_extra, gamma0)
                     nonempty += bool(got)
-    assert nonempty > len(blocks)
+                    scanned += walk.is_reduced(walk.start) and walk.steps > 0
+    # reads 8 637 and 4 536 on 840 blocks
+    assert nonempty > len(blocks) and scanned > 2 * len(blocks), (nonempty, scanned)
 
 
 def test_cleanup_lambda_matches_fraction_rule():
