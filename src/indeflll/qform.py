@@ -24,7 +24,7 @@ iff x <= r for integers, and floor((p + sqrt(d)) / q) = (p + r) // q
 for q > 0 (see `numerics.floor_sqrt_div`).
 """
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -232,15 +232,6 @@ def step_toward_reduced(f: Form, r: int, square: bool) -> tuple[Form, Mat]:
     return _act(f, step), step
 
 
-def compose(steps: list[Mat]) -> Mat:
-    """The product of the step matrices in their order (the identity for
-    none), as a walk composes them."""
-    t = _ID
-    for step in steps:
-        t = _mul(t, step)
-    return t
-
-
 def _cycle_move(f: Form, r: int, square: bool) -> tuple[Form, Mat] | None:
     """Continue along the cycle from a reduced indefinite form.
 
@@ -336,18 +327,30 @@ class IntegralWalk:
             self.steps += 1
             yield f, t
 
-    def moves(self, f: Form, steps: int) -> Iterator[tuple[Form, Mat]]:
-        """The moves of `cycle` from f, each with its own step matrix and
-        none composed: the transform to a form is `compose` of the steps
-        up to it."""
+    def scan(self, f: Form, steps: int, accept: Callable[[Form], bool]) -> tuple[Form, Mat] | None:
+        """The first form `accept` takes among up to `steps` cycle moves on
+        from f, with its transform; None when there is none or a form
+        repeats first (the move is deterministic, so the cycle would only
+        come round again).  Each move is counted in `steps` as `cycle`
+        counts it, but only the transform returned is composed."""
         r, square = self.root, self.square
+        seen, path = {f}, []
         for _ in range(steps):
             move = _cycle_move(f, r, square)
             if move is None:
-                return
-            f = move[0]
+                return None
+            f, step = move
             self.steps += 1
-            yield move
+            path.append(step)
+            if f in seen:
+                return None
+            if accept(f):
+                t = _ID
+                for m in path:
+                    t = _mul(t, m)
+                return f, t
+            seen.add(f)
+        return None
 
     def boundary(self, f: Form, t: Mat) -> tuple[BQForm, Transform2]:
         """f and t as the input's own form and transform."""

@@ -24,7 +24,7 @@ from .numerics import (
     floor_sqrt_div,
     nearest_div,
 )
-from .qform import BQForm, Form, IntegralWalk, Mat, compose, is_reduced as qf_is_reduced, reduce_definite
+from .qform import BQForm, Form, IntegralWalk, Mat, is_reduced as qf_is_reduced, reduce_definite
 
 
 @dataclass
@@ -397,7 +397,7 @@ def _place_transformed_pair(state: ReducerState, k: int, t: Mat) -> int:
     zero = cleanup_size_reduce(state, prev, short, front)[1]
     if zero:
         state.cyclic_shift(prev, pos)
-    if antidiagonal if zero else diagonal:
+    if (antidiagonal if zero else diagonal):
         signs = []
         for j, was in zip((prev, pos), old):
             col = [row[j] for row in u]
@@ -501,16 +501,8 @@ def _indefinite_candidates(
         return abs(f[0]) * gain_den < gain_bound and sign_ok(f[0])
 
     if walk.is_reduced(start):
-        # at most one form is returned, so only its transform is composed
-        seen, steps = {start}, []
-        for f, step in walk.moves(start, max_extra):
-            steps.append(step)
-            if f in seen:
-                break
-            if gamma_gain(f):
-                return [(f, compose(steps))]
-            seen.add(f)
-        return []
+        found = walk.scan(start, max_extra, gamma_gain)
+        return [found] if found is not None else []
 
     # unreduced input: walk to the first reduced form, noting the escape
     path = list(walk.descend())
