@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InadmissiblePrefixError, InternalInvariantError
-from .gram import GramMatrix, _symmetric_product, auto_gso, mat_identity, mat_transpose
+from .gram import GramMatrix, _symmetric_product, auto_gso, mat_det, mat_identity, mat_transpose
 from .numerics import Rational, clear_denominators
 from .reducer import ReducerParams, ReductionResult, reduce
 
@@ -84,34 +84,27 @@ def kernel_split(gram: GramMatrix) -> KernelSplit:
     """
     if not gram.is_integral():
         raise ValueError("kernel_split expects an integral Gram matrix")
-    d = gram.dim
-    at, vt = gram.copy_rows(), mat_identity(d)  # columns of A = G V and of V
-    rank = _eliminate_columns(at, vt)
-    transformed = _symmetric_product(vt, at)  # V^T A = V^T G V
-    for i in range(rank, d):
-        if any(transformed[i]):
-            raise InternalInvariantError("kernel columns did not clear")
-    lead = GramMatrix([row[:rank] for row in transformed[:rank]])
-    if rank and lead.det() == 0:
+    vt, lead = _nondegenerate_block(gram.rows)
+    if lead and mat_det(lead) == 0:
         raise InternalInvariantError("leading block is singular after the kernel split")
-    return KernelSplit(transform=mat_transpose(vt), nondegenerate=lead)
+    return KernelSplit(transform=mat_transpose(vt), nondegenerate=GramMatrix.trusted(lead))
 
 
-def _nondegenerate_block(rows: list[list[int]]) -> list[list[int]]:
-    """The leading rank x rank block of V^T G V for the integral Gram
-    `rows`, V the unimodular transform of `_eliminate_columns`.
+def _nondegenerate_block(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """The columns of V, the unimodular transform of `_eliminate_columns`
+    for the integral Gram `rows`, and the leading rank x rank block of
+    V^T G V.
 
-    The signature oracle's split: it takes its caller's word that `rows`
-    is integral, checks the kernel columns on A = G V itself (V is
-    unimodular, so they are zero exactly when those of V^T A are), and
-    multiplies out only the leading rows.  Whether that block is
-    singular its caller's elimination tells.
+    It takes its caller's word that `rows` is integral, checks the kernel
+    columns on A = G V itself (V is unimodular, so they are zero exactly
+    when those of V^T A are), and multiplies out only the leading rows.
+    Whether that block is singular its caller tells.
     """
     at, vt = [list(row) for row in rows], mat_identity(len(rows))
     rank = _eliminate_columns(at, vt)
     if any(any(col) for col in at[rank:]):
         raise InternalInvariantError("kernel columns did not clear")
-    return _symmetric_product(vt[:rank], at[:rank])
+    return vt, _symmetric_product(vt[:rank], at[:rank])
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +200,7 @@ def signature_via_sturm(gram: GramMatrix) -> LatticeInvariants:
     minors = _congruent_leading_minors(scaled.copy_rows())
     rank = len(minors)
     if rank < gram.dim:
-        lead = _nondegenerate_block(scaled.rows)
+        lead = _nondegenerate_block(scaled.rows)[1]
         minors = _congruent_leading_minors(lead)
         if len(minors) < len(lead):
             raise InternalInvariantError("singular block in the inertia count")

@@ -211,14 +211,13 @@ def build_report(name: str, gram: GramMatrix, result: ReductionResult, wall: flo
     }
 
 
-def print_report(report: dict, fmt: str, out=None) -> None:
-    out = out or sys.stdout
+def print_report(report: dict, fmt: str) -> None:
     if fmt == "structured":
-        out.write(json.dumps(report, indent=2) + "\n")
+        sys.stdout.write(json.dumps(report, indent=2) + "\n")
         return
     width = max(len(k) for k in report)
     for k, v in report.items():
-        out.write(f"{k:<{width}}  {v}\n")
+        sys.stdout.write(f"{k:<{width}}  {v}\n")
 
 
 def _report_format(args) -> str:
@@ -347,7 +346,7 @@ def cmd_verify(args) -> int:
     gamma0 = parse_rational(args.gamma0)
     if len(u_rows) != gram.dim or any(len(r) != gram.dim for r in u_rows):
         raise ParseError("transform dimensions do not match the Gram matrix")
-    checks: list[tuple[str, bool, str]] = []
+    checks: list[tuple[str, bool | None, str]] = []  # ok None: not checked
 
     congruent = gram.congruence(u_rows) == reduced
     checks.append(("congruence U^T G U = G'", congruent, ""))
@@ -362,13 +361,14 @@ def cmd_verify(args) -> int:
         unimodular, note = abs(det) == 1, f"det = {format_rational(det)}"
     checks.append(("unimodular |det U| = 1", unimodular, note))
 
-    blocks_ok = True
-    tail_ok = True
-    bound_ok = True
-    detail = ""
-    if congruent and unimodular:
+    later = ("adjacent blocks reduced", "tail rows exactly zero", "quality bound")
+    if not (congruent and unimodular):
+        reason = "unimodularity" if congruent else "congruence"
+        checks += [(name, None, f"not checked: {reason} failed") for name in later]
+    else:
         rank = inv.rank
         tail_ok = all(x == 0 for row in reduced.rows[rank:] for x in row)
+        blocks_ok, bound_ok, detail = True, True, ""
         try:
             gso = auto_gso(reduced, rank)
             p = first_unreduced_block(gso)
@@ -385,19 +385,14 @@ def cmd_verify(args) -> int:
             )
             bound_ok = verify_theorem_bound(result, gram).holds
         except LatticeError as exc:
-            blocks_ok = False
-            detail = str(exc)
-            bound_ok = False
-    checks.append(("adjacent blocks reduced", blocks_ok, detail))
-    checks.append(("tail rows exactly zero", tail_ok, ""))
-    checks.append(("quality bound", bound_ok, ""))
+            blocks_ok, bound_ok, detail = False, False, str(exc)
+        checks += zip(later, (blocks_ok, tail_ok, bound_ok), (detail, "", ""))
 
-    failed = [name for name, ok, _ in checks if not ok]
     for name, ok, note in checks:
-        mark = "ok" if ok else "FAIL"
+        mark = "skip" if ok is None else "ok" if ok else "FAIL"
         suffix = f"  ({note})" if note else ""
         sys.stdout.write(f"{mark:4} {name}{suffix}\n")
-    return EXIT_OK if not failed else EXIT_VERIFY_FAILED
+    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_VERIFY_FAILED
 
 
 def cmd_qform_reduce(args) -> int:
@@ -497,10 +492,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (ParseError, ValueError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
     except (InternalInvariantError, LatticeError) as exc:

@@ -10,8 +10,7 @@ class ParseError(LatticeError):
 
 
 class InadmissiblePrefixError(LatticeError):
-    """The GSO met a zero star norm that does not start a hyperbolic pair
-    (in a strict build, any zero star norm).
+    """The GSO met a zero star norm that does not start a hyperbolic pair.
 
     `index` is the position where the GSO stopped, when there is one.
     """

@@ -386,22 +386,19 @@ def _scaled_residual(lam, dets, bad, row: list[int], norm: int, upto: int) -> in
     return u
 
 
-def _reusable(previous: GsoState | None, upto: int, unchanged: int, strict: bool = False) -> int:
+def _reusable(previous: GsoState | None, upto: int, unchanged: int) -> int:
     """How many leading positions of `previous` a build takes over.
 
     Row i depends only on the leading (i+1)x(i+1) block, and the caller
     vouches that the leading `unchanged` rows, through the diagonal, are
     those `previous` was built from; the count stops there, one place
-    earlier when that would split a hyperbolic pair.  A strict build
-    takes over nothing when a plane of `previous` lies below that point.
+    earlier when that would split a hyperbolic pair.
     """
     if previous is None:
         return 0
     keep = min(upto, previous.upto, unchanged)
     if keep and (keep - 1) in previous.bad:
         keep -= 1
-    if strict and any(j < keep for j in previous.bad):
-        return 0
     return keep
 
 
@@ -410,15 +407,13 @@ def auto_gso(
     upto: int | None = None,
     previous: GsoState | None = None,
     unchanged: int = 0,
-    strict: bool = False,
 ) -> GsoState:
     """Generalized GSO of the leading `upto` positions that detects
     hyperbolic pairs as they arise.
 
     A zero star norm starts a pair (j, j+1), which must have both star
     norms zero and a nonzero cross product; anything else reports an
-    inadmissible prefix.  `strict` admits no pairs: the first zero star
-    norm reports it.  The caller vouches that the leading `unchanged`
+    inadmissible prefix.  The caller vouches that the leading `unchanged`
     rows of `gram`, through the diagonal, equal those `previous` (a GSO
     of an earlier Gram) was built from; the positions they determine are
     taken over, not recomputed (see `_reusable`), and no row is compared.
@@ -427,7 +422,7 @@ def auto_gso(
     """
     if upto is None:
         upto = gram.dim
-    keep = _reusable(previous, upto, unchanged, strict)
+    keep = _reusable(previous, upto, unchanged)
     rows = gram.rows
     # the leading `keep` rows are vouched for by the integral `previous`,
     # and the lower triangle of the others holds every entry the build reads
@@ -455,8 +450,6 @@ def auto_gso(
             dets.append(diag)
             i += 1
             continue
-        if strict:
-            raise InadmissiblePrefixError(f"inadmissible prefix: zero star norm at position {i}", i)
         if i + 1 >= upto:
             raise InadmissiblePrefixError(
                 f"inadmissible prefix: isolated isotropic star vector at position {i}", i

@@ -147,7 +147,7 @@ def is_reduced(f: BQForm) -> bool:
         return abs(f.b) <= abs(f.a) <= abs(f.c)
     if d == 0:
         return f.a == 0 and f.b == 0
-    walk = IntegralWalk(f)
+    walk = IntegralWalk(*clear_denominators(f.coeffs()))
     return walk.is_reduced(walk.start)
 
 
@@ -247,33 +247,24 @@ def _cycle_move(f: Form, r: int, square: bool) -> tuple[Form, Mat] | None:
 
 
 class IntegralWalk:
-    """The walks from a form of positive discriminant, run on `start`,
-    its integral scaling (the form times `scale`).
+    """The walks from the form num / den of positive discriminant, for an
+    int triple num over an int den > 0, run on `start`, its integral
+    scaling (the form times `scale`).
 
-    disc, root = isqrt(disc) and square (root * root == disc) hold for
-    every form on a walk.  Forms are int triples and transforms int
-    4-tuples relative to `start`; `steps` counts the moves taken.
+    The scaling is by the lcm of the form's reduced denominators, which
+    is den / gcd(num, den); a `BQForm` f comes in as
+    `IntegralWalk(*clear_denominators(f.coeffs()))`.  disc, root =
+    isqrt(disc) and square (root * root == disc) hold for every form on
+    a walk.  Forms are int triples and transforms int 4-tuples relative
+    to `start`; `steps` counts the moves taken.
     """
 
     __slots__ = ("start", "scale", "disc", "root", "square", "steps")
 
-    def __init__(self, f: BQForm):
-        num, scale = clear_denominators(f.coeffs())
-        self._begin(tuple(num), scale)
-
-    @classmethod
-    def over(cls, num: Form, den: int) -> "IntegralWalk":
-        """The walk from the form num / den (an int triple over an int
-        den > 0), scaled as the constructor scales that form: the lcm of
-        the reduced denominators is den / gcd(num, den)."""
+    def __init__(self, num: Form, den: int = 1):
         g = gcd(*num, den)
-        walk = cls.__new__(cls)
-        walk._begin(tuple(x // g for x in num), den // g)
-        return walk
-
-    def _begin(self, start: Form, scale: int) -> None:
-        self.start, self.scale = start, scale
-        a, b, c = start
+        self.start, self.scale = tuple(x // g for x in num), den // g
+        a, b, c = self.start
         self.disc = b * b - 4 * a * c
         if self.disc <= 0:
             raise ValueError("indefinite reduction requires disc > 0")
@@ -366,7 +357,7 @@ def reduce_indefinite(f: BQForm, max_extra: int = 0) -> list[tuple[BQForm, Trans
     discriminants are handled by the dedicated moves; their terminal
     (a, r, 0) shapes end the cycle walk early.
     """
-    walk = IntegralWalk(f)
+    walk = IntegralWalk(*clear_denominators(f.coeffs()))
     *_, (g, t) = walk.descend()
     return [walk.boundary(g, t), *(walk.boundary(*gt) for gt in walk.cycle(g, max_extra, t))]
 

@@ -121,9 +121,11 @@ class ReducerState:
     position that a move changed since the last prefix GSO refresh: the
     leading rows of the Gram below it, through the diagonal, are those
     that refresh read.
-    `carry`, when set, is the exact (lambda row, scaled residual) against
-    the next prefix of the vector that a move has just put at the front of
-    the tail, which the next main-loop clean-up takes instead of building.
+    `carry`, when set, is the exact (lambda row, scaled residual,
+    settled) of the vector that a move has just put at the front of the
+    tail, against the prefix of its next size reduction, which takes it
+    instead of building it.  settled says that the row came out of a
+    size reduction against that prefix or a longer one.
     """
 
     def __init__(self, gram: GramMatrix, params: ReducerParams):
@@ -135,7 +137,7 @@ class ReducerState:
         self.stats = ReductionStats()
         self.gso: GsoState | None = None  # GSO of the current prefix
         self.touched = 0
-        self.carry: tuple[list[int], int] | None = None
+        self.carry: tuple[list[int], int, bool] | None = None
         self._pot_max_dim = 0
         self._pot_last = (1, 1)  # potential as (numerator, positive denominator)
 
@@ -204,7 +206,7 @@ class ReducerState:
 
     # -- prefix GSO --------------------------------------------------------
 
-    def refresh_prefix_gso(self, prefix: int, strict: bool = False) -> GsoState:
+    def refresh_prefix_gso(self, prefix: int) -> GsoState:
         """Hold the GSO of the leading `prefix` positions of the current
         Gram in `self.gso`.
 
@@ -213,10 +215,9 @@ class ReducerState:
         earlier when that would split a hyperbolic pair), and only the
         positions from there on are computed; `stats.gso_positions`
         counts them.  No row is compared, and the working Gram is not
-        copied.  `strict` admits no hyperbolic pairs: the first zero
-        star norm raises.
+        copied.
         """
-        self.gso = auto_gso(GramMatrix.trusted(self.gc), prefix, self.gso, self.touched, strict)
+        self.gso = auto_gso(GramMatrix.trusted(self.gc), prefix, self.gso, self.touched)
         self.touched = self.d
         self.stats.gso_positions += prefix - self.gso.reused
         return self.gso
@@ -285,11 +286,20 @@ def _size_reduce_below(
             j -= 1
 
 
+def _take_row(state: ReducerState, pos: int, gso: GsoState) -> tuple[list[int], int, bool]:
+    """(row, rho, settled) of the vector at `pos` against the prefix held
+    in `gso`: `state.carry`, taken and cleared, when a move left it, and
+    otherwise built by Cohen's recursion, not settled."""
+    carried, state.carry = state.carry, None
+    if carried is not None:
+        return carried
+    w = state.gc[pos]
+    row = gso.lambda_row(w)
+    return row, gso.scaled_residual(row, w[pos]), False
+
+
 def cleanup_size_reduce(
-    state: ReducerState,
-    pos: int,
-    gso: GsoState | None = None,
-    front: tuple[list[int], int] | None = None,
+    state: ReducerState, pos: int, gso: GsoState
 ) -> tuple[tuple[int | None, int], bool]:
     """Size-reduce the vector at `pos` against the prefix held in `gso`.
 
@@ -300,10 +310,8 @@ def cleanup_size_reduce(
     Everything runs on the vector's integer lambda row, updated after
     each column operation.  Adding prefix vectors leaves the scaled
     residual rho = D * b(w*, w*) unchanged.  Row and rho are built by
-    Cohen's recursion only when no move knows them: a placement passes
-    those of its fresh front vector as `front`, and a main-loop clean-up
-    (no `gso`: the prefix in `state.gso`) takes and clears
-    `state.carry`.  A carried row came out of a clean-up against this
+    Cohen's recursion only when no move left them in `state.carry` (see
+    `_take_row`).  A settled row came out of a clean-up against this
     prefix or a longer one, so it is nearest-reduced below its top, a
     fixed point of `_size_reduce_below` (ties round toward zero), and
     that scan is skipped unless the last-position rule moves the vector.
@@ -317,17 +325,8 @@ def cleanup_size_reduce(
     prefix zero is exactly a zero residual with a zero lambda row,
     already orthogonal to the prefix.
     """
-    if gso is None:
-        gso, carried, state.carry = state.gso, state.carry, None
-        settled = carried is not None
-    else:
-        carried, settled = front, False
     w = state.gc[pos]
-    if carried is None:
-        row = gso.lambda_row(w)
-        rho = gso.scaled_residual(row, w[pos])
-    else:
-        row, rho = carried
+    row, rho, settled = _take_row(state, pos, gso)
     kappa = gso.upto
     if kappa == 0:
         gso.hand_over(w, pos, row, rho)
@@ -378,8 +377,10 @@ def _place_transformed_pair(state: ReducerState, k: int, t: Mat) -> int:
     can return only when t is a signed permutation, diagonal without the
     swap and antidiagonal with it.  Only then are the columns copied and
     compared (the clean-up may still have added prefix vectors); every
-    other t is kept.  A front kept first leaves its reduced row and rho
-    in `state.carry` for the next clean-up of it, against the same prefix.
+    other t is kept.  The front's row and rho, known from the pair's,
+    reach its clean-up through `state.carry`, not settled; a front kept
+    first leaves its reduced row and rho there, settled, for its next
+    clean-up against the same prefix.
     """
     prev, pos = k - 2, k - 1
     u, touched, gso = state.u, state.touched, state.gso
@@ -391,10 +392,10 @@ def _place_transformed_pair(state: ReducerState, k: int, t: Mat) -> int:
     # there m21^2 times w's, as the v_prev part lies in that prefix
     _, row, rho = gso.boundary
     full = [m11 * x + m21 * y for x, y in zip(gso.lam[prev], row)]
-    front = gso.row_before(prev, full, m21 * m21 * rho)
+    state.carry = (*gso.row_before(prev, full, m21 * m21 * rho), False)
     state.col_transform2(prev, pos, t)
     short = gso.truncated(prev)
-    zero = cleanup_size_reduce(state, prev, short, front)[1]
+    zero = cleanup_size_reduce(state, prev, short)[1]
     if zero:
         state.cyclic_shift(prev, pos)
     if (antidiagonal if zero else diagonal):
@@ -407,7 +408,7 @@ def _place_transformed_pair(state: ReducerState, k: int, t: Mat) -> int:
             state.touched = touched
             return +1
     if not zero:
-        state.carry = short.boundary[1:]
+        state.carry = (*short.boundary[1:], True)
     state.stats.swaps += 1
     return -1
 
@@ -429,7 +430,7 @@ def _lovasz_definite(state: ReducerState, k: int, n1: int, n2: int) -> int:
         if not (abs(n2) * gamma0.denominator < gamma0.numerator * abs(n1)):
             state.stats.repairs += 1
         _, row, rho = state.gso.boundary  # of the vector at k-1, which moves back
-        state.carry = state.gso.row_before(k - 2, row, rho)
+        state.carry = (*state.gso.row_before(k - 2, row, rho), True)
         state.cyclic_shift(k - 2, k - 1)
         state.stats.swaps += 1
         return -1
@@ -551,7 +552,7 @@ def vector_reduce(state: ReducerState, k: int, residual: tuple[int, int]) -> int
         return integrate_adherent(state, k, n1, s, n2)
     want = _sign_target(state.gso, k - 2) if state.params.sign_strategy else None
     gamma0 = state.params.gamma0
-    walk = IntegralWalk.over((n1, 2 * s, n2), den)
+    walk = IntegralWalk((n1, 2 * s, n2), den)
     candidates = _indefinite_candidates(walk, gamma0, state.params.max_extra, want)
     state.stats.walk_steps += walk.steps
     a0 = abs(walk.start[0])  # the candidates are forms of the walk's scaling
@@ -731,7 +732,7 @@ def reduce(gram: GramMatrix, params: ReducerParams | None = None) -> ReductionRe
         reported_pair = None
         reported_residual = None
         for i in range(prefix, d):
-            residual, prefix_zero = cleanup_size_reduce(state, i)
+            residual, prefix_zero = cleanup_size_reduce(state, i, state.gso)
             if not prefix_zero:
                 reported_pos = i
                 reported_residual = residual
@@ -777,11 +778,17 @@ def reduce(gram: GramMatrix, params: ReducerParams | None = None) -> ReductionRe
 
 def _strict_gso(state: ReducerState, upto: int) -> GsoState:
     """Plain GSO of the leading `upto` positions (no hyperbolic pairs);
-    the first zero star norm aborts with IsotropicVectorError."""
+    a zero star norm aborts with IsotropicVectorError.  Each baseline
+    refresh computes at most its last position, and a zero star norm
+    there has no partner, so the build refuses it at its own index; a
+    plane is refused all the same."""
     try:
-        return state.refresh_prefix_gso(upto, strict=True)
+        gso = state.refresh_prefix_gso(upto)
     except InadmissiblePrefixError as exc:
         raise IsotropicVectorError(exc.index) from None
+    if gso.bad:
+        raise IsotropicVectorError(min(gso.bad))
+    return gso
 
 
 def reduce_baseline(gram: GramMatrix, gamma0: Rational = Fraction(99, 100)) -> ReductionResult:
@@ -802,7 +809,7 @@ def reduce_baseline(gram: GramMatrix, gamma0: Rational = Fraction(99, 100)) -> R
     if d == 0:
         return _finalize(state, 0)
     cap = 1000 + 80 * d * d * max(1, _max_bits(gram.rows))
-    k, carry = 2, None
+    k = 2
     while k <= d:
         state.stats.loop_iterations += 1
         if state.stats.loop_iterations > cap:
@@ -810,17 +817,13 @@ def reduce_baseline(gram: GramMatrix, gamma0: Rational = Fraction(99, 100)) -> R
         gso = _strict_gso(state, k - 1)
         pos = k - 1
         w = state.gc[pos]
-        if carry is None:
-            row = gso.lambda_row(w)
-            rho = gso.scaled_residual(row, w[pos])
-        else:
-            (row, rho), carry = carry, None
+        row, rho, _ = _take_row(state, pos, gso)
         _size_reduce_below(state, pos, row, gso, k - 1)
         gso.hand_over(w, pos, row, rho)
         n_prev, _, proj, _ = gso.projected_block(k - 2, row[k - 2], rho)
         if abs(proj) * gamma0.denominator < gamma0.numerator * abs(n_prev):
             if k > 2:  # the vector moves back to k - 2, after the prefix through k - 3
-                carry = gso.row_before(k - 2, row, rho)
+                state.carry = (*gso.row_before(k - 2, row, rho), True)
             state.cyclic_shift(k - 2, k - 1)
             state.stats.swaps += 1
             k = max(2, k - 1)

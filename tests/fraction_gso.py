@@ -161,14 +161,13 @@ def _num_row_dot(rows, i: int, num: list[int]):
     return sum(map(mul, num, rows[i]))
 
 
-def _reusable(previous: GsoState | None, gram: GramMatrix, upto: int, strict: bool) -> int:
+def _reusable(previous: GsoState | None, gram: GramMatrix, upto: int) -> int:
     """How many leading positions of `previous` a build of `gram` would
     reproduce exactly.
 
     Star vector i depends only on the leading (i+1)x(i+1) block, so the
     count stops at the first row whose leading part changed, one place
-    earlier when that would split a hyperbolic pair.  A strict build
-    reuses nothing when a plane of `previous` lies below that point.
+    earlier when that would split a hyperbolic pair.
     """
     if previous is None:
         return 0
@@ -180,18 +179,13 @@ def _reusable(previous: GsoState | None, gram: GramMatrix, upto: int, strict: bo
             break
     if keep and (keep - 1) in previous.bad:
         keep -= 1
-    if strict and any(j < keep for j in previous.bad):
-        return 0
     return keep
 
 
-def _build_gso(
-    gram: GramMatrix, upto: int, strict: bool = False, previous: GsoState | None = None
-) -> GsoState:
-    """A zero star norm starts a hyperbolic pair, or in a strict build
-    reports an inadmissible prefix."""
+def _build_gso(gram: GramMatrix, upto: int, previous: GsoState | None = None) -> GsoState:
+    """A zero star norm starts a hyperbolic pair."""
     rows = gram.rows
-    keep = _reusable(previous, gram, upto, strict)
+    keep = _reusable(previous, gram, upto)
     if keep:
         # star vectors are stored at the length of the prefix; their
         # support ends at their own position, so resizing is exact
@@ -251,8 +245,6 @@ def _build_gso(
             norms.append(norm)
             i += 1
             continue
-        if strict:
-            raise InadmissiblePrefixError(f"inadmissible prefix: zero star norm at position {i}", i)
         if i + 1 >= upto:
             raise InadmissiblePrefixError(
                 f"inadmissible prefix: isolated isotropic star vector at position {i}", i

@@ -30,7 +30,7 @@ from indeflll.qform import (
     reduce_square_disc,
 )
 from indeflll.analysis import remove_hyperbolic_plane
-from indeflll.numerics import is_rational_square
+from indeflll.numerics import clear_denominators, is_rational_square
 from indeflll.reducer import ReducerParams, first_unreduced_block, reduce, reduce_baseline
 from test_reducer import mat_mul
 
@@ -211,7 +211,7 @@ def test_criterion_6_quadratic_form_suite():
 
     # the 19-digit pathological form reaches reducedness within 200 steps
     f = BQForm(5133516356526721720, -2 * 5133515988396719824, 5133515620266744327)
-    walk = IntegralWalk(f)
+    walk = IntegralWalk(*clear_denominators(f.coeffs()))
     *_, (g, _) = walk.descend()
     assert walk.is_reduced(g), "the walk stopped short of a reduced form"
     assert walk.steps <= 200, "two-regime rule exceeded 200 steps"

@@ -18,7 +18,7 @@ from indeflll.analysis import (
     verify_theorem_bound,
 )
 from indeflll.errors import InadmissiblePrefixError, InternalInvariantError
-from indeflll.gram import GramMatrix, auto_gso, mat_det, mat_transpose
+from indeflll.gram import GramMatrix, auto_gso, mat_det, mat_identity, mat_transpose
 from indeflll.generators import (
     gen_hyperbolic_stack,
     gen_random_symmetric,
@@ -279,12 +279,16 @@ def test_full_rank_input_takes_no_kernel_split(monkeypatch):
 
 
 def test_singular_split_block_still_raises(monkeypatch):
-    # a split whose leading block is itself singular is a bug in the split
+    # a split whose leading block is itself singular is a bug in the split,
+    # which the oracle and `kernel_split` both refuse
     for g, lead in ((GramMatrix([[1, 1], [1, 1]]), [[0]]),
                     (GramMatrix([[1, 1, 0], [1, 1, 0], [0, 0, 0]]), [[1, 1], [1, 1]])):
-        monkeypatch.setattr(analysis, "_nondegenerate_block", lambda rows: [list(r) for r in lead])
+        monkeypatch.setattr(analysis, "_nondegenerate_block",
+                            lambda rows: (mat_identity(len(rows)), [list(r) for r in lead]))
         with pytest.raises(InternalInvariantError, match="singular block in the inertia count"):
             signature_via_sturm(g)
+        with pytest.raises(InternalInvariantError, match="leading block is singular after the kernel split"):
+            kernel_split(g)
 
 
 def test_split_checks_catch_a_wrong_elimination(monkeypatch):

@@ -181,6 +181,22 @@ def test_cli_verify_refuses_a_congruent_transform_that_is_not_unimodular(tmp_pat
         assert f"FAIL unimodular |det U| = 1  ({note})" in out
 
 
+def test_cli_verify_skips_the_checks_it_cannot_run(tmp_path, capsys):
+    # U is unimodular but not congruent (G = G' = diag(1, -1)), or congruent
+    # but not unimodular: the block, tail and bound checks are not run
+    later = ("adjacent blocks reduced", "tail rows exactly zero", "quality bound")
+    for g_text, u_text, red_text, reason in (("2\n1 0\n0 -1\n", "2\n1 1\n0 1\n", "2\n1 0\n0 -1\n", "congruence"),
+                                             ("2\n1 0\n0 0\n", "2\n2 0\n0 2\n", "2\n4 0\n0 0\n", "unimodularity")):
+        g, u, red = tmp_path / "g.txt", tmp_path / "u.txt", tmp_path / "red.txt"
+        g.write_text(g_text)
+        u.write_text(u_text)
+        red.write_text(red_text)
+        assert main(["verify", str(g), str(u), str(red)]) == EXIT_VERIFY_FAILED
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5 and lines[0].startswith("FAIL" if reason == "congruence" else "ok")
+        assert lines[2:] == [f"skip {name}  (not checked: {reason} failed)" for name in later]
+
+
 def test_cli_verify_tail_uses_input_rank(tmp_path, capsys):
     # rank 1 input: the nonzero second row of G' is a tail row
     g = tmp_path / "g.txt"

@@ -127,10 +127,6 @@ def test_inadmissible_detection():
         auto_gso(GramMatrix([[0, 0], [0, 1]]))
     with pytest.raises(InadmissiblePrefixError):
         auto_gso(GramMatrix([[0]]))
-    # a strict build admits no plane
-    with pytest.raises(InadmissiblePrefixError) as exc:
-        auto_gso(GramMatrix([[1, 0, 0], [0, 0, 5], [0, 5, 0]]), strict=True)
-    assert exc.value.index == 1
 
 
 def test_prefix_determinant():
@@ -301,7 +297,7 @@ def test_extend_admissible():
     # residual, so it cannot extend the prefix as a scalar
     assert one.theta_and_residual_norm([1], 1)[1] == 0
     with pytest.raises(InadmissiblePrefixError):
-        auto_gso(GramMatrix([[1, 1], [1, 1]]), strict=True)
+        auto_gso(GramMatrix([[1, 1], [1, 1]]))
 
 
 def test_congruence_helper():
@@ -410,11 +406,6 @@ def test_gso_from_previous_state_matches_fresh():
             assert built.reused <= min(upto, previous.upto, start)
             assert auto_gso(g2, upto, previous).reused == 0  # nothing vouched for
             reused += built.reused
-            if fresh.bad:
-                with pytest.raises(InadmissiblePrefixError):
-                    auto_gso(g2, upto, previous, start, strict=True)
-            else:
-                assert auto_gso(g2, upto, previous, start, strict=True) == fresh
     assert reused > 100
 
 
@@ -437,17 +428,17 @@ def _tails(gram, upto):
     return [(gram.rows[t][:upto], gram.rows[t][t]) for t in range(upto, gram.dim)]
 
 
-def _compare_build(gram, upto, strict=False, previous=(None, None), tails=(), unchanged=0):
+def _compare_build(gram, upto, previous=(None, None), tails=(), unchanged=0):
     """Build the integral GSO and the reference from the same previous
     states, or check that both refuse the prefix with the same message
     and index.  The integral build takes over the rows below `unchanged`,
     and the reference as many as it finds unchanged by comparing them.
     Returns the two states, or None."""
     def build():
-        return auto_gso(gram, upto, previous[0], unchanged, strict)
+        return auto_gso(gram, upto, previous[0], unchanged)
 
     try:
-        old = ref._build_gso(gram, upto, strict, previous[1])
+        old = ref._build_gso(gram, upto, previous[1])
     except InadmissiblePrefixError as exc:
         with pytest.raises(InadmissiblePrefixError) as again:
             build()
@@ -475,16 +466,16 @@ def _check_refreshes(monkeypatch):
     original = ReducerState.refresh_prefix_gso
     seen = {"refreshes": 0, "planes": 0, "moved": 0}
 
-    def refresh(self, prefix, strict=False):
+    def refresh(self, prefix):
         gram = GramMatrix(self.gc)
         try:
-            old = ref._build_gso(gram, prefix, strict)
+            old = ref._build_gso(gram, prefix)
         except InadmissiblePrefixError as exc:
             with pytest.raises(InadmissiblePrefixError) as again:
-                original(self, prefix, strict)
+                original(self, prefix)
             assert (str(again.value), again.value.index) == (str(exc), exc.index)
             raise
-        new = original(self, prefix, strict)
+        new = original(self, prefix)
         _assert_same_gso(new, old, _tails(gram, prefix))
         for pos in range(prefix, self.d):
             a, b = _twin(self), _twin(self)
@@ -553,9 +544,8 @@ def test_integral_gso_matches_fraction_gso(monkeypatch):
             planes += len(new.bad)
             if full is not None:
                 _assert_same_gso(full[0].truncated(upto), ref.GsoState.truncated(full[1], upto))
-            # the strict build, and reuse from this state on a changed Gram
-            _compare_build(g, upto, strict=True)
-            for strict in (False, True):
+            # reuse from this state on a changed Gram
+            for _ in range(2):
                 changed, first = _changed(rng, g)
-                _compare_build(changed, rng.randrange(0, g.dim + 1), strict, pair, unchanged=first)
+                _compare_build(changed, rng.randrange(0, g.dim + 1), pair, unchanged=first)
     assert planes > 150

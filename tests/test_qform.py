@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -5,7 +6,7 @@ from math import gcd
 import pytest
 
 import fraction_walk as ref
-from indeflll.numerics import is_rational_square
+from indeflll.numerics import clear_denominators, is_rational_square
 from indeflll.qform import (
     BQForm,
     SWAP,
@@ -124,14 +125,35 @@ def test_reduce_definite_reaches_minimum():
         done += 1
 
 
+def test_walk_scales_a_form_by_the_lcm_of_its_denominators():
+    """`IntegralWalk(*clear_denominators(f.coeffs()))` gives the start and
+    scale that a walk built from the `BQForm` itself gave (pinned), and
+    a common factor of numerators and denominator cancels."""
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    n = 0
+    while n < 400:
+        f = BQForm(*(Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(3)))
+        if f.disc <= 0:
+            continue
+        n += 1
+        num, den = clear_denominators(f.coeffs())
+        walk = IntegralWalk(num, den)
+        digest.update(repr((walk.start, walk.scale)).encode())
+        k = 2 + n % 8
+        again = IntegralWalk(tuple(k * x for x in num), k * den)
+        assert (again.start, again.scale) == (walk.start, walk.scale)
+    assert digest.hexdigest() == "3824b658d6dac4bb4cc6eab620d661392547ed48a9c724f961baa387f9ef8548"
+
+
 def test_indefinite_step_examples():
-    walk = IntegralWalk(BQForm(1, 0, -2))
+    walk = IntegralWalk((1, 0, -2))
     assert [f for f, _ in walk.descend()] == [(1, 0, -2), (-2, 0, 1), (1, 2, -1)]
     assert walk.steps == 2
     with pytest.raises(ValueError):
-        IntegralWalk(BQForm(1, 0, 1))
+        IntegralWalk((1, 0, 1))
     # a terminal square shape has no further move
-    walk = IntegralWalk(BQForm(1, 6, 0))
+    walk = IntegralWalk((1, 6, 0))
     assert list(walk.cycle(walk.start, 3)) == [] and walk.steps == 0
 
 

@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import hashlib
@@ -11,7 +12,7 @@ import fraction_walk as ref
 from indeflll import gram as gram_mod, reducer as red
 from indeflll.analysis import kernel_split, verify_theorem_bound
 from indeflll.errors import InadmissiblePrefixError, InternalInvariantError, IsotropicVectorError, LatticeError
-from indeflll.generators import gen_hyperbolic_stack, gen_random_unimodular, gen_worstcase
+from indeflll.generators import gen_hyperbolic_stack, gen_random_symmetric, gen_random_unimodular, gen_worstcase
 from indeflll.gram import (
     GramMatrix,
     GsoState,
@@ -212,7 +213,7 @@ def test_cleanup_ordinary_branch():
     g = GramMatrix([[2, 3], [3, 9]])
     st = ReducerState(g, ReducerParams())
     st.refresh_prefix_gso(1)
-    cleanup_size_reduce(st, 1)
+    cleanup_size_reduce(st, 1, st.gso)
     assert abs(st.gc[0][1]) <= 1  # |product| <= N/2 = 1
 
 
@@ -221,7 +222,7 @@ def test_cleanup_special_case_s_zero():
     g = GramMatrix([[3, 0], [0, -3]])
     st = ReducerState(g, ReducerParams())
     st.refresh_prefix_gso(1)
-    cleanup_size_reduce(st, 1)
+    cleanup_size_reduce(st, 1, st.gso)
     assert st.gc[1][0] == 0 and st.gc[1][1] == -3
 
 
@@ -230,7 +231,7 @@ def test_cleanup_indefinite_window():
     g = GramMatrix([[7, 5], [5, -7]])
     st = ReducerState(g, ReducerParams())
     st.refresh_prefix_gso(1)
-    cleanup_size_reduce(st, 1)
+    cleanup_size_reduce(st, 1, st.gso)
     n1 = Fraction(st.gc[0][0])
     s = Fraction(st.gc[0][1])
     n2 = Fraction(st.gc[1][1])
@@ -241,7 +242,7 @@ def test_vector_reduce_trivial_plus_one():
     g = GramMatrix.identity(2)
     st = ReducerState(g, ReducerParams(sign_strategy=False))
     st.refresh_prefix_gso(1)
-    residual, _ = cleanup_size_reduce(st, 1)
+    residual, _ = cleanup_size_reduce(st, 1, st.gso)
     assert vector_reduce(st, 2, residual) == +1
     assert st.gc == GramMatrix.identity(2).copy_rows()
 
@@ -251,7 +252,7 @@ def test_vector_reduce_shrinks_front():
     g = GramMatrix([[4, 0], [0, -1]])
     st = ReducerState(g, ReducerParams(sign_strategy=False))
     st.refresh_prefix_gso(1)
-    residual, _ = cleanup_size_reduce(st, 1)
+    residual, _ = cleanup_size_reduce(st, 1, st.gso)
     change = vector_reduce(st, 2, residual)
     assert change == -1
     assert abs(st.gc[0][0]) <= 2
@@ -275,7 +276,7 @@ def test_integrate_adherent_gcd():
     g = GramMatrix([[4, 2], [2, 1]])
     st = ReducerState(g, ReducerParams())
     st.refresh_prefix_gso(1)
-    residual, _ = cleanup_size_reduce(st, 1)
+    residual, _ = cleanup_size_reduce(st, 1, st.gso)
     change = integrate_adherent(st, 2, *st.gso.projected_block(0, *residual)[:3])
     assert change == -1
     assert st.gc[0][0] == 1  # determinant dropped from 4 to 1
@@ -288,7 +289,7 @@ def test_integrate_adherent_rejects_prefix_zero():
     g = GramMatrix([[1, 1], [1, 1]])
     st = ReducerState(g, ReducerParams())
     st.refresh_prefix_gso(1)
-    residual, _ = cleanup_size_reduce(st, 1)
+    residual, _ = cleanup_size_reduce(st, 1, st.gso)
     with pytest.raises(ValueError):
         integrate_adherent(st, 2, *st.gso.projected_block(0, *residual)[:3])
 
@@ -410,6 +411,68 @@ def test_baseline_carries_the_swapped_vector_row(monkeypatch):
     assert swaps == 1812 and 5 * calls[0] <= 3 * 3864, calls
 
 
+def _baseline_corpus():
+    """The Grams B^T diag(1, -1) B of the 625 2x2 matrices B with entries
+    in [-2, 2], and small dense random symmetric inputs."""
+    for b11, b12, b21, b22 in itertools.product(range(-2, 3), repeat=4):
+        p, q, r = b11 * b11 - b21 * b21, b11 * b12 - b21 * b22, b12 * b12 - b22 * b22
+        yield GramMatrix([[p, q], [q, r]])
+    for d, bound, seed in itertools.product(range(3, 7), (1, 2), range(40)):
+        yield gen_random_symmetric(d, bound, seed)
+
+
+def test_baseline_outputs_are_pinned():
+    """The baseline's outputs on `_baseline_corpus`, under gamma0 = 99/100
+    and 1/5, and the index of every IsotropicVectorError, as the build
+    with a strict mode, which refused any zero star norm, gave them.  A
+    zero star norm swaps back to the front unless gamma0 < 1/4, so only
+    the small gamma0 meets one past position 0."""
+    digest, indices = hashlib.sha256(), collections.Counter()
+    for gamma0 in (Fraction(99, 100), Fraction(1, 5)):
+        for g in _baseline_corpus():
+            try:
+                r = reduce_baseline(g, gamma0)
+            except IsotropicVectorError as exc:
+                indices[exc.index] += 1
+                out = exc.index
+            else:
+                out = (r.reduced.rows, r.transform, r.stats.swaps)
+            digest.update(repr(out).encode())
+    assert indices == {0: 1089, 1: 8, 2: 1, 3: 1}
+    assert digest.hexdigest() == "5c1fdf2d1cb29505a9e583a982fb510672ccc4131a3688b6025cee0cf0647ff4"
+
+
+def test_baseline_refreshes_compute_at_most_their_last_position(monkeypatch):
+    """So a zero star norm the baseline meets has no partner in its build,
+    and the ordinary GSO refuses it at the index a build with no planes
+    would."""
+    refresh = ReducerState.refresh_prefix_gso
+    seen = collections.Counter()
+
+    def checked(self, prefix):
+        keep = _reusable(self.gso, prefix, self.touched)
+        assert keep >= prefix - 1, (prefix, keep)
+        seen[prefix - keep] += 1
+        try:
+            held = refresh(self, prefix)
+        except InadmissiblePrefixError as exc:
+            assert exc.index == prefix - 1
+            seen["refused"] += 1
+            raise
+        assert held.reused == keep and not held.bad
+        return held
+
+    monkeypatch.setattr(ReducerState, "refresh_prefix_gso", checked)
+    for gamma0 in (Fraction(99, 100), Fraction(1, 5)):
+        for g in itertools.chain(_baseline_corpus(), _exactness_corpus()):
+            try:
+                reduce_baseline(g, gamma0)
+            except IsotropicVectorError:
+                pass
+    # 1 099 of the refusals are those of `test_baseline_outputs_are_pinned`
+    assert seen[0] > 500 and seen[1] > 4000 and seen["refused"] == 1132, seen
+
+
 def test_idempotence():
     rng = random.Random(71)
     for trial in range(12):
@@ -521,25 +584,25 @@ def test_outputs_are_pinned():
 @pytest.fixture
 def checked_refresh(monkeypatch):
     """After every prefix GSO refresh, compare the held state with a GSO
-    built from scratch on the same Gram (strict for the baseline), and an
-    inadmissible prefix with the error a fresh build raises."""
+    built from scratch on the same Gram, and an inadmissible prefix with
+    the error a fresh build raises."""
     original = ReducerState.refresh_prefix_gso
     seen = {"refreshes": 0, "positions": 0, "computed": 0}
 
-    def fresh(state, prefix, strict):
-        return auto_gso(GramMatrix(state.gc), prefix, strict=strict)
+    def fresh(state, prefix):
+        return auto_gso(GramMatrix(state.gc), prefix)
 
-    def refresh(self, prefix, strict=False):
+    def refresh(self, prefix):
         try:
-            held = original(self, prefix, strict)
+            held = original(self, prefix)
         except InadmissiblePrefixError as exc:
             with pytest.raises(InadmissiblePrefixError) as again:
-                fresh(self, prefix, strict)
+                fresh(self, prefix)
             assert (str(again.value), again.value.index) == (str(exc), exc.index)
             raise
         # dataclass equality: the extent, lambda rows, determinants and
         # planes, all but the `reused` count
-        assert held == fresh(self, prefix, strict)
+        assert held == fresh(self, prefix)
         assert held is self.gso
         seen["refreshes"] += 1
         seen["positions"] += prefix
@@ -596,9 +659,9 @@ def test_gso_and_size_reduction_create_no_fraction(monkeypatch):
     full = auto_gso(gram)
     st.refresh_prefix_gso(9)
     before = [row[:] for row in st.gc]
-    residual, prefix_zero = cleanup_size_reduce(st, 9)
+    residual, prefix_zero = cleanup_size_reduce(st, 9, st.gso)
     deficient.refresh_prefix_gso(3)
-    zero_residual, zero = cleanup_size_reduce(deficient, 3)
+    zero_residual, zero = cleanup_size_reduce(deficient, 3, deficient.gso)
     monkeypatch.undo()
     assert created == []
     assert full.upto == 10 and residual[1] != 0 and not prefix_zero
@@ -644,32 +707,28 @@ def test_carried_rows_are_exact(monkeypatch):
     """Every lambda row and scaled residual a move carries into a clean-up
     equals the pair Cohen's recursion builds for that vector against that
     prefix, from each of the three sources: the vector a definite swap
-    moves back, a placement's fresh front, and a kept front at its next
-    clean-up.  A clean-up that takes a carried row from the state, and so
-    may skip its rescan, leaves U, the Gram and its result as one that
-    builds the row."""
+    moves back, a placement's fresh front (not settled), and a kept front
+    at its next clean-up.  A clean-up that takes a settled row from the
+    state, and so may skip its rescan, leaves U, the Gram and its result
+    as one that builds the row."""
     cleanup, lovasz, place = red.cleanup_size_reduce, red._lovasz_definite, red._place_transformed_pair
     seen = {"swap": 0, "front": 0, "kept": 0}
-    source = {}  # state -> the move that left its carry
+    source = {}  # state -> the move that left its settled carry
 
-    def checked_cleanup(state, pos, gso=None, front=None):
-        if gso is not None:
-            carried, kind = front, "front"
-        else:
-            carried, kind = state.carry, source.pop(state, None)
-        if carried is None:
-            return cleanup(state, pos, gso, front)
-        held, w = gso or state.gso, state.gc[pos]
-        row, rho = carried
-        assert row == held.lambda_row(w)
-        assert rho == held.scaled_residual(row, w[pos])
-        seen[kind] += 1
-        if kind == "front":
-            return cleanup(state, pos, gso, front)
+    def checked_cleanup(state, pos, gso):
+        if state.carry is None:
+            return cleanup(state, pos, gso)
+        w = state.gc[pos]
+        row, rho, settled = state.carry
+        assert row == gso.lambda_row(w)
+        assert rho == gso.scaled_residual(row, w[pos])
+        seen[source.pop(state) if settled else "front"] += 1
+        if not settled:
+            return cleanup(state, pos, gso)
         built = copy.copy(state)
         built.u, built.gc, built.carry = [r[:] for r in state.u], [r[:] for r in state.gc], None
-        want = cleanup(built, pos)
-        assert cleanup(state, pos) == want
+        want = cleanup(built, pos, gso)
+        assert cleanup(state, pos, gso) == want
         assert (state.u, state.gc) == (built.u, built.gc)
         return want
 
@@ -765,14 +824,14 @@ def test_change_log_survives_rolled_back_placements(monkeypatch):
             assert not all(new in (old, [-x for x in old]) for old, new in pair)
         return change
 
-    def checked_refresh(self, prefix, strict=False):
+    def checked_refresh(self, prefix):
         want = 0
         if self.gso is not None:
             old, keep = refreshed[self], min(prefix, self.gso.upto)
             changed = next((i for i in range(keep) if self.gc[i][: i + 1] != old[i][: i + 1]), keep)
             assert min(self.touched, keep) <= changed
-            want = _reusable(self.gso, prefix, changed, strict)
-        held = refresh(self, prefix, strict)
+            want = _reusable(self.gso, prefix, changed)
+        held = refresh(self, prefix)
         assert held.reused == want and self.touched == self.d
         refreshed[self] = [row[:] for row in self.gc]
         seen["refreshes"] += 1
@@ -866,7 +925,8 @@ def test_candidates_match_fraction_walk(recorded_blocks):
         for want in (None, 1, -1):
             for max_extra in (0, 2, 12):
                 for gamma0 in (Fraction(99, 100), Fraction(1, 2)):
-                    walk, composing = IntegralWalk(f), IntegralWalk(f)
+                    num = clear_denominators(f.coeffs())
+                    walk, composing = IntegralWalk(*num), IntegralWalk(*num)
                     got = red._indefinite_candidates(walk, gamma0, max_extra, want)
                     expected = ref.indefinite_candidates(f, gamma0, max_extra, want)
                     assert got == _candidate_key(expected), (f, want, max_extra, gamma0)
@@ -903,7 +963,7 @@ def test_cleanup_lambda_matches_fraction_rule_on_recorded_blocks(recorded_blocks
 def test_reduced_walk_stops_at_the_first_repeated_form():
     # (1, 2, -1) and (-1, 2, 1) make up the whole cycle of disc 8: after
     # two moves the reduced-input walk is back at its start
-    walk = IntegralWalk(BQForm(1, 2, -1))
+    walk = IntegralWalk((1, 2, -1))
     assert red._indefinite_candidates(walk, Fraction(99, 100), 12, None) == []
     assert walk.steps == 2
     assert ref.indefinite_candidates(BQForm(1, 2, -1), Fraction(99, 100), 12, None) == []
@@ -1009,7 +1069,7 @@ def test_small_box_certificates():
                 assert verify_theorem_bound(r, g).holds, rows
                 assert params is None or reduced_blocks_ok(r), rows
         isotropic.append(stopped)
-    # the baseline's strict GSO stops on these many inputs
+    # the baseline stops at an isotropic vector on these many inputs
     assert (len(two), len(three), isotropic) == (343, 2233, [79, 951])
 
 
