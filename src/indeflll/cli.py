@@ -200,6 +200,8 @@ def build_report(name: str, gram: GramMatrix, result: ReductionResult, wall: flo
         "heuristic_holds": bound.heuristic_holds,
         "loop_iterations": result.stats.loop_iterations,
         "gso_positions": result.stats.gso_positions,
+        "rows_built": result.stats.rows_built,
+        **{f"rows_carried_{source}": n for source, n in result.stats.rows_carried.items()},
         "walk_steps": result.stats.walk_steps,
         "u_bits": result.stats.u_bits,
         "g_bits": result.stats.g_bits,

@@ -18,11 +18,13 @@ integers is `theta_and_residual_norm`: the coefficient vector theta of
 a vector's projection on the prefix, and its residual norm.  The GSO
 takes integral Grams only.  A build takes over the leading positions of
 a previous state that its caller vouches for, as the reducer does from
-its change log, and compares no rows itself.
+its change log, and compares no rows itself: it cuts that state's lists
+and extends them in place, with the potential as a running product.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from operator import mul
 
 from .errors import InadmissiblePrefixError
@@ -179,7 +181,10 @@ class GsoState:
     dets[i], inside a plane lam[i][i] = 0, and the second position of a
     plane (j, j+1) holds A_j = lam[j+1][j] = D'_j * alpha_j.  `reused`
     counts the leading positions a build took over from a previous state
-    instead of computing them.  `boundary`, when set, is (key, row, rho)
+    instead of computing them.  pot[i] is the potential (see `potential`)
+    of the prefix through the block of position i, multiplied up as the
+    positions are built, so both positions of a plane hold it after the
+    plane.  `boundary`, when set, is (key, row, rho)
     of a vector w with key the products b(w, v_m) for m < upto followed
     by b(w, w), row its lambda row and rho its scaled residual: a build
     that extends this state by one position holding exactly that key
@@ -191,6 +196,7 @@ class GsoState:
     lam: list[list[int]]
     dets: list[int]
     bad: frozenset[int]
+    pot: list[tuple[int, int]]
     reused: int = field(default=0, compare=False)
     boundary: tuple[list[int], list[int], int] | None = field(default=None, compare=False, repr=False)
 
@@ -199,6 +205,11 @@ class GsoState:
         """Gram determinant of the prefix; a shorter prefix is
         `truncated(upto).det`."""
         return self.dets[-1] if self.dets else 1
+
+    @property
+    def running_potential(self) -> tuple[int, int]:
+        """`potential()` of the prefix, as the builds multiplied it up."""
+        return self.pot[-1] if self.pot else (1, 1)
 
     def is_scalar(self, i: int) -> bool:
         return i not in self.bad and (i - 1) not in self.bad
@@ -233,6 +244,7 @@ class GsoState:
             lam=self.lam[:upto],
             dets=self.dets[:upto],
             bad=frozenset(j for j in self.bad if j + 1 < upto),
+            pot=self.pot[:upto],
         )
 
     # -- integer rows of a vector w, over the integral Gram -----------------
@@ -417,8 +429,13 @@ def auto_gso(
     rows of `gram`, through the diagonal, equal those `previous` (a GSO
     of an earlier Gram) was built from; the positions they determine are
     taken over, not recomputed (see `_reusable`), and no row is compared.
-    The Gram must be integral on the rows the build reads (ValueError
-    otherwise).  The state keeps nothing of `gram` itself.
+    The build takes `previous` over: it cuts its lists at the positions
+    it keeps, extends them in place and returns `previous` itself as the
+    new state, so a caller that still needs the old state passes a copy;
+    after a build that raises, `previous` is half built and must not be
+    read.  The Gram must be integral on the rows the build reads
+    (ValueError otherwise, before `previous` is touched).  The state
+    keeps nothing of `gram` itself.
     """
     if upto is None:
         upto = gram.dim
@@ -426,16 +443,17 @@ def auto_gso(
     rows = gram.rows
     # the leading `keep` rows are vouched for by the integral `previous`,
     # and the lower triangle of the others holds every entry the build reads
-    if not all(isinstance(x, int) for i in range(keep, upto) for x in rows[i][: i + 1]):
-        raise ValueError("the generalized GSO expects an integral Gram matrix")
-    hint = None
-    if keep:
-        lam, dets = previous.lam[:keep], previous.dets[:keep]
-        bad = {j for j in previous.bad if j < keep}
-        if keep == previous.upto:
-            hint = previous.boundary
+    for i in range(keep, upto):
+        if not all(map(isinstance, rows[i][: i + 1], repeat(int))):
+            raise ValueError("the generalized GSO expects an integral Gram matrix")
+    if previous is None:
+        gso, hint = GsoState(upto=0, lam=[], dets=[], bad=frozenset(), pot=[]), None
     else:
-        lam, dets, bad = [], [], set()
+        gso, hint = previous, previous.boundary if keep == previous.upto else None
+        del gso.lam[keep:], gso.dets[keep:], gso.pot[keep:]
+    lam, dets, pot = gso.lam, gso.dets, gso.pot
+    bad = {j for j in gso.bad if j < keep} if gso.bad else set()
+    num, den = pot[-1] if pot else (1, 1)
     i = keep
     while i < upto:
         low = rows[i]
@@ -448,6 +466,8 @@ def auto_gso(
         if diag:
             lam.append(row + [diag])
             dets.append(diag)
+            num *= abs(diag)
+            pot.append((num, den))
             i += 1
             continue
         if i + 1 >= upto:
@@ -468,12 +488,9 @@ def auto_gso(
         lam.append(partner + [0])
         pre = dets[-1] if dets else 1
         dets += [-(a * a) // pre] * 2
+        num, den = num * abs(a) ** 3, den * abs(pre)
+        pot += [(num, den)] * 2
         bad.add(i)
         i += 2
-    return GsoState(
-        upto=upto,
-        lam=lam,
-        dets=dets,
-        bad=frozenset(bad),
-        reused=keep,
-    )
+    gso.upto, gso.bad, gso.reused, gso.boundary = upto, frozenset(bad), keep, None
+    return gso

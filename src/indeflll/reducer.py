@@ -13,7 +13,7 @@ adaptation of LLL) used for comparisons; it fails fast on isotropic
 orthogonalized vectors.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InadmissiblePrefixError, InternalInvariantError, IsotropicVectorError
@@ -58,6 +58,15 @@ class ReducerParams:
             raise ValueError("max_extra must be non-negative")
 
 
+# The moves that carry a lambda row to the next size reduction of a
+# vector they move: a definite swap for the vector it moves back and the
+# one it moves forward, a placement for its fresh front, and a kept
+# placement for its reduced front.  Rows moved back and kept fronts are
+# settled (see `cleanup_size_reduce`).
+CARRY_SOURCES = ("back", "forward", "front", "kept")
+_SETTLED = ("back", "kept")
+
+
 @dataclass
 class ReductionStats:
     loop_iterations: int = 0
@@ -74,6 +83,9 @@ class ReductionStats:
     walk_steps: int = 0  # binary-form moves of the indefinite candidate walks
     u_bits: int = 0  # largest entry bit length of U, set at the end
     g_bits: int = 0  # largest entry bit length of the reduced Gram
+    rows_built: int = 0  # lambda rows of size reductions built by Cohen's recursion
+    # lambda rows of size reductions taken from the carry, by the move that left them
+    rows_carried: dict[str, int] = field(default_factory=lambda: dict.fromkeys(CARRY_SOURCES, 0))
 
 
 @dataclass
@@ -121,11 +133,15 @@ class ReducerState:
     position that a move changed since the last prefix GSO refresh: the
     leading rows of the Gram below it, through the diagonal, are those
     that refresh read.
-    `carry`, when set, is the exact (lambda row, scaled residual,
-    settled) of the vector that a move has just put at the front of the
-    tail, against the prefix of its next size reduction, which takes it
-    instead of building it.  settled says that the row came out of a
-    size reduction against that prefix or a longer one.
+    `carry` maps a position p to the exact (lambda row, scaled residual,
+    source) of the vector at p against the p positions before it, which
+    a move left there (see `CARRY_SOURCES`); the next size reduction of
+    that vector against that prefix takes it instead of building it.
+    Each move drops the entries it could change, so a move that carries
+    a row sets it after moving: `col_addmul` only its destination's, as
+    adding earlier vectors changes no star vector and no leading
+    determinant, and the other two every entry from their first
+    position on.
     """
 
     def __init__(self, gram: GramMatrix, params: ReducerParams):
@@ -134,12 +150,18 @@ class ReducerState:
         self.d = gram.dim
         self.u = mat_identity(self.d)
         self.gc: list[list] = gram.copy_rows()
+        self._view = GramMatrix.trusted(self.gc)  # the refreshes' view of gc, never copied
         self.stats = ReductionStats()
         self.gso: GsoState | None = None  # GSO of the current prefix
         self.touched = 0
-        self.carry: tuple[list[int], int, bool] | None = None
+        self.carry: dict[int, tuple[list[int], int, str]] = {}
         self._pot_max_dim = 0
         self._pot_last = (1, 1)  # potential as (numerator, positive denominator)
+
+    def _drop_carry(self, first: int) -> None:
+        """Forget the carried rows of the positions from `first` on."""
+        if self.carry:
+            self.carry = {p: c for p, c in self.carry.items() if p < first}
 
     # -- elementary column operations (kept congruent on gc) --------------
 
@@ -148,6 +170,10 @@ class ReducerState:
         if coef == 0 or dst == src:
             return
         self.touched = min(self.touched, dst)
+        if src < dst:
+            self.carry.pop(dst, None)
+        else:
+            self._drop_carry(dst)
         for row in self.u:
             row[dst] += coef * row[src]
         gc = self.gc
@@ -163,6 +189,7 @@ class ReducerState:
         """(v_p, v_q) <- (m11 v_p + m21 v_q, m12 v_p + m22 v_q) for the
         entries t = (m11, m12, m21, m22) of a 2x2 transform."""
         self.touched = min(self.touched, p, q)
+        self._drop_carry(min(p, q))
         m11, m12, m21, m22 = t
         for row in self.u:
             a, b = row[p], row[q]
@@ -190,6 +217,7 @@ class ReducerState:
         if dst == src:
             return
         self.touched = min(self.touched, dst)
+        self._drop_carry(dst)
         gc = self.gc
         if src == dst + 1:  # an adjacent swap, made in place
             for row in self.u:
@@ -211,13 +239,14 @@ class ReducerState:
         Gram in `self.gso`.
 
         Star vector i depends only on the leading (i+1)x(i+1) block, so
-        the previously held state is kept below `touched` (one place
-        earlier when that would split a hyperbolic pair), and only the
-        positions from there on are computed; `stats.gso_positions`
-        counts them.  No row is compared, and the working Gram is not
-        copied.
+        the build takes the previously held state over, keeps it below
+        `touched` (one place earlier when that would split a hyperbolic
+        pair) and extends it in place; `stats.gso_positions` counts the
+        positions it computes.  No row is compared, and the working Gram
+        is not copied.  A refresh that raises leaves no state held.
         """
-        self.gso = auto_gso(GramMatrix.trusted(self.gc), prefix, self.gso, self.touched)
+        previous, self.gso = self.gso, None
+        self.gso = auto_gso(self._view, prefix, previous, self.touched)
         self.touched = self.d
         self.stats.gso_positions += prefix - self.gso.reused
         return self.gso
@@ -267,9 +296,10 @@ def _size_reduce_below(
     down: a scalar position j by lam_{w,j} / dets[j], a plane (j-1, j) by
     the pair rule lam_{w,j} / A and lam_{w,j-1} / A on both cross
     coefficients.  The whole row stays exact."""
+    bad, dets = gso.bad, gso.dets
     j = top - 1
     while j >= 0:
-        if (j - 1) in gso.bad:  # the plane (j - 1, j)
+        if (j - 1) in bad:  # the plane (j - 1, j)
             a = gso.lam[j][j - 1]
             n_first = nearest_div(row[j], a)
             n_second = nearest_div(row[j - 1], a)
@@ -280,19 +310,24 @@ def _size_reduce_below(
                 _add_prefix_vector(state, pos, row, gso, j, -n_second)
             j -= 2
         else:
-            lam = nearest_div(row[j], gso.dets[j])
-            if lam:
-                _add_prefix_vector(state, pos, row, gso, j, -lam)
+            r, d = row[j], dets[j]
+            if 2 * abs(r) > abs(d):  # else r / d rounds to 0, ties toward zero
+                _add_prefix_vector(state, pos, row, gso, j, -nearest_div(r, d))
             j -= 1
 
 
 def _take_row(state: ReducerState, pos: int, gso: GsoState) -> tuple[list[int], int, bool]:
     """(row, rho, settled) of the vector at `pos` against the prefix held
-    in `gso`: `state.carry`, taken and cleared, when a move left it, and
-    otherwise built by Cohen's recursion, not settled."""
-    carried, state.carry = state.carry, None
+    in `gso`: the row a move carried for it, taken out of `state.carry`,
+    when that prefix is the positions before it, and otherwise built by
+    Cohen's recursion, not settled.  `state.stats` counts each row by
+    where it came from."""
+    carried = state.carry.pop(pos, None) if gso.upto == pos else None
     if carried is not None:
-        return carried
+        row, rho, source = carried
+        state.stats.rows_carried[source] += 1
+        return row, rho, source in _SETTLED
+    state.stats.rows_built += 1
     w = state.gc[pos]
     row = gso.lambda_row(w)
     return row, gso.scaled_residual(row, w[pos]), False
@@ -310,20 +345,22 @@ def cleanup_size_reduce(
     Everything runs on the vector's integer lambda row, updated after
     each column operation.  Adding prefix vectors leaves the scaled
     residual rho = D * b(w*, w*) unchanged.  Row and rho are built by
-    Cohen's recursion only when no move left them in `state.carry` (see
-    `_take_row`).  A settled row came out of a clean-up against this
-    prefix or a longer one, so it is nearest-reduced below its top, a
-    fixed point of `_size_reduce_below` (ties round toward zero), and
-    that scan is skipped unless the last-position rule moves the vector.
-    The row and rho are handed over to `gso` for the build that extends
-    it by this vector.  Returns (s, rho), with s = lam_{w,j} against the
-    last prefix position j when that is scalar (else None), and whether
-    the vector is a prefix zero: an integer combination of the prefix
-    plus a vector orthogonal to it and isotropic.  Rounding from the last
-    position down takes integral coefficients off exactly (with rho = 0
-    the last-position rule is plain nearest rounding), so after it a
-    prefix zero is exactly a zero residual with a zero lambda row,
-    already orthogonal to the prefix.
+    Cohen's recursion only when no move left them for this vector and
+    prefix in `state.carry` (see `_take_row`).  A settled row, moved back
+    by a definite swap or kept by a placement, came out of a clean-up
+    against this prefix or a longer one, so it is nearest-reduced below
+    its top, a fixed point of `_size_reduce_below` (ties round toward
+    zero), and that scan is skipped unless the last-position rule moves
+    the vector; a row carried forward or to a placement's front is
+    scanned as a built one.  The row and rho are handed over to `gso`
+    for the build that extends it by this vector.  Returns (s, rho), with
+    s = lam_{w,j} against the last prefix position j when that is scalar
+    (else None), and whether the vector is a prefix zero: an integer
+    combination of the prefix plus a vector orthogonal to it and
+    isotropic.  Rounding from the last position down takes integral
+    coefficients off exactly (with rho = 0 the last-position rule is
+    plain nearest rounding), so after it a prefix zero is exactly a zero
+    residual with a zero lambda row, already orthogonal to the prefix.
     """
     w = state.gc[pos]
     row, rho, settled = _take_row(state, pos, gso)
@@ -378,9 +415,9 @@ def _place_transformed_pair(state: ReducerState, k: int, t: Mat) -> int:
     swap and antidiagonal with it.  Only then are the columns copied and
     compared (the clean-up may still have added prefix vectors); every
     other t is kept.  The front's row and rho, known from the pair's,
-    reach its clean-up through `state.carry`, not settled; a front kept
-    first leaves its reduced row and rho there, settled, for its next
-    clean-up against the same prefix.
+    reach its clean-up through `state.carry`; a front kept first leaves
+    its reduced row and rho there for its next clean-up against the same
+    prefix.
     """
     prev, pos = k - 2, k - 1
     u, touched, gso = state.u, state.touched, state.gso
@@ -392,8 +429,9 @@ def _place_transformed_pair(state: ReducerState, k: int, t: Mat) -> int:
     # there m21^2 times w's, as the v_prev part lies in that prefix
     _, row, rho = gso.boundary
     full = [m11 * x + m21 * y for x, y in zip(gso.lam[prev], row)]
-    state.carry = (*gso.row_before(prev, full, m21 * m21 * rho), False)
+    front = gso.row_before(prev, full, m21 * m21 * rho)
     state.col_transform2(prev, pos, t)
+    state.carry[prev] = (*front, "front")
     short = gso.truncated(prev)
     zero = cleanup_size_reduce(state, prev, short)[1]
     if zero:
@@ -408,9 +446,27 @@ def _place_transformed_pair(state: ReducerState, k: int, t: Mat) -> int:
             state.touched = touched
             return +1
     if not zero:
-        state.carry = (*short.boundary[1:], True)
+        state.carry[prev] = (*short.boundary[1:], "kept")
     state.stats.swaps += 1
     return -1
+
+
+def _swap_back(state: ReducerState, pos: int) -> None:
+    """Swap the vector w at `pos`, just size-reduced against the prefix
+    held in `state.gso` (through the scalar position pos - 1), with the
+    vector v before it, and carry both rows to their next clean-ups.
+    Moved back, w's row and rho step back past pos - 1.  Moved forward, v
+    keeps its row through pos - 2 and gains s = lam_{w,pos-1} against w,
+    as D'_{pos-1} b(v, w*) = D'_{pos-1} b(v*_{pos-1}, w); its rho is w's,
+    the Gram determinant of the same vectors in another order."""
+    gso = state.gso
+    _, row, rho = gso.boundary
+    prev = pos - 1
+    back = gso.row_before(prev, row, rho)
+    forward = gso.lam[prev][:prev] + [row[prev]]
+    state.cyclic_shift(prev, pos)
+    state.carry[prev] = (*back, "back")
+    state.carry[pos] = (forward, rho, "forward")
 
 
 def _lovasz_definite(state: ReducerState, k: int, n1: int, n2: int) -> int:
@@ -422,16 +478,14 @@ def _lovasz_definite(state: ReducerState, k: int, n1: int, n2: int) -> int:
     sub-gamma0 improvement is also taken (counted as a repair) so that
     final definite blocks satisfy |a| <= |c| exactly; each such swap
     still strictly lowers the integer-valued potential, so the loop
-    cannot cycle on them.  A swap carries the moved vector's row to its
-    next clean-up.
+    cannot cycle on them.  A swap carries the rows of both vectors it
+    moves to their next clean-ups (see `_swap_back`).
     """
     gamma0 = state.params.gamma0
     if abs(n2) < abs(n1):
         if not (abs(n2) * gamma0.denominator < gamma0.numerator * abs(n1)):
             state.stats.repairs += 1
-        _, row, rho = state.gso.boundary  # of the vector at k-1, which moves back
-        state.carry = (*state.gso.row_before(k - 2, row, rho), True)
-        state.cyclic_shift(k - 2, k - 1)
+        _swap_back(state, k - 1)
         state.stats.swaps += 1
         return -1
     return +1
@@ -630,7 +684,7 @@ def _max_bits(rows: list[list[int]]) -> int:
 def _track_potential(state: ReducerState, prefix: int) -> None:
     if prefix < state._pot_max_dim:
         return
-    pot = state.gso.potential()
+    pot = state.gso.running_potential
     if prefix > state._pot_max_dim:
         state._pot_max_dim = prefix
         state._pot_last = pot
@@ -796,9 +850,9 @@ def reduce_baseline(gram: GramMatrix, gamma0: Rational = Fraction(99, 100)) -> R
     comparison (the Simon-style baseline).
 
     Standard Gram-Schmidt only: the first isotropic orthogonalized
-    vector aborts the run with IsotropicVectorError.  A swap past k = 2
-    carries the moved vector's row and rho to its next size reduction,
-    against the prefix one shorter.
+    vector aborts the run with IsotropicVectorError.  A swap carries the
+    rows of the two vectors it moves to their next size reductions, as
+    the reducer's definite swap does.
     """
     params = ReducerParams(gamma0=gamma0)
     gamma0 = params.gamma0
@@ -822,9 +876,7 @@ def reduce_baseline(gram: GramMatrix, gamma0: Rational = Fraction(99, 100)) -> R
         gso.hand_over(w, pos, row, rho)
         n_prev, _, proj, _ = gso.projected_block(k - 2, row[k - 2], rho)
         if abs(proj) * gamma0.denominator < gamma0.numerator * abs(n_prev):
-            if k > 2:  # the vector moves back to k - 2, after the prefix through k - 3
-                state.carry = (*gso.row_before(k - 2, row, rho), True)
-            state.cyclic_shift(k - 2, k - 1)
+            _swap_back(state, pos)
             state.stats.swaps += 1
             k = max(2, k - 1)
         else:

@@ -302,6 +302,29 @@ def test_cli_missing_file(capsys):
     assert main(["reduce", "/nonexistent/file.txt"]) == EXIT_INPUT
 
 
+def test_cli_reduce_reports_lambda_row_sources(tmp_path, capsys, monkeypatch):
+    """The structured report counts the lambda rows the clean-ups built
+    and those they took from a carry, by source, and together they are
+    one per clean-up run."""
+    from indeflll import reducer as red
+
+    cleanups = [0]
+    cleanup = red.cleanup_size_reduce
+
+    def counted(*args):
+        cleanups[0] += 1
+        return cleanup(*args)
+
+    monkeypatch.setattr(red, "cleanup_size_reduce", counted)
+    f = tmp_path / "g.txt"
+    f.write_text(format_matrix_text(gen_random_symmetric(10, 20, 3).rows))
+    assert main(["reduce", str(f), "--out", str(tmp_path / "r.txt"), "--report", "structured"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    carried = [doc[f"rows_carried_{source}"] for source in red.CARRY_SOURCES]
+    assert doc["rows_built"] + sum(carried) == cleanups[0]
+    assert doc["rows_built"] > 0 and min(carried) > 0, (doc["rows_built"], carried)
+
+
 def test_cli_reduce_reports_gso_positions(tmp_path, capsys):
     from indeflll.analysis import verify_theorem_bound
     from indeflll.reducer import reduce

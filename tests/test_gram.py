@@ -393,18 +393,20 @@ def test_gso_from_previous_state_matches_fresh():
         cuts = [u for u in range(d + 1) if not (u > 0 and (u - 1) in full.bad)]
         previous = auto_gso(g, rng.choice(cuts))
         for upto in range(d + 1):
-            # rows below `start` are unchanged, and the caller vouches for them
+            # rows below `start` are unchanged, and the caller vouches for them;
+            # a build takes the state it is given over, so each gets a copy
             try:
                 fresh = auto_gso(g2, upto)
             except InadmissiblePrefixError as exc:
                 with pytest.raises(InadmissiblePrefixError) as again:
-                    auto_gso(g2, upto, previous, start)
+                    auto_gso(g2, upto, copy.deepcopy(previous), start)
                 assert (str(again.value), again.value.index) == (str(exc), exc.index)
                 continue
-            built = auto_gso(g2, upto, previous, start)
-            assert built == fresh  # every field but `reused`
+            taken = copy.deepcopy(previous)
+            built = auto_gso(g2, upto, taken, start)
+            assert built is taken and built == fresh  # every field but `reused`
             assert built.reused <= min(upto, previous.upto, start)
-            assert auto_gso(g2, upto, previous).reused == 0  # nothing vouched for
+            assert auto_gso(g2, upto, copy.deepcopy(previous)).reused == 0  # nothing vouched for
             reused += built.reused
     assert reused > 100
 
@@ -432,10 +434,11 @@ def _compare_build(gram, upto, previous=(None, None), tails=(), unchanged=0):
     """Build the integral GSO and the reference from the same previous
     states, or check that both refuse the prefix with the same message
     and index.  The integral build takes over the rows below `unchanged`,
-    and the reference as many as it finds unchanged by comparing them.
-    Returns the two states, or None."""
+    and the reference as many as it finds unchanged by comparing them;
+    the integral build takes a copy of its previous state over.  Returns
+    the two states, or None."""
     def build():
-        return auto_gso(gram, upto, previous[0], unchanged)
+        return auto_gso(gram, upto, copy.deepcopy(previous[0]), unchanged)
 
     try:
         old = ref._build_gso(gram, upto, previous[1])
@@ -454,7 +457,7 @@ def _twin(state):
     twin = copy.copy(state)
     twin.u = [row[:] for row in state.u]
     twin.gc = [row[:] for row in state.gc]
-    twin.carry = None  # a carried row belongs to the state's own next clean-up
+    twin.carry = {}  # a carried row belongs to the state's own next clean-up
     return twin
 
 
