@@ -6,6 +6,11 @@ congruence elimination (Sylvester's law of inertia; one elimination,
 the kernel split only for singular input), the quality bound decided in
 integers, the Hermitian doubling embedding, and the hyperbolic-plane
 removal basis change.
+
+The certificate's product U^T G U is `GramMatrix.congruence`'s, formed
+once per G and U: after `reduce` it is the one the reducer's own check
+formed, taken over while neither matrix has changed.  The exact
+comparison with the reduced matrix is `verify_theorem_bound`'s own.
 """
 
 from dataclasses import dataclass
@@ -264,6 +269,7 @@ def verify_theorem_bound(result: ReductionResult, gram_in: GramMatrix) -> BoundR
     constants is reported alongside, against the same lhs, and so is the
     signature of the reduced block structure.
     """
+    # the product reduce's own check formed, unless G or U changed since
     if gram_in.congruence(result.transform) != result.reduced:
         raise ValueError("result does not belong to this input (congruence fails)")
     gamma0 = result.params.gamma0

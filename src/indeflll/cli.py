@@ -307,12 +307,13 @@ def cmd_compare(args) -> int:
     cols = ["name", "first_entry", "unit_diagonal_entries", "sum_definite_blocks",
             "sigma_reference", "bound_holds", "rank", "wall_time_s"]
     header = {c: c for c in cols}
-    table = [header] + [
-        {c: str(r.get(c, r.get("failed", "-"))) for c in cols} for r in reports
-    ]
+    table = [header] + [{c: str(r.get(c, "-")) for c in cols} for r in reports]
     widths = {c: max(len(str(row[c])) for row in table) for c in cols}
     for row in table:
         sys.stdout.write("  ".join(f"{str(row[c]):<{widths[c]}}" for c in cols) + "\n")
+    for r in reports:
+        if "failed" in r:
+            sys.stdout.write(f"{r['name']} failed: {r['failed']}\n")
     return EXIT_OK
 
 

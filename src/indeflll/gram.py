@@ -92,9 +92,12 @@ def mat_det(rows: list[list]) -> Fraction:
 
 
 class GramMatrix:
-    """Symmetric square matrix of exact rationals."""
+    """Symmetric square matrix of exact rationals.
 
-    __slots__ = ("rows",)
+    `_memo` holds the last congruence formed from the instance (see
+    `congruence`), or None."""
+
+    __slots__ = ("rows", "_memo")
 
     def __init__(self, rows: list[list[Rational]]):
         n = len(rows)
@@ -107,15 +110,18 @@ class GramMatrix:
                 if norm[i][j] != norm[j][i]:
                     raise ValueError(f"matrix is not symmetric at ({i}, {j})")
         self.rows = norm
+        self._memo = None
 
     @classmethod
     def trusted(cls, rows: list[list[Rational]]) -> "GramMatrix":
         """`rows` themselves, neither copied, normalized nor checked: the
         caller guarantees a square symmetric matrix of normalized entries
         (the working Gram of a reduction, say) and copies it first if it
-        will change while the matrix is in use."""
+        will change while the matrix is in use.  The view starts with no
+        congruence of its own."""
         gram = cls.__new__(cls)
         gram.rows = rows
+        gram._memo = None
         return gram
 
     @property
@@ -137,14 +143,23 @@ class GramMatrix:
         return GramMatrix([row[:k] for row in self.rows[:k]])
 
     def congruence(self, u: list[list[int]]) -> "GramMatrix":
-        """U^T * G * U for a square integer matrix U; G U is formed once,
-        as the rows of its transpose U^T G, then `_symmetric_product`,
-        which is square and symmetric by construction, so its entries
-        are only normalized."""
-        ut = mat_transpose(u)
-        gu_t = [[sum(map(mul, col, row)) for row in self.rows] for col in ut]
-        product = _symmetric_product(ut, gu_t)
-        return GramMatrix.trusted([[normalize(x) for x in row] for row in product])
+        """U^T * G * U for a square integer matrix U, as a new matrix.
+
+        The product is formed once per G and U: the instance keeps its
+        last one, keyed by snapshots of the entries of G and of U, so a
+        second call on equal entries (the certificate that follows
+        `reduce`'s own check) copies it instead of multiplying again,
+        and an entry of either edited in place in between misses.  A
+        miss forms G U once, as the rows of its transpose U^T G, then
+        `_symmetric_product`, which is square and symmetric by
+        construction, so its entries are only normalized."""
+        key = (tuple(map(tuple, self.rows)), tuple(map(tuple, u)))
+        if self._memo is None or self._memo[0] != key:
+            ut = list(zip(*key[1]))
+            gu_t = [[sum(map(mul, col, row)) for row in self.rows] for col in ut]
+            product = _symmetric_product(ut, gu_t)
+            self._memo = (key, [tuple(map(normalize, row)) for row in product])
+        return GramMatrix.trusted([list(row) for row in self._memo[1]])
 
     def det(self) -> Fraction:
         return mat_det(self.rows)

@@ -26,6 +26,7 @@ from indeflll.generators import (
     gen_worstcase,
 )
 from indeflll.reducer import ReducerParams, reduce
+from test_gram import count_products
 from test_reducer import mat_mul
 
 # the closing example: diag(1,-1,1,-1) admits a transform of infinite order
@@ -325,6 +326,29 @@ def test_verify_theorem_bound():
         verify_theorem_bound(res, gen_random_symmetric(3, 10, 6))
 
 
+def test_verify_theorem_bound_sees_a_transform_edited_in_place():
+    g = gen_random_symmetric(5, 50, 17)
+    res = reduce(g)
+    assert verify_theorem_bound(res, g).holds
+    res.transform[0][0] += 1
+    with pytest.raises(ValueError, match="does not belong"):
+        verify_theorem_bound(res, g)
+    res.transform[0][0] -= 1
+    assert verify_theorem_bound(res, g).holds
+
+
+def test_reduce_and_verify_form_one_product(monkeypatch):
+    """`verify_theorem_bound` takes over the U^T G U that `reduce`'s own
+    check formed from the same Gram and transform: one product, not two."""
+    calls = count_products(monkeypatch)
+    for seed in range(3):
+        g = gen_worstcase(4).congruence(gen_random_unimodular(8, 20, seed))
+        for run in (reduce, lambda gram: reduce(gram, ReducerParams(sign_strategy=False))):
+            calls[0] = 0
+            assert verify_theorem_bound(run(g), g).holds
+            assert calls[0] == 1
+
+
 def _reference_bound(result, gram):
     """lhs, rhs, slack, heuristic_rhs, holds, heuristic_holds, nondeg_det
     and signature of the quality bound, evaluated over Fraction powers."""
@@ -459,9 +483,15 @@ def test_hermitian_embed_doubles_signature():
 
 
 def test_remove_hyperbolic_plane():
-    out, u = remove_hyperbolic_plane(GramMatrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]]))
+    g3 = GramMatrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    out, u = remove_hyperbolic_plane(g3)
     assert out == GramMatrix([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert abs(mat_det(u)) == 1
+    # editing what one call returned leaves the next call's result alone
+    out.rows[0][0] = 7
+    u[0][0] = 5
+    assert remove_hyperbolic_plane(g3) == (GramMatrix([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                                           [[1, 1, 1], [1, 1, 0], [-1, 0, -1]])
     half = Fraction(1, 2)
     out, _ = remove_hyperbolic_plane(
         GramMatrix([[1, 0, 0], [0, 0, half], [0, half, 0]])

@@ -16,6 +16,7 @@ from indeflll.cli import (
 )
 from indeflll.errors import ParseError
 from indeflll.generators import gen_random_symmetric
+from test_gram import count_products
 
 
 def test_text_round_trip():
@@ -271,8 +272,28 @@ def test_cli_compare_isotropic_baseline(tmp_path, capsys):
     f.write_text("2\n0 1\n1 0\n")
     assert main(["compare", str(f)]) == EXIT_OK
     out = capsys.readouterr().out
-    assert "isotropic" in out
+    # the reason stands once, on its own line; the failed row holds "-"
+    assert out.count("isotropic") == 1
+    assert "baseline failed: isotropic GSO vector encountered at position 1\n" in out
+    baseline = next(line for line in out.splitlines() if line.startswith("baseline "))
+    assert baseline.split() == ["baseline"] + ["-"] * 7
     assert "no-sign" in out and "sign" in out
+
+
+def test_cli_certificates_form_each_product_once(tmp_path, capsys, monkeypatch):
+    """`verify` and `compare` form U^T G U once per transform: the bound's
+    congruence check takes over the product just formed."""
+    g = tmp_path / "g.txt"
+    g.write_text(format_matrix_text(gen_random_symmetric(6, 40, 11).rows))
+    red, u = tmp_path / "red.txt", tmp_path / "u.txt"
+    assert main(["reduce", str(g), "--out", str(red), "--emit-unimodular", str(u)]) == EXIT_OK
+    calls = count_products(monkeypatch)
+    assert main(["verify", str(g), str(u), str(red)]) == EXIT_OK
+    assert calls[0] == 1
+    calls[0] = 0
+    assert main(["compare", str(g)]) == EXIT_OK
+    assert "failed" not in capsys.readouterr().out
+    assert calls[0] == 3
 
 
 def test_cli_compare_identity_all_agree(tmp_path, capsys):

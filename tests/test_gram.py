@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import fraction_gso as ref
+from indeflll import gram as gram_module
 from indeflll.errors import InadmissiblePrefixError, LatticeError
 from indeflll.generators import gen_hyperbolic_stack, gen_random_unimodular, gen_worstcase
 from indeflll.gram import (
@@ -322,15 +323,69 @@ def test_congruence_matches_plain_product():
                 rows[i][j] = rows[j][i] = Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 3, 4, 6)))
         g = GramMatrix(rows)
         u = [[rng.randrange(-5, 6) for _ in range(d)] for _ in range(d)]
-        out = g.congruence(u)
-        assert out.rows == plain(g, u)
-        # entries with denominator 1 come back as ints, as GramMatrix keeps them
-        assert all(type(x) is int or x.denominator > 1 for row in out.rows for x in row)
+        # the second call takes the first's product over, and equals it
+        for out in (g.congruence(u), g.congruence(u)):
+            assert out.rows == plain(g, u)
+            # entries with denominator 1 come back as ints, as GramMatrix keeps them
+            assert all(type(x) is int or x.denominator > 1 for row in out.rows for x in row)
     for seed in range(4):
         g = gen_worstcase(5).congruence(gen_random_unimodular(10, 30, seed))
         r = reduce(g)
         assert max(abs(x).bit_length() for row in r.transform for x in row) > 500
-        assert g.congruence(r.transform).rows == plain(g, r.transform) == r.reduced.rows
+        for _ in range(2):
+            assert g.congruence(r.transform).rows == plain(g, r.transform) == r.reduced.rows
+
+
+def count_products(monkeypatch) -> list[int]:
+    """A one-item counter of the products `GramMatrix.congruence`
+    multiplies out, counted at `gram._symmetric_product`."""
+    calls = [0]
+    product = gram_module._symmetric_product
+
+    def counted(xs, ys):
+        calls[0] += 1
+        return product(xs, ys)
+
+    monkeypatch.setattr(gram_module, "_symmetric_product", counted)
+    return calls
+
+
+def test_congruence_forms_each_product_once(monkeypatch):
+    calls = count_products(monkeypatch)
+    g = GramMatrix([[2, 1, 0], [1, -3, 4], [0, 4, 5]])
+    u = [[1, 2, 0], [0, 1, 0], [1, -1, 1]]
+    first = g.congruence(u)
+    assert g.congruence(u) == first and calls[0] == 1
+    # a distinct matrix with equal entries, or a view of the same rows,
+    # keeps no product of the first
+    assert GramMatrix(g.copy_rows()).congruence(u) == first and calls[0] == 2
+    assert GramMatrix.trusted(g.rows).congruence(u) == first and calls[0] == 3
+    # another transform replaces the one product kept
+    v = mat_transpose(u)
+    assert g.congruence(v).rows == mat_mul(u, mat_mul(g.rows, v)) and calls[0] == 4
+    assert g.congruence(u) == first and calls[0] == 5
+
+
+def test_congruence_sees_entries_edited_in_place(monkeypatch):
+    calls = count_products(monkeypatch)
+    g = GramMatrix([[2, 1], [1, -3]])
+    u = [[1, 1], [0, 1]]
+    g.congruence(u)
+    g.rows[0][1] = g.rows[1][0] = 5
+    assert g.congruence(u).rows == mat_mul(mat_transpose(u), mat_mul(g.rows, u)) and calls[0] == 2
+    u[1][0] = -2
+    assert g.congruence(u).rows == mat_mul(mat_transpose(u), mat_mul(g.rows, u)) and calls[0] == 3
+
+
+def test_congruence_returns_a_fresh_matrix():
+    g = GramMatrix([[2, 1], [1, -3]])
+    u = [[1, 1], [0, 1]]
+    first = g.congruence(u)
+    want = first.copy_rows()
+    first.rows[0][0] = 99
+    first.rows[1] = [0, 0]
+    again = g.congruence(u)
+    assert again.rows == want and again is not first
 
 
 def _flagged_prefix(rng, d):
