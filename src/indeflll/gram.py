@@ -19,9 +19,11 @@ a vector's projection on the prefix, and its residual norm.  The GSO
 takes integral Grams only.  A build takes over the leading positions of
 a previous state that its caller vouches for, as the reducer does from
 its change log, and compares no rows itself: it cuts that state's lists
-and extends them in place, with the potential as a running product.
+and extends them in place, with the potential as a running product, and
+takes each row its caller already knows instead of building it.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -199,12 +201,9 @@ class GsoState:
     instead of computing them.  pot[i] is the potential (see `potential`)
     of the prefix through the block of position i, multiplied up as the
     positions are built, so both positions of a plane hold it after the
-    plane.  `boundary`, when set, is (key, row, rho)
-    of a vector w with key the products b(w, v_m) for m < upto followed
-    by b(w, w), row its lambda row and rho its scaled residual: a build
-    that extends this state by one position holding exactly that key
-    takes them over, and the reducer reads row and rho of the vector it
-    has just size-reduced from here.
+    plane.  The state holds the prefix alone: rows of vectors past it
+    that a caller already knows reach a build through its `known`
+    argument (see `auto_gso`).
     """
 
     upto: int
@@ -213,7 +212,6 @@ class GsoState:
     bad: frozenset[int]
     pot: list[tuple[int, int]]
     reused: int = field(default=0, compare=False)
-    boundary: tuple[list[int], list[int], int] | None = field(default=None, compare=False, repr=False)
 
     @property
     def det(self) -> int:
@@ -274,12 +272,6 @@ class GsoState:
         row and the integer norm b(w, w).  Adding prefix vectors to w
         leaves it unchanged."""
         return _scaled_residual(self.lam, self.dets, self.bad, row, norm, self.upto)
-
-    def hand_over(self, w: list[int], pos: int, row: list[int], rho: int) -> None:
-        """Leave the lambda row and scaled residual of the vector at `pos`,
-        whose Gram row is `w`, for a build that extends this state by that
-        vector (see `boundary`); `row` must not change afterwards."""
-        self.boundary = (w[: self.upto] + [w[pos]], row, rho)
 
     def projected_block(self, j: int, s: int, rho: int) -> tuple[int, int, int, int]:
         """(N1, S, N2) of the projected block of scalar position j and a
@@ -434,6 +426,7 @@ def auto_gso(
     upto: int | None = None,
     previous: GsoState | None = None,
     unchanged: int = 0,
+    known: Mapping[int, tuple] | None = None,
 ) -> GsoState:
     """Generalized GSO of the leading `upto` positions that detects
     hyperbolic pairs as they arise.
@@ -451,6 +444,12 @@ def auto_gso(
     read.  The Gram must be integral on the rows the build reads
     (ValueError otherwise, before `previous` is touched).  The state
     keeps nothing of `gram` itself.
+
+    `known` maps a position p to a tuple that starts with the lambda row
+    and the scaled residual of the vector at p against the p positions
+    before it (the reducer's `ReducerState.carry`); the build takes such
+    an entry at any position it computes in place of Cohen's recursion,
+    and the caller vouches that it is exact.
     """
     if upto is None:
         upto = gram.dim
@@ -462,9 +461,9 @@ def auto_gso(
         if not all(map(isinstance, rows[i][: i + 1], repeat(int))):
             raise ValueError("the generalized GSO expects an integral Gram matrix")
     if previous is None:
-        gso, hint = GsoState(upto=0, lam=[], dets=[], bad=frozenset(), pot=[]), None
+        gso = GsoState(upto=0, lam=[], dets=[], bad=frozenset(), pot=[])
     else:
-        gso, hint = previous, previous.boundary if keep == previous.upto else None
+        gso = previous
         del gso.lam[keep:], gso.dets[keep:], gso.pot[keep:]
     lam, dets, pot = gso.lam, gso.dets, gso.pot
     bad = {j for j in gso.bad if j < keep} if gso.bad else set()
@@ -472,12 +471,12 @@ def auto_gso(
     i = keep
     while i < upto:
         low = rows[i]
-        if hint is not None and hint[0] == low[: i + 1]:
-            _, row, diag = hint
+        entry = known.get(i) if known else None
+        if entry is not None:
+            row, diag = entry[:2]
         else:
             row = _lambda_row(lam, dets, bad, low, i)
             diag = _scaled_residual(lam, dets, bad, row, low[i], i)  # D'_i times the star norm
-        hint = None
         if diag:
             lam.append(row + [diag])
             dets.append(diag)
@@ -507,5 +506,5 @@ def auto_gso(
         pot += [(num, den)] * 2
         bad.add(i)
         i += 2
-    gso.upto, gso.bad, gso.reused, gso.boundary = upto, frozenset(bad), keep, None
+    gso.upto, gso.bad, gso.reused = upto, frozenset(bad), keep
     return gso

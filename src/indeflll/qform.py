@@ -232,18 +232,14 @@ def step_toward_reduced(f: Form, r: int, square: bool) -> tuple[Form, Mat]:
     return _act(f, step), step
 
 
-def _cycle_move(f: Form, r: int, square: bool) -> tuple[Form, Mat] | None:
-    """Continue along the cycle from a reduced indefinite form.
-
-    Non-square discs always step.  For square discs the (a, 0, -a)
-    shape alternates via the swap; the (a, r, 0) terminal shapes have
-    no further defined move and return None.
+def _cycle_move(f: Form, r: int) -> tuple[Form, Mat] | None:
+    """Continue along the cycle from a reduced indefinite form by the rho
+    step.  Only a zero trailing coefficient stops it: then b^2 = disc,
+    the (a, r, 0) terminal shape of a square disc, which has no further
+    defined move and returns None.  Every other shape steps, the
+    square-disc (a, 0, -a) included, since its c = -a is nonzero.
     """
-    if f[2] != 0:
-        return _rho(f, r)
-    if f[1] == 0:
-        return _act(f, _SWAP), _SWAP
-    return None
+    return _rho(f, r) if f[2] != 0 else None
 
 
 class IntegralWalk:
@@ -308,9 +304,9 @@ class IntegralWalk:
     def cycle(self, f: Form, steps: int, t: Mat = _ID) -> Iterator[tuple[Form, Mat]]:
         """Yield up to `steps` cycle moves on from f, reached by t; a
         square-disc terminal shape ends the walk early."""
-        r, square = self.root, self.square
+        r = self.root
         for _ in range(steps):
-            move = _cycle_move(f, r, square)
+            move = _cycle_move(f, r)
             if move is None:
                 return
             f, step = move
@@ -324,10 +320,10 @@ class IntegralWalk:
         repeats first (the move is deterministic, so the cycle would only
         come round again).  Each move is counted in `steps` as `cycle`
         counts it, but only the transform returned is composed."""
-        r, square = self.root, self.square
+        r = self.root
         seen, path = {f}, []
         for _ in range(steps):
-            move = _cycle_move(f, r, square)
+            move = _cycle_move(f, r)
             if move is None:
                 return None
             f, step = move

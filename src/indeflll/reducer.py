@@ -58,11 +58,12 @@ class ReducerParams:
             raise ValueError("max_extra must be non-negative")
 
 
-# The moves that carry a lambda row to the next size reduction of a
-# vector they move: a definite swap for the vector it moves back and the
-# one it moves forward, a placement for its fresh front, and a kept
-# placement for its reduced front.  Rows moved back and kept fronts are
-# settled (see `cleanup_size_reduce`).
+# Where a lambda row in `ReducerState.carry` came from: a definite swap
+# for the vector it moves back and the one it moves forward, a placement
+# for its fresh front, and "kept" for the row a clean-up ended with,
+# filed for the vector that stays against that prefix (a kept front, or
+# the reported vector of the main loop or the baseline).  Rows moved
+# back and kept rows are settled (see `cleanup_size_reduce`).
 CARRY_SOURCES = ("back", "forward", "front", "kept")
 _SETTLED = ("back", "kept")
 
@@ -133,15 +134,17 @@ class ReducerState:
     position that a move changed since the last prefix GSO refresh: the
     leading rows of the Gram below it, through the diagonal, are those
     that refresh read.
-    `carry` maps a position p to the exact (lambda row, scaled residual,
-    source) of the vector at p against the p positions before it, which
-    a move left there (see `CARRY_SOURCES`); the next size reduction of
-    that vector against that prefix takes it instead of building it.
-    Each move drops the entries it could change, so a move that carries
-    a row sets it after moving: `col_addmul` only its destination's, as
-    adding earlier vectors changes no star vector and no leading
-    determinant, and the other two every entry from their first
-    position on.
+    `carry` is the one store of known rows: it maps a position p to the
+    exact (lambda row, scaled residual, source) of the vector at p
+    against the p positions before it, which a move or a clean-up left
+    there (see `CARRY_SOURCES`).  The next size reduction of that vector
+    against that prefix takes its entry instead of building it, a GSO
+    build takes any entry at a position it computes, and the moves that
+    follow a clean-up read the cleaned vector's row from it.  Each move
+    drops the entries it could change, so a row is filed after the move:
+    `col_addmul` drops only its destination's, as adding earlier vectors
+    changes no star vector and no leading determinant, and the other two
+    every entry from their first position on.
     """
 
     def __init__(self, gram: GramMatrix, params: ReducerParams):
@@ -241,12 +244,13 @@ class ReducerState:
         Star vector i depends only on the leading (i+1)x(i+1) block, so
         the build takes the previously held state over, keeps it below
         `touched` (one place earlier when that would split a hyperbolic
-        pair) and extends it in place; `stats.gso_positions` counts the
-        positions it computes.  No row is compared, and the working Gram
-        is not copied.  A refresh that raises leaves no state held.
+        pair) and extends it in place, taking the rows `carry` knows;
+        `stats.gso_positions` counts the positions it computes.  No row
+        is compared, and the working Gram is not copied.  A refresh that
+        raises leaves no state held.
         """
         previous, self.gso = self.gso, None
-        self.gso = auto_gso(self._view, prefix, previous, self.touched)
+        self.gso = auto_gso(self._view, prefix, previous, self.touched, self.carry)
         self.touched = self.d
         self.stats.gso_positions += prefix - self.gso.reused
         return self.gso
@@ -335,7 +339,7 @@ def _take_row(state: ReducerState, pos: int, gso: GsoState) -> tuple[list[int], 
 
 def cleanup_size_reduce(
     state: ReducerState, pos: int, gso: GsoState
-) -> tuple[tuple[int | None, int], bool]:
+) -> tuple[list[int], int, bool]:
     """Size-reduce the vector at `pos` against the prefix held in `gso`.
 
     The last prefix position, when scalar, is handled by the clean-up
@@ -347,39 +351,31 @@ def cleanup_size_reduce(
     residual rho = D * b(w*, w*) unchanged.  Row and rho are built by
     Cohen's recursion only when no move left them for this vector and
     prefix in `state.carry` (see `_take_row`).  A settled row, moved back
-    by a definite swap or kept by a placement, came out of a clean-up
+    by a definite swap or kept after a clean-up, came out of a clean-up
     against this prefix or a longer one, so it is nearest-reduced below
     its top, a fixed point of `_size_reduce_below` (ties round toward
     zero), and that scan is skipped unless the last-position rule moves
     the vector; a row carried forward or to a placement's front is
-    scanned as a built one.  The row and rho are handed over to `gso`
-    for the build that extends it by this vector.  Returns (s, rho), with
-    s = lam_{w,j} against the last prefix position j when that is scalar
-    (else None), and whether the vector is a prefix zero: an integer
+    scanned as a built one.  Returns the row and rho the vector ends
+    with, which the caller files in `state.carry` for the vector it
+    keeps, and whether the vector is a prefix zero: an integer
     combination of the prefix plus a vector orthogonal to it and
     isotropic.  Rounding from the last position down takes integral
     coefficients off exactly (with rho = 0 the last-position rule is
     plain nearest rounding), so after it a prefix zero is exactly a zero
     residual with a zero lambda row, already orthogonal to the prefix.
     """
-    w = state.gc[pos]
     row, rho, settled = _take_row(state, pos, gso)
-    kappa = gso.upto
-    if kappa == 0:
-        gso.hand_over(w, pos, row, rho)
-        return (None, rho), rho == 0
-    top, s = kappa, None
-    if gso.is_scalar(kappa - 1):
+    top = gso.upto
+    if top and gso.is_scalar(top - 1):
         top -= 1
         lam = _cleanup_lambda(*gso.projected_block(top, row[top], rho)[:3])
         if lam:
             _add_prefix_vector(state, pos, row, gso, top, lam)
             settled = False
-        s = row[top]
     if not settled:
         _size_reduce_below(state, pos, row, gso, top)
-    gso.hand_over(w, pos, row, rho)
-    return (s, rho), rho == 0 and not any(row)
+    return row, rho, rho == 0 and not any(row)
 
 
 # ---------------------------------------------------------------------------
@@ -408,32 +404,34 @@ def _place_transformed_pair(state: ReducerState, k: int, t: Mat) -> int:
     No other column moved and U is nonsingular, so that is exactly when
     both new columns of U are +-the old ones; the sign transform then
     puts them back, the Gram (kept exactly U^T G U) returns bit for bit,
-    and so does `touched`.  The new columns are m11 v_prev + m21 w plus
+    and `touched` and `state.carry` are restored as they were.  The new columns are m11 v_prev + m21 w plus
     prefix vectors and m12 v_prev + m22 w, in swapped slots for a prefix
     zero, and the old columns of U are linearly independent: so the pair
     can return only when t is a signed permutation, diagonal without the
     swap and antidiagonal with it.  Only then are the columns copied and
     compared (the clean-up may still have added prefix vectors); every
-    other t is kept.  The front's row and rho, known from the pair's,
-    reach its clean-up through `state.carry`; a front kept first leaves
-    its reduced row and rho there for its next clean-up against the same
-    prefix.
+    other t is kept.  The row and rho of w, just size-reduced, are read
+    from `state.carry`, where they are filed at pos; the front's, known
+    from the pair's, reach its clean-up there too, and a front kept first
+    leaves its reduced row and rho there for its next clean-up against
+    the same prefix.
     """
     prev, pos = k - 2, k - 1
     u, touched, gso = state.u, state.touched, state.gso
     m11, m12, m21, m22 = t
     diagonal, antidiagonal = m12 == m21 == 0, m11 == m22 == 0
-    old = [[row[prev] for row in u], [row[pos] for row in u]] if diagonal or antidiagonal else None
-    # the front m11 v_prev + m21 w, for the w whose clean-up handed over to
-    # gso: its row through prev is m11 lam_prev + m21 lam_w, and its residual
-    # there m21^2 times w's, as the v_prev part lies in that prefix
-    _, row, rho = gso.boundary
+    old = carry = None
+    if diagonal or antidiagonal:
+        old, carry = [[row[prev] for row in u], [row[pos] for row in u]], dict(state.carry)
+    # the front m11 v_prev + m21 w: its row through prev is m11 lam_prev +
+    # m21 lam_w, and its residual there m21^2 times w's, as the v_prev part
+    # lies in that prefix
+    row, rho, _ = state.carry[pos]
     full = [m11 * x + m21 * y for x, y in zip(gso.lam[prev], row)]
     front = gso.row_before(prev, full, m21 * m21 * rho)
     state.col_transform2(prev, pos, t)
     state.carry[prev] = (*front, "front")
-    short = gso.truncated(prev)
-    zero = cleanup_size_reduce(state, prev, short)[1]
+    front_row, front_rho, zero = cleanup_size_reduce(state, prev, gso.truncated(prev))
     if zero:
         state.cyclic_shift(prev, pos)
     if (antidiagonal if zero else diagonal):
@@ -443,24 +441,25 @@ def _place_transformed_pair(state: ReducerState, k: int, t: Mat) -> int:
             signs.append(1 if col == was else -1 if col == [-x for x in was] else 0)
         if 0 not in signs:
             state.col_transform2(prev, pos, (signs[0], 0, 0, signs[1]))
-            state.touched = touched
+            state.touched, state.carry = touched, carry
             return +1
     if not zero:
-        state.carry[prev] = (*short.boundary[1:], "kept")
+        state.carry[prev] = (front_row, front_rho, "kept")
     state.stats.swaps += 1
     return -1
 
 
 def _swap_back(state: ReducerState, pos: int) -> None:
     """Swap the vector w at `pos`, just size-reduced against the prefix
-    held in `state.gso` (through the scalar position pos - 1), with the
-    vector v before it, and carry both rows to their next clean-ups.
+    held in `state.gso` (through the scalar position pos - 1) and with its
+    row and rho filed in `state.carry`, with the vector v before it, and
+    carry both rows to their next clean-ups.
     Moved back, w's row and rho step back past pos - 1.  Moved forward, v
     keeps its row through pos - 2 and gains s = lam_{w,pos-1} against w,
     as D'_{pos-1} b(v, w*) = D'_{pos-1} b(v*_{pos-1}, w); its rho is w's,
     the Gram determinant of the same vectors in another order."""
     gso = state.gso
-    _, row, rho = gso.boundary
+    row, rho, _ = state.carry[pos]
     prev = pos - 1
     back = gso.row_before(prev, row, rho)
     forward = gso.lam[prev][:prev] + [row[prev]]
@@ -510,8 +509,8 @@ def integrate_adherent(state: ReducerState, k: int, n1: int, s: int, n2: int) ->
     if s * s != n1 * n2:  # the residual norm is not zero
         raise ValueError("integrate_adherent requires an adherent vector")
     # after size reduction a prefix zero is a zero residual with a zero lambda
-    # row, and the clean-up handed that row over
-    if not any(gso.boundary[1]):
+    # row, and the clean-up filed that row in the carry
+    if not any(state.carry[k - 1][0]):
         raise ValueError("integrate_adherent rejects prefix zeroes")
     # the engine is scale invariant, so it takes the block times its denominator
     t = reduce_definite(BQForm(n1, 2 * s, n2))[1].entries()
@@ -590,15 +589,16 @@ def _indefinite_candidates(
     return first + second + repair
 
 
-def vector_reduce(state: ReducerState, k: int, residual: tuple[int, int]) -> int:
+def vector_reduce(state: ReducerState, k: int) -> int:
     """Reduce the projected block at 1-based (k-1, k) of the vector at
-    k-1, which `cleanup_size_reduce` has size-reduced and whose (s, rho)
-    it returned as `residual`.
+    k-1, which `cleanup_size_reduce` has size-reduced against the prefix
+    held in `state.gso` and whose row and rho are filed in `state.carry`.
 
     Under the sign strategy the new leading star norm is steered toward
     the sign opposite the previous scalar one.
     """
-    n1, s, n2, den = state.gso.projected_block(k - 2, *residual)
+    row, rho, _ = state.carry[k - 1]
+    n1, s, n2, den = state.gso.projected_block(k - 2, row[k - 2], rho)
     disc_alg = s * s - n1 * n2
     if disc_alg < 0:
         return _lovasz_definite(state, k, n1, n2)
@@ -734,7 +734,7 @@ def _finalize(state: ReducerState, rank: int) -> ReductionResult:
     for i in range(rank, state.d):
         if any(gram_out.rows[i][j] != 0 for j in range(state.d)):
             raise InternalInvariantError(f"tail row {i} is not exactly zero")
-    gso = auto_gso(gram_out, rank, state.gso, state.touched)
+    gso = auto_gso(gram_out, rank, state.gso, state.touched, state.carry)
     # U^T G U = G' exactly gives det G' = det(U)^2 det G.  At full rank
     # det G' = gso.det is nonzero, so |det U| = 1 exactly when the two
     # Gram determinants agree, and G's costs less than U's large entries.
@@ -784,12 +784,10 @@ def reduce(gram: GramMatrix, params: ReducerParams | None = None) -> ReductionRe
         _track_potential(state, prefix)
         reported_pos = None
         reported_pair = None
-        reported_residual = None
         for i in range(prefix, d):
-            residual, prefix_zero = cleanup_size_reduce(state, i, state.gso)
+            row, rho, prefix_zero = cleanup_size_reduce(state, i, state.gso)
             if not prefix_zero:
                 reported_pos = i
-                reported_residual = residual
                 break
             if i > prefix and state.gc[i - 1][i] != 0:
                 reported_pair = (i - 1, i)
@@ -810,13 +808,15 @@ def reduce(gram: GramMatrix, params: ReducerParams | None = None) -> ReductionRe
         if reported_pos is not None:
             state.stats.position_reports += 1
             state.cyclic_shift(prefix, reported_pos)
+            # settled: the row came out of a clean-up against exactly this prefix
+            state.carry[prefix] = (row, rho, "kept")
             if k == 1:
                 k = 2
                 continue
             if k >= 3 and (k - 3) in state.gso.bad:
                 k = plane_reduce(state, k, incoming_pair=False)
             else:
-                k = k + vector_reduce(state, k, reported_residual)
+                k = k + vector_reduce(state, k)
         else:
             state.stats.pair_reports += 1
             i, j = reported_pair
@@ -870,10 +870,9 @@ def reduce_baseline(gram: GramMatrix, gamma0: Rational = Fraction(99, 100)) -> R
             raise InternalInvariantError(f"baseline loop exceeded {cap} iterations")
         gso = _strict_gso(state, k - 1)
         pos = k - 1
-        w = state.gc[pos]
         row, rho, _ = _take_row(state, pos, gso)
         _size_reduce_below(state, pos, row, gso, k - 1)
-        gso.hand_over(w, pos, row, rho)
+        state.carry[pos] = (row, rho, "kept")
         n_prev, _, proj, _ = gso.projected_block(k - 2, row[k - 2], rho)
         if abs(proj) * gamma0.denominator < gamma0.numerator * abs(n_prev):
             _swap_back(state, pos)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -347,6 +348,8 @@ def test_cli_reduce_reports_lambda_row_sources(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_reduce_reports_gso_positions(tmp_path, capsys):
+    """`reduce --report structured` reports every `ReductionStats` counter,
+    the carried rows as one field per source."""
     from indeflll.analysis import verify_theorem_bound
     from indeflll.reducer import reduce
 
@@ -361,3 +364,7 @@ def test_cli_reduce_reports_gso_positions(tmp_path, capsys):
     assert doc["walk_steps"] == stats.walk_steps > 0
     assert doc["u_bits"] == stats.u_bits > 0 and doc["g_bits"] == stats.g_bits > 0
     assert doc["excess_definite_blocks"] == verify_theorem_bound(res, g).excess_definite
+    counters = dataclasses.asdict(stats)
+    carried = counters.pop("rows_carried")
+    assert {name: doc.get(name) for name in counters} == counters
+    assert {source: doc.get(f"rows_carried_{source}") for source in carried} == carried

@@ -537,12 +537,12 @@ def _check_refreshes(monkeypatch):
         _assert_same_gso(new, old, _tails(gram, prefix))
         for pos in range(prefix, self.d):
             a, b = _twin(self), _twin(self)
-            (s, rho), zero = cleanup_size_reduce(a, pos, new)
+            row, rho, zero = cleanup_size_reduce(a, pos, new)
             rnorm, old_zero = ref.cleanup_size_reduce(b, pos, old)
             assert (a.u, a.gc, zero) == (b.u, b.gc, old_zero)
             assert rho == rnorm * new.det
-            if s is not None:  # lam_{w,j} of the reduced vector, j the last position
-                assert s == old.star_product(b.gc[pos], prefix - 1) * new.truncated(prefix - 1).det
+            # lam_{w,m} = D'_m b(w, v*_m) of the reduced vector
+            assert row == [old.star_product(b.gc[pos], m) * new.before(m) for m in range(prefix)]
             seen["moved"] += a.u != self.u
         seen["refreshes"] += 1
         seen["planes"] += len(new.bad)

@@ -238,12 +238,21 @@ def test_cleanup_indefinite_window():
     assert qf_is_reduced(BQForm(n1, 2 * s, n2))
 
 
+def _clean_and_file(st, pos):
+    """Size-reduce the vector at `pos` against the held prefix GSO and file
+    its row and rho in the carry, as the main loop does for the vector it
+    reports; returns the row and rho."""
+    row, rho, _ = cleanup_size_reduce(st, pos, st.gso)
+    st.carry[pos] = (row, rho, "kept")
+    return row, rho
+
+
 def test_vector_reduce_trivial_plus_one():
     g = GramMatrix.identity(2)
     st = ReducerState(g, ReducerParams(sign_strategy=False))
     st.refresh_prefix_gso(1)
-    residual, _ = cleanup_size_reduce(st, 1, st.gso)
-    assert vector_reduce(st, 2, residual) == +1
+    _clean_and_file(st, 1)
+    assert vector_reduce(st, 2) == +1
     assert st.gc == GramMatrix.identity(2).copy_rows()
 
 
@@ -252,8 +261,8 @@ def test_vector_reduce_shrinks_front():
     g = GramMatrix([[4, 0], [0, -1]])
     st = ReducerState(g, ReducerParams(sign_strategy=False))
     st.refresh_prefix_gso(1)
-    residual, _ = cleanup_size_reduce(st, 1, st.gso)
-    change = vector_reduce(st, 2, residual)
+    _clean_and_file(st, 1)
+    change = vector_reduce(st, 2)
     assert change == -1
     assert abs(st.gc[0][0]) <= 2
     # transform stayed congruent and unimodular
@@ -276,8 +285,8 @@ def test_integrate_adherent_gcd():
     g = GramMatrix([[4, 2], [2, 1]])
     st = ReducerState(g, ReducerParams())
     st.refresh_prefix_gso(1)
-    residual, _ = cleanup_size_reduce(st, 1, st.gso)
-    change = integrate_adherent(st, 2, *st.gso.projected_block(0, *residual)[:3])
+    row, rho = _clean_and_file(st, 1)
+    change = integrate_adherent(st, 2, *st.gso.projected_block(0, row[0], rho)[:3])
     assert change == -1
     assert st.gc[0][0] == 1  # determinant dropped from 4 to 1
     assert st.stats.adherent_integrations == 1
@@ -289,9 +298,9 @@ def test_integrate_adherent_rejects_prefix_zero():
     g = GramMatrix([[1, 1], [1, 1]])
     st = ReducerState(g, ReducerParams())
     st.refresh_prefix_gso(1)
-    residual, _ = cleanup_size_reduce(st, 1, st.gso)
+    row, rho = _clean_and_file(st, 1)
     with pytest.raises(ValueError):
-        integrate_adherent(st, 2, *st.gso.projected_block(0, *residual)[:3])
+        integrate_adherent(st, 2, *st.gso.projected_block(0, row[0], rho)[:3])
 
 
 def test_vector_coupled_to_plane_moves_in_front():
@@ -683,14 +692,14 @@ def test_gso_and_size_reduction_create_no_fraction(monkeypatch):
     full = auto_gso(gram)
     st.refresh_prefix_gso(9)
     before = [row[:] for row in st.gc]
-    residual, prefix_zero = cleanup_size_reduce(st, 9, st.gso)
+    _, rho, prefix_zero = cleanup_size_reduce(st, 9, st.gso)
     deficient.refresh_prefix_gso(3)
-    zero_residual, zero = cleanup_size_reduce(deficient, 3, deficient.gso)
+    zero_row, zero_rho, zero = cleanup_size_reduce(deficient, 3, deficient.gso)
     monkeypatch.undo()
     assert created == []
-    assert full.upto == 10 and residual[1] != 0 and not prefix_zero
+    assert full.upto == 10 and rho != 0 and not prefix_zero
     assert st.gc != before  # the clean-up did move the vector
-    assert zero and zero_residual[1] == 0 and deficient.gc[3] == [0] * 4
+    assert zero and zero_rho == 0 and zero_row == [0] * 3 and deficient.gc[3] == [0] * 4
     assert Fraction(5) == 5  # the counter is gone again
 
 
@@ -701,22 +710,30 @@ def test_gso_positions_counts_computed_star_vectors():
     assert r.stats.loop_iterations == 4 and r.stats.gso_positions == 3
 
 
-def test_size_reduction_hands_over_exact_lambda_rows(monkeypatch):
-    """Every size reduction on the exactness corpus (both strategies and
-    the baseline) hands over the lambda row and scaled residual of the
-    vector it leaves, planes of the prefix included: the next build takes
-    them over instead of computing them."""
-    original = GsoState.hand_over
-    seen = {"rows": 0, "planes": 0}
+def test_gso_builds_take_exact_rows_from_the_carry(monkeypatch):
+    """Every lambda row and scaled residual the reducer's carry offers a
+    GSO build, in the prefix refreshes and the final build of both
+    strategies and the baseline on the exactness corpus, equals the pair
+    Cohen's recursion builds on the same Gram for that vector against the
+    positions before it, planes of the prefix included; so does each row
+    a build takes, at a position it computes, in place of the recursion."""
+    build = red.auto_gso
+    seen = collections.Counter()
 
-    def checked(self, w, pos, row, rho):
-        assert row == self.lambda_row(w)
-        assert rho == self.scaled_residual(row, w[pos])
-        seen["rows"] += 1
-        seen["planes"] += bool(self.bad)
-        original(self, w, pos, row, rho)
+    def checked(gram, upto, previous, unchanged, known):
+        keep = _reusable(previous, upto, unchanged)  # before the build takes `previous` over
+        for p, (row, rho, _) in known.items():
+            prefix, w = build(gram, p), gram.rows[p]
+            assert row == gram_mod._lambda_row(prefix.lam, prefix.dets, prefix.bad, w, p)
+            assert rho == gram_mod._scaled_residual(prefix.lam, prefix.dets, prefix.bad, row, w[p], p)
+            taken = keep <= p < upto  # p - 1 ends a block, so p is no plane's second
+            seen["rows"] += 1
+            seen["planes"] += bool(prefix.bad)
+            seen["taken"] += taken
+            seen["taken_planes"] += taken and bool(prefix.bad)
+        return build(gram, upto, previous, unchanged, known)
 
-    monkeypatch.setattr(GsoState, "hand_over", checked)
+    monkeypatch.setattr(red, "auto_gso", checked)
     for g in _exactness_corpus():
         for params in (ReducerParams(), ReducerParams(sign_strategy=False)):
             reduce(g, params)
@@ -724,7 +741,8 @@ def test_size_reduction_hands_over_exact_lambda_rows(monkeypatch):
             reduce_baseline(g)
         except LatticeError:
             pass
-    assert seen["rows"] > 3000 and seen["planes"] > 500
+    assert seen["rows"] > 3000 and seen["planes"] > 500, seen
+    assert seen["taken"] > 1500 and seen["taken_planes"] > 200, seen
 
 
 def test_carried_rows_are_exact(monkeypatch):
@@ -897,7 +915,7 @@ def test_clean_up_decides_once(monkeypatch):
 def test_change_log_survives_rolled_back_placements(monkeypatch):
     """A placement is rolled back exactly when it returns the old pair up to
     signs, which only a signed-permutation transform can; then it leaves
-    U, the Gram and `touched` as it found them (equal Grams do not pin U
+    U, the Gram, `touched` and the carry as it found them (equal Grams do not pin U
     when G is singular).  The rows below `touched` are those of the last
     refresh, and each refresh reuses what a full comparison with a copy
     of the Gram at the last refresh would reuse."""
@@ -906,11 +924,12 @@ def test_change_log_survives_rolled_back_placements(monkeypatch):
     refreshed = {}  # state -> its Gram at its last refresh
 
     def checked_place(state, k, t):
-        before = (state.touched, [row[:] for row in state.u], [row[:] for row in state.gc])
+        before = (state.touched, [row[:] for row in state.u], [row[:] for row in state.gc],
+                  dict(state.carry))
         change = place(state, k, t)
         pair = [([row[j] for row in before[1]], [row[j] for row in state.u]) for j in (k - 2, k - 1)]
         if change == +1:
-            assert (state.touched, state.u, state.gc) == before
+            assert (state.touched, state.u, state.gc, state.carry) == before
             assert tuple(map(abs, t)) in ((1, 0, 0, 1), (0, 1, 1, 0))  # a signed permutation
             seen["rollbacks"] += 1
         else:  # a kept pair never returns up to signs
