@@ -16,11 +16,11 @@ the prefix determinant by -alpha^2.  Rows follow Cohen's recursion and
 every division in it is exact.  The one rational view of these
 integers is `theta_and_residual_norm`: the coefficient vector theta of
 a vector's projection on the prefix, and its residual norm.  The GSO
-takes integral Grams only.  A build takes over the leading positions of
-a previous state that its caller vouches for, as the reducer does from
-its change log, and compares no rows itself: it cuts that state's lists
-and extends them in place, with the potential as a running product, and
-takes each row its caller already knows instead of building it.
+takes integral Grams only.  A build extends a previous state of the same
+Gram in place, with the potential as a running product, and takes each
+row its caller already knows instead of building it.  It compares no
+rows: whoever changes the Gram cuts the state (`GsoState.cut`) where
+the change begins, as the reducer's basis moves do.
 """
 
 from collections.abc import Mapping
@@ -145,7 +145,7 @@ class GramMatrix:
         return GramMatrix([row[:k] for row in self.rows[:k]])
 
     def congruence(self, u: list[list[int]]) -> "GramMatrix":
-        """U^T * G * U for a square integer matrix U, as a new matrix.
+        """U^T * G * U for a dim x dim integer matrix U, as a new matrix.
 
         The product is formed once per G and U: the instance keeps its
         last one, keyed by snapshots of the entries of G and of U, so a
@@ -154,7 +154,11 @@ class GramMatrix:
         and an entry of either edited in place in between misses.  A
         miss forms G U once, as the rows of its transpose U^T G, then
         `_symmetric_product`, which is square and symmetric by
-        construction, so its entries are only normalized."""
+        construction, so its entries are only normalized.  A U of another
+        shape raises ValueError."""
+        n = len(self.rows)
+        if len(u) != n or any(len(row) != n for row in u):
+            raise ValueError(f"the transform must be {n}x{n}")
         key = (tuple(map(tuple, self.rows)), tuple(map(tuple, u)))
         if self._memo is None or self._memo[0] != key:
             ut = list(zip(*key[1]))
@@ -245,6 +249,18 @@ class GsoState:
         signs = [self.norm_sign(i) for i in range(self.upto)]
         planes = len(self.bad)
         return signs.count(1) + planes, signs.count(-1) + planes
+
+    def cut(self, first: int) -> None:
+        """Drop the positions from `first` on, in place, and the whole
+        hyperbolic plane that `first` would split; a cut at or past `upto`
+        changes nothing."""
+        if first >= self.upto:
+            return
+        if first and (first - 1) in self.bad:
+            first -= 1
+        del self.lam[first:], self.dets[first:], self.pot[first:]
+        self.bad = frozenset(j for j in self.bad if j < first)
+        self.upto = first
 
     def truncated(self, upto: int) -> "GsoState":
         """Restrict to the leading `upto` positions (no pair may split)."""
@@ -405,27 +421,10 @@ def _scaled_residual(lam, dets, bad, row: list[int], norm: int, upto: int) -> in
     return u
 
 
-def _reusable(previous: GsoState | None, upto: int, unchanged: int) -> int:
-    """How many leading positions of `previous` a build takes over.
-
-    Row i depends only on the leading (i+1)x(i+1) block, and the caller
-    vouches that the leading `unchanged` rows, through the diagonal, are
-    those `previous` was built from; the count stops there, one place
-    earlier when that would split a hyperbolic pair.
-    """
-    if previous is None:
-        return 0
-    keep = min(upto, previous.upto, unchanged)
-    if keep and (keep - 1) in previous.bad:
-        keep -= 1
-    return keep
-
-
 def auto_gso(
     gram: GramMatrix,
     upto: int | None = None,
     previous: GsoState | None = None,
-    unchanged: int = 0,
     known: Mapping[int, tuple] | None = None,
 ) -> GsoState:
     """Generalized GSO of the leading `upto` positions that detects
@@ -433,17 +432,17 @@ def auto_gso(
 
     A zero star norm starts a pair (j, j+1), which must have both star
     norms zero and a nonzero cross product; anything else reports an
-    inadmissible prefix.  The caller vouches that the leading `unchanged`
-    rows of `gram`, through the diagonal, equal those `previous` (a GSO
-    of an earlier Gram) was built from; the positions they determine are
-    taken over, not recomputed (see `_reusable`), and no row is compared.
-    The build takes `previous` over: it cuts its lists at the positions
-    it keeps, extends them in place and returns `previous` itself as the
-    new state, so a caller that still needs the old state passes a copy;
-    after a build that raises, `previous` is half built and must not be
-    read.  The Gram must be integral on the rows the build reads
-    (ValueError otherwise, before `previous` is touched).  The state
-    keeps nothing of `gram` itself.
+    inadmissible prefix.  `previous`, when given, is a GSO of the leading
+    `previous.upto` positions of `gram` itself: whoever changed the Gram
+    since it was built has cut it where the change begins (see
+    `GsoState.cut`).  The build takes it over, cut to `upto`, keeps its
+    positions without recomputing or comparing them, extends its lists in
+    place and returns `previous` itself as the new state, so a caller that
+    still needs the old state passes a copy; after a build that raises an
+    inadmissible prefix, `previous` is half built and must not be read.
+    The Gram must be integral on the rows the build reads (ValueError
+    otherwise, raised before `previous` is cut).  The state keeps nothing
+    of `gram` itself.
 
     `known` maps a position p to a tuple that starts with the lambda row
     and the scaled residual of the vector at p against the p positions
@@ -453,20 +452,19 @@ def auto_gso(
     """
     if upto is None:
         upto = gram.dim
-    keep = _reusable(previous, upto, unchanged)
     rows = gram.rows
-    # the leading `keep` rows are vouched for by the integral `previous`,
-    # and the lower triangle of the others holds every entry the build reads
-    for i in range(keep, upto):
+    # `previous` was built from integral rows of this Gram, and the lower
+    # triangle of the others holds every entry the build reads
+    for i in range(min(upto, previous.upto) if previous else 0, upto):
         if not all(map(isinstance, rows[i][: i + 1], repeat(int))):
             raise ValueError("the generalized GSO expects an integral Gram matrix")
     if previous is None:
         gso = GsoState(upto=0, lam=[], dets=[], bad=frozenset(), pot=[])
     else:
         gso = previous
-        del gso.lam[keep:], gso.dets[keep:], gso.pot[keep:]
-    lam, dets, pot = gso.lam, gso.dets, gso.pot
-    bad = {j for j in gso.bad if j < keep} if gso.bad else set()
+        gso.cut(upto)
+    lam, dets, pot, keep = gso.lam, gso.dets, gso.pot, gso.upto
+    bad = set(gso.bad)
     num, den = pot[-1] if pot else (1, 1)
     i = keep
     while i < upto:

@@ -130,21 +130,21 @@ class ReducerState:
     column moves multiply out only the moved columns and copy them into
     the moved rows.  They assign those rows in place, so every row list
     of `gc` keeps its identity (a clean-up holds `gc[pos]` across moves),
-    and only `cyclic_shift` reorders them.  `touched` is the first
-    position that a move changed since the last prefix GSO refresh: the
-    leading rows of the Gram below it, through the diagonal, are those
-    that refresh read.
+    and only `cyclic_shift` reorders them.
     `carry` is the one store of known rows: it maps a position p to the
     exact (lambda row, scaled residual, source) of the vector at p
     against the p positions before it, which a move or a clean-up left
     there (see `CARRY_SOURCES`).  The next size reduction of that vector
     against that prefix takes its entry instead of building it, a GSO
     build takes any entry at a position it computes, and the moves that
-    follow a clean-up read the cleaned vector's row from it.  Each move
-    drops the entries it could change, so a row is filed after the move:
-    `col_addmul` drops only its destination's, as adding earlier vectors
-    changes no star vector and no leading determinant, and the other two
-    every entry from their first position on.
+    follow a clean-up read the cleaned vector's row from it.  `gso` is
+    the prefix GSO, held between refreshes, and always exact for the
+    leading `gso.upto` positions of the current `gc`.  Both follow one
+    rule (see `_forget`): each move drops what it could change, so a row
+    is filed after the move.  `col_addmul` drops only its destination's
+    carried row, as adding earlier vectors changes no star vector and no
+    leading determinant, and the other two every entry from their first
+    position on; every move cuts `gso` at that same position.
     """
 
     def __init__(self, gram: GramMatrix, params: ReducerParams):
@@ -156,15 +156,21 @@ class ReducerState:
         self._view = GramMatrix.trusted(self.gc)  # the refreshes' view of gc, never copied
         self.stats = ReductionStats()
         self.gso: GsoState | None = None  # GSO of the current prefix
-        self.touched = 0
         self.carry: dict[int, tuple[list[int], int, str]] = {}
         self._pot_max_dim = 0
         self._pot_last = (1, 1)  # potential as (numerator, positive denominator)
 
-    def _drop_carry(self, first: int) -> None:
-        """Forget the carried rows of the positions from `first` on."""
-        if self.carry:
+    def _forget(self, first: int, alone: bool = False) -> None:
+        """Drop what a move of the vectors from `first` on could change:
+        the carried rows from `first` on (only the one at `first` when
+        `alone`, as the move adds earlier vectors to it) and the held GSO's
+        positions from `first` on (see `GsoState.cut`)."""
+        if alone:
+            self.carry.pop(first, None)
+        elif self.carry:
             self.carry = {p: c for p, c in self.carry.items() if p < first}
+        if self.gso is not None:
+            self.gso.cut(first)
 
     # -- elementary column operations (kept congruent on gc) --------------
 
@@ -172,11 +178,7 @@ class ReducerState:
         """v_dst += coef * v_src."""
         if coef == 0 or dst == src:
             return
-        self.touched = min(self.touched, dst)
-        if src < dst:
-            self.carry.pop(dst, None)
-        else:
-            self._drop_carry(dst)
+        self._forget(dst, alone=src < dst)
         for row in self.u:
             row[dst] += coef * row[src]
         gc = self.gc
@@ -191,8 +193,7 @@ class ReducerState:
     def col_transform2(self, p: int, q: int, t: Mat) -> None:
         """(v_p, v_q) <- (m11 v_p + m21 v_q, m12 v_p + m22 v_q) for the
         entries t = (m11, m12, m21, m22) of a 2x2 transform."""
-        self.touched = min(self.touched, p, q)
-        self._drop_carry(min(p, q))
+        self._forget(min(p, q))
         m11, m12, m21, m22 = t
         for row in self.u:
             a, b = row[p], row[q]
@@ -219,8 +220,7 @@ class ReducerState:
         """(v_dst, ..., v_src) -> (v_src, v_dst, ..., v_{src-1})."""
         if dst == src:
             return
-        self.touched = min(self.touched, dst)
-        self._drop_carry(dst)
+        self._forget(dst)
         gc = self.gc
         if src == dst + 1:  # an adjacent swap, made in place
             for row in self.u:
@@ -241,17 +241,16 @@ class ReducerState:
         """Hold the GSO of the leading `prefix` positions of the current
         Gram in `self.gso`.
 
-        Star vector i depends only on the leading (i+1)x(i+1) block, so
-        the build takes the previously held state over, keeps it below
-        `touched` (one place earlier when that would split a hyperbolic
-        pair) and extends it in place, taking the rows `carry` knows;
-        `stats.gso_positions` counts the positions it computes.  No row
-        is compared, and the working Gram is not copied.  A refresh that
-        raises leaves no state held.
+        Star vector i depends only on the leading (i+1)x(i+1) block, and
+        every move since the last refresh has cut the held state where it
+        changed the Gram, so the build takes that state over as it stands,
+        cut to `prefix`, and extends it in place, taking the rows `carry`
+        knows; `stats.gso_positions` counts the positions it computes.  No
+        row is compared, and the working Gram is not copied.  A refresh
+        that raises leaves no state held.
         """
         previous, self.gso = self.gso, None
-        self.gso = auto_gso(self._view, prefix, previous, self.touched, self.carry)
-        self.touched = self.d
+        self.gso = auto_gso(self._view, prefix, previous, self.carry)
         self.stats.gso_positions += prefix - self.gso.reused
         return self.gso
 
@@ -398,31 +397,33 @@ def _place_transformed_pair(state: ReducerState, k: int, t: Mat) -> int:
     """Apply a block transform, as its entries (m11, m12, m21, m22), at
     (k-1, k) and run the placement tests.
 
-    The new front vector is size-reduced against the shorter prefix,
-    classified, and the pair is kept (front first, or swapped when the
-    front is a prefix zero) unless it equals the old pair up to signs.
-    No other column moved and U is nonsingular, so that is exactly when
-    both new columns of U are +-the old ones; the sign transform then
-    puts them back, the Gram (kept exactly U^T G U) returns bit for bit,
-    and `touched` and `state.carry` are restored as they were.  The new columns are m11 v_prev + m21 w plus
-    prefix vectors and m12 v_prev + m22 w, in swapped slots for a prefix
-    zero, and the old columns of U are linearly independent: so the pair
-    can return only when t is a signed permutation, diagonal without the
-    swap and antidiagonal with it.  Only then are the columns copied and
-    compared (the clean-up may still have added prefix vectors); every
-    other t is kept.  The row and rho of w, just size-reduced, are read
-    from `state.carry`, where they are filed at pos; the front's, known
-    from the pair's, reach its clean-up there too, and a front kept first
-    leaves its reduced row and rho there for its next clean-up against
-    the same prefix.
+    The new front vector is size-reduced against the shorter prefix (the
+    held GSO, which the transform cuts at the pair), classified, and the
+    pair is kept (front first, or swapped when the front is a prefix
+    zero) unless it equals the old pair up to signs.  No other column
+    moved and U is nonsingular, so that is exactly when both new columns
+    of U are +-the old ones; the sign transform then puts them back, the
+    Gram (kept exactly U^T G U) returns bit for bit, and the held GSO and
+    `state.carry` are restored from copies.  The new columns are
+    m11 v_prev + m21 w plus prefix vectors and m12 v_prev + m22 w, in
+    swapped slots for a prefix zero, and the old columns of U are linearly
+    independent: so the pair can return only when t is a signed
+    permutation, diagonal without the swap and antidiagonal with it.  Only
+    then are the columns and the state copied and compared (the clean-up
+    may still have added prefix vectors); every other t is kept.  The row
+    and rho of w, just size-reduced, are read from `state.carry`, where
+    they are filed at pos; the front's, known from the pair's, reach its
+    clean-up there too, and a front kept first leaves its reduced row and
+    rho there for its next clean-up against the same prefix.
     """
     prev, pos = k - 2, k - 1
-    u, touched, gso = state.u, state.touched, state.gso
+    u, gso = state.u, state.gso
     m11, m12, m21, m22 = t
     diagonal, antidiagonal = m12 == m21 == 0, m11 == m22 == 0
-    old = carry = None
+    old = held = carry = None
     if diagonal or antidiagonal:
-        old, carry = [[row[prev] for row in u], [row[pos] for row in u]], dict(state.carry)
+        old = [[row[prev] for row in u], [row[pos] for row in u]]
+        held, carry = gso.truncated(gso.upto), dict(state.carry)
     # the front m11 v_prev + m21 w: its row through prev is m11 lam_prev +
     # m21 lam_w, and its residual there m21^2 times w's, as the v_prev part
     # lies in that prefix
@@ -431,7 +432,7 @@ def _place_transformed_pair(state: ReducerState, k: int, t: Mat) -> int:
     front = gso.row_before(prev, full, m21 * m21 * rho)
     state.col_transform2(prev, pos, t)
     state.carry[prev] = (*front, "front")
-    front_row, front_rho, zero = cleanup_size_reduce(state, prev, gso.truncated(prev))
+    front_row, front_rho, zero = cleanup_size_reduce(state, prev, gso)
     if zero:
         state.cyclic_shift(prev, pos)
     if (antidiagonal if zero else diagonal):
@@ -441,7 +442,7 @@ def _place_transformed_pair(state: ReducerState, k: int, t: Mat) -> int:
             signs.append(1 if col == was else -1 if col == [-x for x in was] else 0)
         if 0 not in signs:
             state.col_transform2(prev, pos, (signs[0], 0, 0, signs[1]))
-            state.touched, state.carry = touched, carry
+            state.gso, state.carry = held, carry
             return +1
     if not zero:
         state.carry[prev] = (front_row, front_rho, "kept")
@@ -734,7 +735,7 @@ def _finalize(state: ReducerState, rank: int) -> ReductionResult:
     for i in range(rank, state.d):
         if any(gram_out.rows[i][j] != 0 for j in range(state.d)):
             raise InternalInvariantError(f"tail row {i} is not exactly zero")
-    gso = auto_gso(gram_out, rank, state.gso, state.touched, state.carry)
+    gso = auto_gso(gram_out, rank, state.gso, state.carry)
     # U^T G U = G' exactly gives det G' = det(U)^2 det G.  At full rank
     # det G' = gso.det is nonzero, so |det U| = 1 exactly when the two
     # Gram determinants agree, and G's costs less than U's large entries.

@@ -337,6 +337,20 @@ def test_verify_theorem_bound_sees_a_transform_edited_in_place():
     assert verify_theorem_bound(res, g).holds
 
 
+def test_verify_theorem_bound_refuses_a_result_of_another_dimension():
+    """A 3x3 result checked against a 4x4 input whose leading block is the
+    3x3 one used to hold, with rank 3: the product U^T G U stopped at the
+    shorter side of the 3x3 U."""
+    g3 = GramMatrix([[0, 2, 3], [2, 0, 1], [3, 1, 0]])
+    g4 = GramMatrix([[0, 2, 3, 1], [2, 0, 1, 0], [3, 1, 0, 2], [1, 0, 2, 5]])
+    with pytest.raises(ValueError, match="must be 4x4"):
+        verify_theorem_bound(reduce(g3), g4)
+    with pytest.raises(ValueError, match="must be 4x4"):
+        g4.congruence([[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="must be 4x4"):
+        g4.congruence([[1, 0, 0, 0]] * 3 + [[0, 0, 1]])
+
+
 def test_reduce_and_verify_form_one_product(monkeypatch):
     """`verify_theorem_bound` takes over the U^T G U that `reduce`'s own
     check formed from the same Gram and transform: one product, not two."""

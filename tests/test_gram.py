@@ -430,6 +430,51 @@ def test_residual_norm_matches_fraction_reference():
     assert planes > 20
 
 
+def _unsplit(bad, n: int) -> int:
+    """`n`, one less when it would split the hyperbolic plane at n - 1."""
+    return n - 1 if n and (n - 1) in bad else n
+
+
+def test_gso_cut_drops_whole_planes():
+    """`GsoState.cut(first)` keeps, in place, the GSO of the leading
+    `first` positions, one fewer when that would split a plane; a cut at
+    or past `upto` changes nothing."""
+    rng = random.Random(29)
+    split = 0
+    for _ in range(60):
+        d = rng.randrange(1, 8)
+        g = _flagged_prefix(rng, d)
+        full = auto_gso(g)
+        for first in range(d + 2):
+            st = copy.deepcopy(full)
+            lam = st.lam
+            st.cut(first)
+            keep = _unsplit(full.bad, min(first, d))
+            assert st == auto_gso(g, keep) and st.lam is lam
+            split += keep < first <= d
+    assert split > 20
+
+
+def test_refused_build_leaves_previous_as_it_was():
+    """A build that meets a non-integral row raises before it changes the
+    state it was given."""
+    rng = random.Random(37)
+    for _ in range(20):
+        g = _flagged_prefix(rng, 6)
+        previous = auto_gso(g, _unsplit(auto_gso(g).bad, rng.randrange(0, 5)))
+        lists = (previous.lam, previous.dets, previous.pot)
+        before = copy.deepcopy(previous)
+        rows = g.copy_rows()
+        i = rng.randrange(previous.upto, 6)
+        j = rng.randrange(0, i + 1)
+        rows[i][j] = rows[j][i] = rows[i][j] + Fraction(1, 2)
+        for upto in range(i + 1, 7):
+            with pytest.raises(ValueError):
+                auto_gso(GramMatrix(rows), upto, previous)
+            assert previous == before and previous.reused == before.reused
+            assert all(a is b for a, b in zip((previous.lam, previous.dets, previous.pot), lists))
+
+
 def test_gso_from_previous_state_matches_fresh():
     rng = random.Random(23)
     reused = 0
@@ -447,21 +492,22 @@ def test_gso_from_previous_state_matches_fresh():
         full = auto_gso(g)
         cuts = [u for u in range(d + 1) if not (u > 0 and (u - 1) in full.bad)]
         previous = auto_gso(g, rng.choice(cuts))
+        # the rows from `start` on changed, so a copy cut there is a GSO of
+        # the new Gram; a build takes the state it is given over
+        want = _unsplit(previous.bad, min(previous.upto, start))
         for upto in range(d + 1):
-            # rows below `start` are unchanged, and the caller vouches for them;
-            # a build takes the state it is given over, so each gets a copy
+            taken = copy.deepcopy(previous)
+            taken.cut(start)
             try:
                 fresh = auto_gso(g2, upto)
             except InadmissiblePrefixError as exc:
                 with pytest.raises(InadmissiblePrefixError) as again:
-                    auto_gso(g2, upto, copy.deepcopy(previous), start)
+                    auto_gso(g2, upto, taken)
                 assert (str(again.value), again.value.index) == (str(exc), exc.index)
                 continue
-            taken = copy.deepcopy(previous)
-            built = auto_gso(g2, upto, taken, start)
+            built = auto_gso(g2, upto, taken)
             assert built is taken and built == fresh  # every field but `reused`
-            assert built.reused <= min(upto, previous.upto, start)
-            assert auto_gso(g2, upto, copy.deepcopy(previous)).reused == 0  # nothing vouched for
+            assert built.reused == _unsplit(previous.bad, min(upto, want))
             reused += built.reused
     assert reused > 100
 
@@ -485,15 +531,18 @@ def _tails(gram, upto):
     return [(gram.rows[t][:upto], gram.rows[t][t]) for t in range(upto, gram.dim)]
 
 
-def _compare_build(gram, upto, previous=(None, None), tails=(), unchanged=0):
+def _compare_build(gram, upto, previous=(None, None), tails=(), first=0):
     """Build the integral GSO and the reference from the same previous
     states, or check that both refuse the prefix with the same message
-    and index.  The integral build takes over the rows below `unchanged`,
-    and the reference as many as it finds unchanged by comparing them;
-    the integral build takes a copy of its previous state over.  Returns
-    the two states, or None."""
+    and index.  The integral build takes over a copy of its previous
+    state, cut at `first`, the first row of `gram` that changed since,
+    and the reference as many rows as it finds unchanged by comparing
+    them.  Returns the two states, or None."""
     def build():
-        return auto_gso(gram, upto, copy.deepcopy(previous[0]), unchanged)
+        taken = copy.deepcopy(previous[0])
+        if taken is not None:
+            taken.cut(first)
+        return auto_gso(gram, upto, taken)
 
     try:
         old = ref._build_gso(gram, upto, previous[1])
@@ -566,8 +615,8 @@ def _rational(rng, rows, dens):
 
 def _changed(rng, gram):
     """`gram` with some entries changed from a random row on, symmetrically,
-    and the first row that changed through the diagonal, as a change log
-    would report it."""
+    and the first row that changed through the diagonal, where a move
+    would cut the GSO."""
     rows = gram.copy_rows()
     for i in range(rng.randrange(0, gram.dim + 1), gram.dim):
         for j in range(gram.dim):
@@ -605,5 +654,5 @@ def test_integral_gso_matches_fraction_gso(monkeypatch):
             # reuse from this state on a changed Gram
             for _ in range(2):
                 changed, first = _changed(rng, g)
-                _compare_build(changed, rng.randrange(0, g.dim + 1), pair, unchanged=first)
+                _compare_build(changed, rng.randrange(0, g.dim + 1), pair, first=first)
     assert planes > 150

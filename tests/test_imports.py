@@ -1,10 +1,21 @@
-"""Every imported name in the library, the tests and the demos is used."""
+"""Every imported name in the library, the tests and the demos is used,
+and every function of the library has a caller outside the tests."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src/indeflll", "tests", "demos")
+LIBRARY = "src/indeflll"
+# where a reference keeps a library function alive: the library itself,
+# the demos and the benchmark (whose tracing targets name functions in strings)
+USERS = (LIBRARY, "demos", "perfbench")
+# library functions that only the tests call, with the reason each stays
+TEST_ONLY = {
+    "Transform2.compose": "the Fraction reference walk in tests/fraction_walk.py composes its moves",
+    "GramMatrix.zeros": "the tests build empty and all-zero Grams with it",
+    "GsoState.potential": "the tests check the builds' running product against it",
+}
 
 
 def unused_imports(path: Path, root: Path = ROOT) -> list[str]:
@@ -46,3 +57,75 @@ def test_no_unused_imports():
     files = sorted(p for d in SCANNED for p in (ROOT / d).rglob("*.py"))
     assert len(files) > 20
     assert [hit for path in files for hit in unused_imports(path)] == []
+
+
+def defined_functions(path: Path) -> dict[str, list[str]]:
+    """The functions and methods `path` defines, nested ones included, as
+    bare name -> qualified names ("Class.method"); dunder methods, which
+    Python calls itself, are left out."""
+    out: dict[str, list[str]] = {}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+                if not (name.startswith("__") and name.endswith("__")):
+                    out.setdefault(name, []).append(owner + name)
+                visit(child, f"{owner}{name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{owner}{child.name}.")
+            else:
+                visit(child, owner)
+
+    visit(ast.parse(path.read_text(), str(path)), "")
+    return out
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Every name `path` reads, attribute names and whole string constants
+    included (so a tracing target or an `__all__` entry counts)."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def functions_without_users(root: Path = ROOT, library: str = LIBRARY, users=USERS) -> list[str]:
+    """Qualified names of the library functions whose bare name nothing
+    under `users` references.  Names are matched bare, so a method shares
+    a reference with any function of the same name."""
+    defined: dict[str, list[str]] = {}
+    for path in sorted((root / library).rglob("*.py")):
+        for name, qualified in defined_functions(path).items():
+            defined.setdefault(name, []).extend(qualified)
+    used = set().union(*(referenced_names(p) for d in users for p in (root / d).rglob("*.py")))
+    return sorted(q for name, qs in defined.items() if name not in used for q in qs)
+
+
+def test_scan_finds_functions_without_users(tmp_path):
+    (tmp_path / "lib").mkdir()
+    (tmp_path / "use").mkdir()
+    (tmp_path / "lib" / "m.py").write_text(
+        "class A:\n"
+        "    def __eq__(self, other): return True\n"
+        "    def called(self): return self.helper()\n"
+        "    def helper(self): return 1\n"
+        "    def orphan(self): return 2\n"
+        "def named(): pass\n"
+        "def lonely():\n"
+        "    def inner(): pass\n"
+        "    return inner\n"
+    )
+    (tmp_path / "use" / "u.py").write_text("TARGETS = [('x', 'named')]\nA().called()\n")
+    assert functions_without_users(tmp_path, "lib", ("lib", "use")) == ["A.orphan", "lonely"]
+
+
+def test_library_functions_have_users_outside_the_tests():
+    assert functions_without_users() == sorted(TEST_ONLY)
+    # and the tests do call those
+    assert functions_without_users(users=USERS + ("tests",)) == []
