@@ -267,19 +267,23 @@ def verify_theorem_bound(result: ReductionResult, gram_in: GramMatrix) -> BoundR
     denominators; the rational fields of the report are built once from
     the same integers.  The informational variant with base 4/3 and unit
     constants is reported alongside, against the same lhs, and so is the
-    signature of the reduced block structure.
+    signature of the reduced block structure.  The definite blocks and
+    sigma are read off the result's Gram, not its other fields, and rows
+    from `rank` on that are not all zero are refused (ValueError).
     """
     # the product reduce's own check formed, unless G or U changed since
     if gram_in.congruence(result.transform) != result.reduced:
         raise ValueError("result does not belong to this input (congruence fails)")
+    ell = result.rank
+    if any(any(row) for row in result.reduced.rows[ell:]):
+        raise ValueError(f"the reduced Gram has a nonzero row past its rank {ell}")
     gamma0 = result.params.gamma0
     if gamma0 <= Fraction(1, 4):
         raise ValueError("the bound constant requires gamma0 > 1/4")
-    ell = result.rank
     if ell == 0:
         one = Fraction(1)
         return BoundReport(0, 0, one, Fraction(0), one, True, None, one, True, 0, 0)
-    # one GSO of the leading rank block gives |det| and the signature;
+    # one GSO of the leading rank block gives |det| and its star-norm signs;
     # an admissible block is nonsingular, so a singular one is refused
     try:
         gso = auto_gso(result.reduced, ell)
@@ -290,7 +294,9 @@ def verify_theorem_bound(result: ReductionResult, gram_in: GramMatrix) -> BoundR
     det = abs(gso.det)
     # the GSO read the leading block, so the entry there is an integer
     first_pow = abs(result.first_entry()).numerator ** ell
-    sum_n = result.sum_definite_exponent()
+    signs = [gso.norm_sign(i) for i in range(ell)]  # 0 inside a plane
+    definite = [p for p in range(ell - 1) if signs[p] == signs[p + 1] != 0]
+    sum_n = sum(ell - 1 - p for p in definite)
     # first^ell * p^e * (q(4p - q))^N <= q^e * (4p^2)^N * |det|, with the
     # powers of p and q common to both sides cancelled first: that keeps
     # the integers, and the gcd that normalizes rhs, small
@@ -300,9 +306,8 @@ def verify_theorem_bound(result: ReductionResult, gram_in: GramMatrix) -> BoundR
     rhs_num = q ** (e - kq) * 4**sum_n * p ** (2 * sum_n - kp) * det
     rhs_den = p ** (e - kp) * q ** (sum_n - kq) * (4 * p - q) ** sum_n
     lhs, rhs = Fraction(first_pow), Fraction(rhs_num, rhs_den)
-    # signature read off the reduced block structure
-    n_pos, n_neg = gso.sign_counts()
-    sig = abs(n_pos - n_neg)
+    # signature read off the reduced block structure, a plane adding 0
+    sig = abs(signs.count(1) - signs.count(-1))
     h = sig * (sig - 1)
     heur_num, heur_den = 4**h * det, 3**h
     return BoundReport(
@@ -315,7 +320,7 @@ def verify_theorem_bound(result: ReductionResult, gram_in: GramMatrix) -> BoundR
         slack=rhs / lhs if first_pow else None,
         heuristic_rhs=Fraction(heur_num, heur_den),
         heuristic_holds=first_pow * heur_den <= heur_num,
-        excess_definite=result.block_kinds.count("definite") - max(sig - 1, 0),
+        excess_definite=len(definite) - max(sig - 1, 0),
         signature=sig,
     )
 

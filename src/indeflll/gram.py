@@ -12,15 +12,18 @@ Alg. 2.6.7: per position the integer determinant of the leading block
 that ends with its block, and the integer row
 lambda_{i,m} = D'_m * b(v_i, v*_m), where D'_m is the determinant before
 the block of m.  A hyperbolic plane is one 2x2 pivot, which multiplies
-the prefix determinant by -alpha^2.  Rows follow Cohen's recursion and
-every division in it is exact.  The one rational view of these
-integers is `theta_and_residual_norm`: the coefficient vector theta of
-a vector's projection on the prefix, and its residual norm.  The GSO
-takes integral Grams only.  A build extends a previous state of the same
-Gram in place, with the potential as a running product, and takes each
-row its caller already knows instead of building it.  It compares no
-rows: whoever changes the Gram cuts the state (`GsoState.cut`) where
-the change begins, as the reducer's basis moves do.
+the prefix determinant by -alpha^2.  Rows follow Cohen's recursion
+(`GsoState.lambda_row` and `scaled_residual`), and every division in it
+is exact.  The one rational view of these integers is
+`theta_and_residual_norm`: the coefficient vector theta of a vector's
+projection on the prefix, and its residual norm.  The GSO takes integral
+Grams only.  A state holds each fact once: one list entry per position,
+so its length is `upto`, and one set of plane starts.  A build extends a
+previous state of the same Gram in place, with the potential as a
+running product, and takes each row its caller already knows instead of
+building it.  It compares no rows: whoever changes the Gram cuts the
+state (`GsoState.cut`) where the change begins, as the reducer's basis
+moves do.
 """
 
 from collections.abc import Mapping
@@ -192,7 +195,7 @@ class GramMatrix:
 @dataclass
 class GsoState:
     """Generalized GSO of the leading `upto` positions of an integral
-    Gram, held in integers.
+    Gram, held in integers, one list entry per position.
 
     Write D'_m for the determinant of the leading block before the block
     of position m (1 at the front).  dets[i] is the determinant of the
@@ -200,27 +203,32 @@ class GsoState:
     a plane hold the determinant after the plane.  lam[i][m] =
     D'_m * b(v_i, v*_m) for m <= i: at a scalar position lam[i][i] =
     dets[i], inside a plane lam[i][i] = 0, and the second position of a
-    plane (j, j+1) holds A_j = lam[j+1][j] = D'_j * alpha_j.  `reused`
-    counts the leading positions a build took over from a previous state
-    instead of computing them.  pot[i] is the potential (see `potential`)
-    of the prefix through the block of position i, multiplied up as the
-    positions are built, so both positions of a plane hold it after the
-    plane.  The state holds the prefix alone: rows of vectors past it
-    that a caller already knows reach a build through its `known`
-    argument (see `auto_gso`).
+    plane (j, j+1) holds A_j = lam[j+1][j] = D'_j * alpha_j.  `bad` holds
+    the first position of each plane.  pot[i] is the potential (see
+    `potential`) of the prefix through the block of position i,
+    multiplied up as the positions are built, so both positions of a
+    plane hold it after the plane.  `reused` counts the leading positions
+    a build took over from a previous state instead of computing them.
+    Builds and cuts edit the lists and the set in place, and no row is
+    ever edited in place.  The state holds the prefix alone: rows of
+    vectors past it that a caller already knows reach a build through
+    its `known` argument (see `auto_gso`).
     """
 
-    upto: int
     lam: list[list[int]]
     dets: list[int]
-    bad: frozenset[int]
+    bad: set[int]
     pot: list[tuple[int, int]]
     reused: int = field(default=0, compare=False)
 
     @property
+    def upto(self) -> int:
+        """Number of positions held."""
+        return len(self.dets)
+
+    @property
     def det(self) -> int:
-        """Gram determinant of the prefix; a shorter prefix is
-        `truncated(upto).det`."""
+        """Gram determinant of the prefix."""
         return self.dets[-1] if self.dets else 1
 
     @property
@@ -253,41 +261,59 @@ class GsoState:
     def cut(self, first: int) -> None:
         """Drop the positions from `first` on, in place, and the whole
         hyperbolic plane that `first` would split; a cut at or past `upto`
-        changes nothing."""
+        changes nothing.  A shorter prefix is a cut of a copy."""
         if first >= self.upto:
             return
         if first and (first - 1) in self.bad:
             first -= 1
         del self.lam[first:], self.dets[first:], self.pot[first:]
-        self.bad = frozenset(j for j in self.bad if j < first)
-        self.upto = first
-
-    def truncated(self, upto: int) -> "GsoState":
-        """Restrict to the leading `upto` positions (no pair may split)."""
-        if upto > self.upto:
-            raise ValueError("cannot extend a GSO state by truncation")
-        if upto > 0 and (upto - 1) in self.bad:
-            raise ValueError(f"truncation at {upto} splits the hyperbolic pair at {upto - 1}")
-        return GsoState(
-            upto=upto,
-            lam=self.lam[:upto],
-            dets=self.dets[:upto],
-            bad=frozenset(j for j in self.bad if j + 1 < upto),
-            pot=self.pot[:upto],
-        )
+        self.bad.difference_update([j for j in self.bad if j >= first])
 
     # -- integer rows of a vector w, over the integral Gram -----------------
 
-    def lambda_row(self, products: list[int]) -> list[int]:
-        """lam_{w,m} = D'_m * b(w, v*_m) for every prefix position m, from
-        the integer products b(w, v_m) (entries past `upto` are ignored)."""
-        return _lambda_row(self.lam, self.dets, self.bad, products, self.upto)
+    def lambda_row(self, products: list[int], upto: int | None = None) -> list[int]:
+        """lam_{w,j} = D'_j * b(w, v*_j) for every position j < `upto`
+        (the prefix length, or one more for the partner of a plane the
+        build holds half of), from the integer products b(w, v_j), by
+        Cohen's recursion: start from b(w, v_j) and fold in each block
+        before the block of j.  A scalar position m maps u to
+        (dets[m] u - lam_{j,m} lam_{w,m}) / D'_m; a plane (m, m+1) is one
+        2x2 pivot, u to (A (lam_{j,m+1} lam_{w,m} + lam_{j,m} lam_{w,m+1})
+        - A^2 u) / D'_m^2 with A = A_m.  Every division is exact."""
+        lam, dets, bad = self.lam, self.dets, self.bad
+        row: list[int] = []
+        for j in range(len(dets) if upto is None else upto):
+            u, lj, p, m = products[j], lam[j], 1, 0
+            stop = _block_start(bad, j)
+            while m < stop:
+                if m in bad:
+                    a = lam[m + 1][m]
+                    u = (a * (lj[m + 1] * row[m] + lj[m] * row[m + 1]) - a * a * u) // (p * p)
+                    m += 2
+                else:
+                    u = (dets[m] * u - lj[m] * row[m]) // p
+                    m += 1
+                p = dets[m - 1]
+            row.append(u)
+        return row
 
     def scaled_residual(self, row: list[int], norm: int) -> int:
         """D * b(w*, w*), for the prefix determinant D, from w's lambda
-        row and the integer norm b(w, w).  Adding prefix vectors to w
-        leaves it unchanged."""
-        return _scaled_residual(self.lam, self.dets, self.bad, row, norm, self.upto)
+        row and the integer norm b(w, w), by the same recursion through
+        every block of the prefix.  Adding prefix vectors to w leaves it
+        unchanged."""
+        lam, dets, bad = self.lam, self.dets, self.bad
+        u, p, m, upto = norm, 1, 0, len(dets)
+        while m < upto:
+            if m in bad:
+                a = lam[m + 1][m]
+                u = (2 * a * row[m] * row[m + 1] - a * a * u) // (p * p)
+                m += 2
+            else:
+                u = (dets[m] * u - row[m] * row[m]) // p
+                m += 1
+            p = dets[m - 1]
+        return u
 
     def projected_block(self, j: int, s: int, rho: int) -> tuple[int, int, int, int]:
         """(N1, S, N2) of the projected block of scalar position j and a
@@ -381,46 +407,6 @@ def _block_start(bad, i: int) -> int:
     return i - 1 if (i - 1) in bad else i
 
 
-def _lambda_row(lam, dets, bad, products, upto: int) -> list[int]:
-    """Cohen's recursion for lam_{w,j}, j < upto: start from b(w, v_j) and
-    fold in each block before the block of j.  A scalar position m maps
-    u to (dets[m] u - lam_{j,m} lam_{w,m}) / D'_m; a plane (m, m+1) is one
-    2x2 pivot, u to (A (lam_{j,m+1} lam_{w,m} + lam_{j,m} lam_{w,m+1})
-    - A^2 u) / D'_m^2 with A = A_m.  Every division is exact."""
-    row: list[int] = []
-    for j in range(upto):
-        u, lj, p, m = products[j], lam[j], 1, 0
-        stop = _block_start(bad, j)
-        while m < stop:
-            if m in bad:
-                a = lam[m + 1][m]
-                u = (a * (lj[m + 1] * row[m] + lj[m] * row[m + 1]) - a * a * u) // (p * p)
-                m += 2
-            else:
-                u = (dets[m] * u - lj[m] * row[m]) // p
-                m += 1
-            p = dets[m - 1]
-        row.append(u)
-    return row
-
-
-def _scaled_residual(lam, dets, bad, row: list[int], norm: int, upto: int) -> int:
-    """The same recursion on b(w, w) through every block below `upto`:
-    D * b(w*, w*) for the determinant D of that prefix."""
-    u, p, m = norm, 1, 0
-    while m < upto:
-        if m in bad:
-            a = lam[m + 1][m]
-            u = (2 * a * row[m] * row[m + 1] - a * a * u) // (p * p)
-            m += 2
-        else:
-            d = dets[m]
-            u = (d * u - row[m] * row[m]) // p
-            m += 1
-        p = dets[m - 1]
-    return u
-
-
 def auto_gso(
     gram: GramMatrix,
     upto: int | None = None,
@@ -436,13 +422,13 @@ def auto_gso(
     `previous.upto` positions of `gram` itself: whoever changed the Gram
     since it was built has cut it where the change begins (see
     `GsoState.cut`).  The build takes it over, cut to `upto`, keeps its
-    positions without recomputing or comparing them, extends its lists in
-    place and returns `previous` itself as the new state, so a caller that
-    still needs the old state passes a copy; after a build that raises an
-    inadmissible prefix, `previous` is half built and must not be read.
-    The Gram must be integral on the rows the build reads (ValueError
-    otherwise, raised before `previous` is cut).  The state keeps nothing
-    of `gram` itself.
+    positions without recomputing or comparing them, extends its lists and
+    its set in place and returns `previous` itself as the new state, so a
+    caller that still needs the old state passes a copy; after a build
+    that raises an inadmissible prefix, `previous` is half built and must
+    not be read.  The Gram must be integral on the rows the build reads
+    (ValueError otherwise, raised before `previous` is cut).  The state
+    keeps nothing of `gram` itself.
 
     `known` maps a position p to a tuple that starts with the lambda row
     and the scaled residual of the vector at p against the p positions
@@ -459,12 +445,11 @@ def auto_gso(
         if not all(map(isinstance, rows[i][: i + 1], repeat(int))):
             raise ValueError("the generalized GSO expects an integral Gram matrix")
     if previous is None:
-        gso = GsoState(upto=0, lam=[], dets=[], bad=frozenset(), pot=[])
+        gso = GsoState(lam=[], dets=[], bad=set(), pot=[])
     else:
         gso = previous
         gso.cut(upto)
-    lam, dets, pot, keep = gso.lam, gso.dets, gso.pot, gso.upto
-    bad = set(gso.bad)
+    lam, dets, bad, pot, keep = gso.lam, gso.dets, gso.bad, gso.pot, gso.upto
     num, den = pot[-1] if pot else (1, 1)
     i = keep
     while i < upto:
@@ -473,8 +458,8 @@ def auto_gso(
         if entry is not None:
             row, diag = entry[:2]
         else:
-            row = _lambda_row(lam, dets, bad, low, i)
-            diag = _scaled_residual(lam, dets, bad, row, low[i], i)  # D'_i times the star norm
+            row = gso.lambda_row(low)
+            diag = gso.scaled_residual(row, low[i])  # D'_i times the star norm
         if diag:
             lam.append(row + [diag])
             dets.append(diag)
@@ -490,8 +475,8 @@ def auto_gso(
         # the partner's row runs through position i, whose column gives A;
         # its star norm skips the pending position i
         low = rows[i + 1]
-        partner = _lambda_row(lam, dets, bad, low, i + 1)
-        diag = _scaled_residual(lam, dets, bad, partner, low[i + 1], i)
+        partner = gso.lambda_row(low, i + 1)
+        diag = gso.scaled_residual(partner, low[i + 1])
         a = partner[i]
         if diag != 0 or a == 0:
             raise InadmissiblePrefixError(
@@ -504,5 +489,5 @@ def auto_gso(
         pot += [(num, den)] * 2
         bad.add(i)
         i += 2
-    gso.upto, gso.bad, gso.reused = upto, frozenset(bad), keep
+    gso.reused = keep
     return gso

@@ -282,23 +282,20 @@ def _cleanup_lambda(n1: int, s: int, n2: int) -> int:
     return ceil_sqrt_div(-s, disc, n1)
 
 
-def _add_prefix_vector(
-    state: ReducerState, pos: int, row: list[int], gso: GsoState, j: int, coef: int
-) -> None:
+def _add_prefix_vector(state: ReducerState, pos: int, row: list[int], j: int, coef: int) -> None:
     """v_pos += coef * v_j for a prefix position j, keeping the lambda row
     of v_pos exact up to position j: lam_{w,m} += coef * lam_{j,m}."""
     state.col_addmul(pos, j, coef)
-    row[: j + 1] = [r + coef * x for r, x in zip(row, gso.lam[j])]
+    row[: j + 1] = [r + coef * x for r, x in zip(row, state.gso.lam[j])]
 
 
-def _size_reduce_below(
-    state: ReducerState, pos: int, row: list[int], gso: GsoState, top: int
-) -> None:
+def _size_reduce_below(state: ReducerState, pos: int, row: list[int], top: int) -> None:
     """Nearest-integer size reduction of the vector at `pos`, with lambda
-    row `row`, against the prefix positions below `top`, from the last
-    down: a scalar position j by lam_{w,j} / dets[j], a plane (j-1, j) by
-    the pair rule lam_{w,j} / A and lam_{w,j-1} / A on both cross
-    coefficients.  The whole row stays exact."""
+    row `row`, against the held prefix positions below `top`, from the
+    last down: a scalar position j by lam_{w,j} / dets[j], a plane
+    (j-1, j) by the pair rule lam_{w,j} / A and lam_{w,j-1} / A on both
+    cross coefficients.  The whole row stays exact."""
+    gso = state.gso
     bad, dets = gso.bad, gso.dets
     j = top - 1
     while j >= 0:
@@ -307,24 +304,25 @@ def _size_reduce_below(
             n_first = nearest_div(row[j], a)
             n_second = nearest_div(row[j - 1], a)
             if n_first:
-                _add_prefix_vector(state, pos, row, gso, j - 1, -n_first)
+                _add_prefix_vector(state, pos, row, j - 1, -n_first)
                 row[j] -= n_first * a  # b(v_j-1, v*_j) = alpha: lam_{j-1,j} = A
             if n_second:
-                _add_prefix_vector(state, pos, row, gso, j, -n_second)
+                _add_prefix_vector(state, pos, row, j, -n_second)
             j -= 2
         else:
             r, d = row[j], dets[j]
             if 2 * abs(r) > abs(d):  # else r / d rounds to 0, ties toward zero
-                _add_prefix_vector(state, pos, row, gso, j, -nearest_div(r, d))
+                _add_prefix_vector(state, pos, row, j, -nearest_div(r, d))
             j -= 1
 
 
-def _take_row(state: ReducerState, pos: int, gso: GsoState) -> tuple[list[int], int, bool]:
+def _take_row(state: ReducerState, pos: int) -> tuple[list[int], int, bool]:
     """(row, rho, settled) of the vector at `pos` against the prefix held
-    in `gso`: the row a move carried for it, taken out of `state.carry`,
-    when that prefix is the positions before it, and otherwise built by
-    Cohen's recursion, not settled.  `state.stats` counts each row by
-    where it came from."""
+    in `state.gso`: the row a move carried for it, taken out of
+    `state.carry`, when that prefix is the positions before it, and
+    otherwise built by Cohen's recursion, not settled.  `state.stats`
+    counts each row by where it came from."""
+    gso = state.gso
     carried = state.carry.pop(pos, None) if gso.upto == pos else None
     if carried is not None:
         row, rho, source = carried
@@ -336,10 +334,8 @@ def _take_row(state: ReducerState, pos: int, gso: GsoState) -> tuple[list[int], 
     return row, gso.scaled_residual(row, w[pos]), False
 
 
-def cleanup_size_reduce(
-    state: ReducerState, pos: int, gso: GsoState
-) -> tuple[list[int], int, bool]:
-    """Size-reduce the vector at `pos` against the prefix held in `gso`.
+def cleanup_size_reduce(state: ReducerState, pos: int) -> tuple[list[int], int, bool]:
+    """Size-reduce the vector at `pos` against the prefix held in `state.gso`.
 
     The last prefix position, when scalar, is handled by the clean-up
     rule above (anticipating that the vector lands right after it); all
@@ -364,16 +360,17 @@ def cleanup_size_reduce(
     plain nearest rounding), so after it a prefix zero is exactly a zero
     residual with a zero lambda row, already orthogonal to the prefix.
     """
-    row, rho, settled = _take_row(state, pos, gso)
+    gso = state.gso
+    row, rho, settled = _take_row(state, pos)
     top = gso.upto
     if top and gso.is_scalar(top - 1):
         top -= 1
         lam = _cleanup_lambda(*gso.projected_block(top, row[top], rho)[:3])
         if lam:
-            _add_prefix_vector(state, pos, row, gso, top, lam)
+            _add_prefix_vector(state, pos, row, top, lam)
             settled = False
     if not settled:
-        _size_reduce_below(state, pos, row, gso, top)
+        _size_reduce_below(state, pos, row, top)
     return row, rho, rho == 0 and not any(row)
 
 
@@ -404,7 +401,8 @@ def _place_transformed_pair(state: ReducerState, k: int, t: Mat) -> int:
     moved and U is nonsingular, so that is exactly when both new columns
     of U are +-the old ones; the sign transform then puts them back, the
     Gram (kept exactly U^T G U) returns bit for bit, and the held GSO and
-    `state.carry` are restored from copies.  The new columns are
+    `state.carry` are restored from copies (the GSO's shares its rows, as
+    nothing edits a row in place).  The new columns are
     m11 v_prev + m21 w plus prefix vectors and m12 v_prev + m22 w, in
     swapped slots for a prefix zero, and the old columns of U are linearly
     independent: so the pair can return only when t is a signed
@@ -423,7 +421,7 @@ def _place_transformed_pair(state: ReducerState, k: int, t: Mat) -> int:
     old = held = carry = None
     if diagonal or antidiagonal:
         old = [[row[prev] for row in u], [row[pos] for row in u]]
-        held, carry = gso.truncated(gso.upto), dict(state.carry)
+        held, carry = GsoState(gso.lam[:], gso.dets[:], set(gso.bad), gso.pot[:]), dict(state.carry)
     # the front m11 v_prev + m21 w: its row through prev is m11 lam_prev +
     # m21 lam_w, and its residual there m21^2 times w's, as the v_prev part
     # lies in that prefix
@@ -432,7 +430,7 @@ def _place_transformed_pair(state: ReducerState, k: int, t: Mat) -> int:
     front = gso.row_before(prev, full, m21 * m21 * rho)
     state.col_transform2(prev, pos, t)
     state.carry[prev] = (*front, "front")
-    front_row, front_rho, zero = cleanup_size_reduce(state, prev, gso)
+    front_row, front_rho, zero = cleanup_size_reduce(state, prev)
     if zero:
         state.cyclic_shift(prev, pos)
     if (antidiagonal if zero else diagonal):
@@ -786,7 +784,7 @@ def reduce(gram: GramMatrix, params: ReducerParams | None = None) -> ReductionRe
         reported_pos = None
         reported_pair = None
         for i in range(prefix, d):
-            row, rho, prefix_zero = cleanup_size_reduce(state, i, state.gso)
+            row, rho, prefix_zero = cleanup_size_reduce(state, i)
             if not prefix_zero:
                 reported_pos = i
                 break
@@ -871,8 +869,8 @@ def reduce_baseline(gram: GramMatrix, gamma0: Rational = Fraction(99, 100)) -> R
             raise InternalInvariantError(f"baseline loop exceeded {cap} iterations")
         gso = _strict_gso(state, k - 1)
         pos = k - 1
-        row, rho, _ = _take_row(state, pos, gso)
-        _size_reduce_below(state, pos, row, gso, k - 1)
+        row, rho, _ = _take_row(state, pos)
+        _size_reduce_below(state, pos, row, k - 1)
         state.carry[pos] = (row, rho, "kept")
         n_prev, _, proj, _ = gso.projected_block(k - 2, row[k - 2], rho)
         if abs(proj) * gamma0.denominator < gamma0.numerator * abs(n_prev):

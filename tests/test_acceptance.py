@@ -12,7 +12,7 @@ from math import gcd
 
 from indeflll.analysis import signature_via_sturm, verify_theorem_bound
 from indeflll.cli import _int_nth_root
-from indeflll.gram import GramMatrix, auto_gso, mat_det, mat_transpose
+from indeflll.gram import GramMatrix, mat_det, mat_transpose
 from indeflll.generators import (
     SAMPLE_LARGE_SIGNATURE_10,
     SAMPLE_RANDOM_10,
@@ -31,8 +31,8 @@ from indeflll.qform import (
 )
 from indeflll.analysis import remove_hyperbolic_plane
 from indeflll.numerics import clear_denominators, is_rational_square
-from indeflll.reducer import ReducerParams, first_unreduced_block, reduce, reduce_baseline
-from test_reducer import mat_mul
+from indeflll.reducer import ReducerParams, reduce, reduce_baseline
+from test_reducer import mat_mul, reduced_blocks_ok
 
 WORSTCASE_10_VERBATIM = GramMatrix([
     [32768, 16384, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -46,10 +46,6 @@ WORSTCASE_10_VERBATIM = GramMatrix([
     [0, 0, 0, 0, 0, 0, 0, -2916, -5832, -2187],
     [0, 0, 0, 0, 0, 0, 0, 0, -2187, -4374],
 ])
-
-
-def blocks_all_reduced(result) -> bool:
-    return first_unreduced_block(auto_gso(result.reduced, result.rank)) is None
 
 
 def test_criterion_1_worstcase_fixed_point():
@@ -177,7 +173,7 @@ def test_criterion_5_property_corpus():
         b = signature_via_sturm(r.reduced)
         assert (a.n_plus, a.n_minus, a.rank) == (b.n_plus, b.n_minus, b.rank), f"signature moved at {idx}"
         assert b.rank == r.rank, f"rank mismatch at {idx}"
-        assert blocks_all_reduced(r), f"unreduced block at {idx}"
+        assert reduced_blocks_ok(r), f"unreduced block at {idx}"
         for i in range(r.rank, g.dim):
             assert all(x == 0 for x in r.reduced.rows[i]), f"tail not zero at {idx}"
         assert verify_theorem_bound(r, g).holds, f"quality bound failed at {idx}"

@@ -441,6 +441,21 @@ def test_bound_report_counts_excess_definite_blocks():
         assert (rep.excess_definite, rep.signature) == (excess, signature_via_sturm(g).signature)
 
 
+def test_verify_theorem_bound_reads_the_blocks_off_the_gram():
+    """On the box/68 reproducer the bound fails (lhs 8 against about 6.37),
+    and no edit of the result's block kinds or rank makes it hold: the
+    definite blocks come from the reduced Gram, and a rank with nonzero
+    rows past it is refused.  Both edits used to read holds=True, with
+    Sigma N_i = 3, and with lhs = rhs = 2."""
+    g = GramMatrix([[-2, -2, -2], [-2, 0, 1], [-2, 1, 1]])
+    res = reduce(g)
+    rep = verify_theorem_bound(res, g)
+    assert (rep.holds, rep.lhs, rep.sum_definite) == (False, 8, 0)
+    assert verify_theorem_bound(replace(res, block_kinds=["definite", "definite"]), g) == rep
+    with pytest.raises(ValueError, match="nonzero row past its rank 1"):
+        verify_theorem_bound(replace(res, rank=1, block_kinds=[]), g)
+
+
 def test_verify_theorem_bound_refuses_a_singular_leading_block():
     # a result that claims rank 2 for a rank-1 input: the leading block
     # [[1, 0], [0, 0]] is singular, so its GSO is inadmissible

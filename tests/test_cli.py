@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from indeflll import cli
 from indeflll.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
     _int_nth_root,
@@ -15,8 +17,9 @@ from indeflll.cli import (
     parse_matrix_json,
     parse_matrix_text,
 )
-from indeflll.errors import ParseError
-from indeflll.generators import gen_random_symmetric
+from indeflll.errors import InternalInvariantError, ParseError
+from indeflll.generators import gen_large_signature, gen_random_symmetric, gen_random_unimodular
+from indeflll.gram import mat_det
 from test_gram import count_products
 
 
@@ -368,3 +371,94 @@ def test_cli_reduce_reports_gso_positions(tmp_path, capsys):
     carried = counters.pop("rows_carried")
     assert {name: doc.get(name) for name in counters} == counters
     assert {source: doc.get(f"rows_carried_{source}") for source in carried} == carried
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("empty.txt", "\n  \n", "empty matrix file"),
+    ("head.txt", "2 2\n1 0\n0 1\n", "row 1: expected a single dimension value"),
+    ("negative.txt", "-1\n", "row 1: dimension must be non-negative"),
+    ("short.txt", "2\n1 0\n0\n", "row 3: expected 2 entries, found 1"),
+    ("bad.json", "{not json", "bad JSON"),
+    ("keys.json", '{"dim": 1}', 'expected an object with "dim" and "rows"'),
+    ("rows.json", '{"dim": 2, "rows": [[1, 0]]}', '"rows" must hold exactly 2 rows'),
+    ("row.json", '{"dim": 2, "rows": [[1, 0], [0]]}', "row 2: expected 2 entries"),
+])
+def test_cli_reports_each_parse_error(tmp_path, capsys, name, text, message):
+    f = tmp_path / name
+    f.write_text(text)
+    assert main(["reduce", str(f)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"input error: {message}")
+
+
+def test_cli_reduces_a_json_file_to_stdout(tmp_path, capsys):
+    f = tmp_path / "g.json"
+    f.write_text(format_matrix_json([[0, 3], [3, 0]]))
+    assert main(["reduce", str(f), "--format", "json"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith('{"dim": 2, "rows": [[0, 3], [3, 0]]}\n') and "bound_holds" in out
+
+
+def test_cli_gen_large_signature_and_unimodular(tmp_path, capsys):
+    f = tmp_path / "ls.txt"
+    assert main(["gen", "--kind", "large-signature", "--out", str(f)]) == EXIT_OK
+    assert parse_matrix_text(f.read_text()) == gen_large_signature().rows
+    # the unimodular kind defaults to 3 * dim elementary moves
+    assert main(["gen", "--kind", "unimodular", "--dim", "4", "--seed", "5", "--out", str(f)]) == EXIT_OK
+    u = parse_matrix_text(f.read_text(), require_symmetric=False)
+    assert u == gen_random_unimodular(4, 12, 5) and abs(mat_det(u)) == 1
+    assert main(["gen", "--kind", "unimodular", "--dim", "4", "--steps", "0", "--out", "-"]) == EXIT_OK
+    assert parse_matrix_text(capsys.readouterr().out) == [[int(i == j) for j in range(4)] for i in range(4)]
+
+
+def test_cli_gen_repeats_a_single_alpha(tmp_path):
+    f = tmp_path / "hs.txt"
+    assert main(["gen", "--kind", "hyperbolic-stack", "--n", "2", "--alpha", "3", "--out", str(f)]) == EXIT_OK
+    rows = parse_matrix_text(f.read_text())
+    assert len(rows) == 6 and rows[1][2] == rows[4][5] == 3
+
+
+def test_cli_gen_refuses_an_unknown_kind(capsys):
+    # argparse refuses it before `cmd_gen` runs
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--kind", "spiral"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'spiral'" in capsys.readouterr().err
+
+
+def test_cli_verify_refuses_a_transform_of_another_shape(tmp_path, capsys):
+    g = tmp_path / "g.txt"
+    g.write_text("2\n1 0\n0 1\n")
+    u = tmp_path / "u.txt"
+    u.write_text("3\n1 0 0\n0 1 0\n0 0 1\n")
+    assert main(["verify", str(g), str(u), str(g)]) == EXIT_INPUT
+    assert capsys.readouterr().err == "input error: transform dimensions do not match the Gram matrix\n"
+
+
+def test_cli_verify_fails_the_bound_on_a_nonzero_tail(tmp_path, capsys):
+    # rank 1 with a nonsingular leading entry: the tail row 2 is not zero,
+    # so the bound, which refuses such a result, fails with it
+    g = tmp_path / "g.txt"
+    g.write_text("2\n1 1\n1 1\n")
+    u = tmp_path / "u.txt"
+    u.write_text("2\n1 0\n0 1\n")
+    assert main(["verify", str(g), str(u), str(g)]) == EXIT_VERIFY_FAILED
+    out = capsys.readouterr().out
+    assert "ok   adjacent blocks reduced" in out
+    assert "FAIL tail rows exactly zero" in out and "FAIL quality bound" in out
+
+
+def test_int_nth_root_at_zero_and_below():
+    assert _int_nth_root(0, 3) == 0
+    with pytest.raises(ValueError, match="negative radicand"):
+        _int_nth_root(-1, 2)
+
+
+def test_cli_exits_3_on_an_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(gram, params):
+        raise InternalInvariantError("congruence lost")
+
+    monkeypatch.setattr(cli, "reduce", broken)
+    f = tmp_path / "id.txt"
+    f.write_text("1\n1\n")
+    assert main(["reduce", str(f)]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: congruence lost\n"

@@ -56,6 +56,14 @@ def test_mat_det_oracle():
         assert mat_det(m) == perm_det(m)
 
 
+def _cut_copy(st, upto):
+    """The GSO of the leading `upto` positions that `st` holds, one fewer
+    when that would split a plane: `cut` applied to a copy."""
+    out = copy.deepcopy(st)
+    out.cut(upto)
+    return out
+
+
 def _stars_from_theta(st, rows):
     """Each star vector of `st` and its star norm, from the library's one
     rational view: v*_i is v_i less theta against the blocks before its
@@ -63,7 +71,7 @@ def _stars_from_theta(st, rows):
     out = []
     for i in range(st.upto):
         start = i - 1 if (i - 1) in st.bad else i
-        theta, norm = st.truncated(start).theta_and_residual_norm(rows[i][:start], rows[i][i])
+        theta, norm = _cut_copy(st, start).theta_and_residual_norm(rows[i][:start], rows[i][i])
         vec = [-t for t in theta] + [Fraction(0)] * (st.upto - start)
         vec[i] = Fraction(1)
         out.append((vec, norm))
@@ -133,9 +141,8 @@ def test_inadmissible_detection():
 def test_prefix_determinant():
     assert auto_gso(GramMatrix([[1, 0], [0, -1]])).det == -1
     st = auto_gso(GramMatrix([[0, 3], [3, 0]]))
-    assert st.det == -9 and st.truncated(0).det == 1
-    with pytest.raises(ValueError):
-        st.truncated(1)
+    # a cut inside the plane drops it whole
+    assert st.det == -9 and _cut_copy(st, 0).det == _cut_copy(st, 1).det == 1
     assert auto_gso(GramMatrix([[1, 1], [1, 2]])).det == 1
 
     # agreement with the fraction-free determinant on random admissibles
@@ -155,34 +162,45 @@ def test_prefix_determinant():
         for upto in range(d + 1):
             if upto > 0 and (upto - 1) in st.bad:
                 continue
-            assert st.truncated(upto).det == mat_det([r[:upto] for r in rows[:upto]])
+            assert _cut_copy(st, upto).det == mat_det([r[:upto] for r in rows[:upto]])
             if upto < d and upto not in st.bad:
                 # a scalar extension multiplies the determinant by the
                 # residual norm of the new vector against the prefix
-                _, residual = st.truncated(upto).theta_and_residual_norm(rows[upto][:upto], rows[upto][upto])
-                assert st.truncated(upto + 1).det == st.truncated(upto).det * residual != 0
+                _, residual = _cut_copy(st, upto).theta_and_residual_norm(rows[upto][:upto], rows[upto][upto])
+                assert _cut_copy(st, upto + 1).det == _cut_copy(st, upto).det * residual != 0
         done += 1
 
 
 def test_truncation_matches_fresh_gso():
+    """A GSO of a longer prefix, cut to `upto` on a copy, equals the GSO
+    built afresh for the leading `upto` positions, planes included; a cut
+    inside a plane drops the whole plane."""
     rng = random.Random(2)
-    done = 0
-    while done < 30:
+    grams, planes, split = [], 0, 0
+    while len(grams) < 30:
         d = rng.randrange(3, 7)
         rows = [[0] * d for _ in range(d)]
         for i in range(d):
             for j in range(i, d):
                 rows[i][j] = rows[j][i] = rng.randrange(-6, 7)
-        g = GramMatrix(rows)
+        grams.append(GramMatrix(rows))
+    grams += [_flagged_prefix(rng, rng.randrange(2, 7)) for _ in range(30)]
+    for g in grams:
         try:
-            st = auto_gso(g)
+            full = auto_gso(g)
         except InadmissiblePrefixError:
             continue
-        for upto in range(d):
-            if upto > 0 and (upto - 1) in st.bad:
+        for longer in range(g.dim + 1):
+            if _unsplit(full.bad, longer) < longer:
                 continue
-            assert auto_gso(g, upto) == st.truncated(upto)
-        done += 1
+            held = auto_gso(g, longer)
+            for upto in range(longer + 1):
+                keep = _unsplit(held.bad, upto)
+                cut = _cut_copy(held, upto)
+                assert cut == auto_gso(g, keep) and len(cut.lam) == len(cut.pot) == cut.upto == keep
+                planes += len(cut.bad)
+                split += keep < upto
+    assert planes > 50 and split > 20, (planes, split)  # measured: 110 and 57
 
 
 def test_local_potential_examples():
@@ -521,7 +539,7 @@ def _assert_same_gso(new, old, tails=()):
     assert (new.dets, new.lam) == ref.dets_and_lam(old)
     for upto in range(new.upto + 1):
         if not (upto and (upto - 1) in new.bad):
-            assert new.truncated(upto).det == ref.prefix_determinant(old, upto)
+            assert _cut_copy(new, upto).det == ref.prefix_determinant(old, upto)
     assert Fraction(*new.potential()) == ref.local_potential(old)
     for raw, norm in tails:
         assert new.theta_and_residual_norm(raw, norm) == old.theta_and_residual_norm(raw, norm)
@@ -586,7 +604,7 @@ def _check_refreshes(monkeypatch):
         _assert_same_gso(new, old, _tails(gram, prefix))
         for pos in range(prefix, self.d):
             a, b = _twin(self), _twin(self)
-            row, rho, zero = cleanup_size_reduce(a, pos, new)
+            row, rho, zero = cleanup_size_reduce(a, pos)
             rnorm, old_zero = ref.cleanup_size_reduce(b, pos, old)
             assert (a.u, a.gc, zero) == (b.u, b.gc, old_zero)
             assert rho == rnorm * new.det
@@ -650,7 +668,7 @@ def test_integral_gso_matches_fraction_gso(monkeypatch):
             new, old = pair
             planes += len(new.bad)
             if full is not None:
-                _assert_same_gso(full[0].truncated(upto), ref.GsoState.truncated(full[1], upto))
+                _assert_same_gso(_cut_copy(full[0], upto), ref.GsoState.truncated(full[1], upto))
             # reuse from this state on a changed Gram
             for _ in range(2):
                 changed, first = _changed(rng, g)

@@ -1,5 +1,6 @@
 """Every imported name in the library, the tests and the demos is used,
-and every function of the library has a caller outside the tests."""
+every function of the library has a caller outside the tests, and every
+parameter of a library function is read by its body."""
 
 import ast
 from pathlib import Path
@@ -129,3 +130,68 @@ def test_library_functions_have_users_outside_the_tests():
     assert functions_without_users() == sorted(TEST_ONLY)
     # and the tests do call those
     assert functions_without_users(users=USERS + ("tests",)) == []
+
+
+def _first_use(name: str, body: list) -> str | None:
+    """"read" when the first top-level statement of `body` that reads or
+    assigns `name` reads it, "bound" when it only assigns it (an augmented
+    assignment reads), else None."""
+    for stmt in body:
+        nodes = list(ast.walk(stmt))
+        if any(isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load) for n in nodes):
+            return "read"
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else []
+        if isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        if any(isinstance(n, ast.Name) and n.id == name for t in targets for n in ast.walk(t)):
+            return "bound"
+    return None
+
+
+def unread_parameters(path: Path, root: Path = ROOT) -> list[str]:
+    """The parameters that a function `path` defines never reads, as
+    "file:line function(name)": never named in a load, its nested
+    functions' included, before a top-level statement of the body
+    rebinds it.  `self` and `cls` are left out."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        body = node.body if isinstance(node.body, list) else [ast.Expr(node.body)]
+        name = getattr(node, "name", "<lambda>")
+        out += [f"{path.relative_to(root)}:{node.lineno} {name}({p.arg})" for p in params
+                if p.arg not in ("self", "cls") and _first_use(p.arg, body) != "read"]
+    return out
+
+
+def test_scan_finds_unread_parameters(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "class A:\n"
+        "    def m(self, used, unused=0, *rest, key=1, **opts):\n"
+        "        return used + key + len(opts)\n"
+        "def outer(x, y, state, n=None):\n"
+        "    def inner(z):\n"
+        "        return x\n"
+        "    y = 2\n"
+        "    x += 1\n"
+        "    gso: int = state.gso\n"
+        "    if n is None:\n"
+        "        n = gso\n"
+        "    return inner, y, n\n"
+        "def helper(state, gso):\n"
+        "    gso = state.gso\n"
+        "    return gso\n"
+        "f = lambda a, b: a\n"
+    )
+    assert sorted(unread_parameters(src, tmp_path)) == [
+        "m.py:13 helper(gso)", "m.py:16 <lambda>(b)", "m.py:2 m(rest)", "m.py:2 m(unused)",
+        "m.py:4 outer(y)", "m.py:5 inner(z)",
+    ]
+
+
+def test_library_functions_read_every_parameter():
+    files = sorted((ROOT / LIBRARY).rglob("*.py"))
+    assert [hit for path in files for hit in unread_parameters(path)] == []

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import fraction_walk as ref
-from indeflll import gram as gram_mod, reducer as red
+from indeflll import reducer as red
 from indeflll.analysis import kernel_split, verify_theorem_bound
 from indeflll.errors import InadmissiblePrefixError, InternalInvariantError, IsotropicVectorError, LatticeError
 from indeflll.generators import gen_hyperbolic_stack, gen_random_symmetric, gen_random_unimodular, gen_worstcase
@@ -212,7 +212,7 @@ def test_cleanup_ordinary_branch():
     g = GramMatrix([[2, 3], [3, 9]])
     st = ReducerState(g, ReducerParams())
     st.refresh_prefix_gso(1)
-    cleanup_size_reduce(st, 1, st.gso)
+    cleanup_size_reduce(st, 1)
     assert abs(st.gc[0][1]) <= 1  # |product| <= N/2 = 1
 
 
@@ -221,7 +221,7 @@ def test_cleanup_special_case_s_zero():
     g = GramMatrix([[3, 0], [0, -3]])
     st = ReducerState(g, ReducerParams())
     st.refresh_prefix_gso(1)
-    cleanup_size_reduce(st, 1, st.gso)
+    cleanup_size_reduce(st, 1)
     assert st.gc[1][0] == 0 and st.gc[1][1] == -3
 
 
@@ -230,7 +230,7 @@ def test_cleanup_indefinite_window():
     g = GramMatrix([[7, 5], [5, -7]])
     st = ReducerState(g, ReducerParams())
     st.refresh_prefix_gso(1)
-    cleanup_size_reduce(st, 1, st.gso)
+    cleanup_size_reduce(st, 1)
     n1 = Fraction(st.gc[0][0])
     s = Fraction(st.gc[0][1])
     n2 = Fraction(st.gc[1][1])
@@ -241,7 +241,7 @@ def _clean_and_file(st, pos):
     """Size-reduce the vector at `pos` against the held prefix GSO and file
     its row and rho in the carry, as the main loop does for the vector it
     reports; returns the row and rho."""
-    row, rho, _ = cleanup_size_reduce(st, pos, st.gso)
+    row, rho, _ = cleanup_size_reduce(st, pos)
     st.carry[pos] = (row, rho, "kept")
     return row, rho
 
@@ -399,7 +399,7 @@ def test_baseline_agrees_with_classic_lll_on_definite():
 def test_baseline_carries_the_swapped_vector_row(monkeypatch):
     """On 20 dense positive definite d = 12 inputs B^T B (B uniform in
     [-2, 2]), building the row of every vector a swap moves took 3 864
-    `_lambda_row` calls over 1 812 swaps; carrying the row of the vector
+    `GsoState.lambda_row` calls over 1 812 swaps; carrying the row of the vector
     it moves back, the baseline took 2 131, and carrying that of the
     vector it moves forward too, 1 550.  The guard is 60 % of the first
     figure."""
@@ -410,13 +410,13 @@ def test_baseline_carries_the_swapped_vector_row(monkeypatch):
         b = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
         grams.append(GramMatrix(mat_mul(mat_transpose(b), b)))
     calls = [0]
-    build = gram_mod._lambda_row
+    build = GsoState.lambda_row
 
     def counted(*args):
         calls[0] += 1
         return build(*args)
 
-    monkeypatch.setattr(gram_mod, "_lambda_row", counted)
+    monkeypatch.setattr(GsoState, "lambda_row", counted)
     swaps = sum(reduce_baseline(g).stats.swaps for g in grams)
     assert swaps == 1812 and 5 * calls[0] <= 3 * 3864, calls
 
@@ -692,9 +692,9 @@ def test_gso_and_size_reduction_create_no_fraction(monkeypatch):
     full = auto_gso(gram)
     st.refresh_prefix_gso(9)
     before = [row[:] for row in st.gc]
-    _, rho, prefix_zero = cleanup_size_reduce(st, 9, st.gso)
+    _, rho, prefix_zero = cleanup_size_reduce(st, 9)
     deficient.refresh_prefix_gso(3)
-    zero_row, zero_rho, zero = cleanup_size_reduce(deficient, 3, deficient.gso)
+    zero_row, zero_rho, zero = cleanup_size_reduce(deficient, 3)
     monkeypatch.undo()
     assert created == []
     assert full.upto == 10 and rho != 0 and not prefix_zero
@@ -724,8 +724,8 @@ def test_gso_builds_take_exact_rows_from_the_carry(monkeypatch):
         planes = {}  # position -> whether the prefix before it holds a plane
         for p, (row, rho, _) in known.items():
             prefix, w = build(gram, p), gram.rows[p]
-            assert row == gram_mod._lambda_row(prefix.lam, prefix.dets, prefix.bad, w, p)
-            assert rho == gram_mod._scaled_residual(prefix.lam, prefix.dets, prefix.bad, row, w[p], p)
+            assert row == prefix.lambda_row(w)
+            assert rho == prefix.scaled_residual(row, w[p])
             planes[p] = bool(prefix.bad)
         built = build(gram, upto, previous, known)
         for p, plane in planes.items():
@@ -753,15 +753,21 @@ def test_held_gso_is_exact_after_every_move(monkeypatch):
     exactness corpus and on scrambled hyperbolic stacks, the held GSO
     equals one built afresh on the current Gram through the same extent
     (every field but `reused`): each move cuts it where it changes the
-    Gram, planes whole."""
+    Gram, planes whole.  After every build, every cut and every rollback
+    of a placement, its lists hold one entry per position."""
     fresh = {}  # leading rows through the diagonal -> the GSO built from them
     seen = collections.Counter()
+
+    def one_entry_per_position(gso):
+        assert len(gso.lam) == len(gso.dets) == len(gso.pot) == gso.upto
+        assert all(j + 1 < gso.upto for j in gso.bad)
 
     def checked(move):
         def wrapper(state, *args):
             upto = state.gso.upto
             move(state, *args)
             gso = state.gso
+            one_entry_per_position(gso)
             key = tuple(tuple(row[: i + 1]) for i, row in enumerate(state.gc[: gso.upto]))
             if key not in fresh:
                 fresh[key] = auto_gso(GramMatrix(state.gc), gso.upto)
@@ -771,8 +777,24 @@ def test_held_gso_is_exact_after_every_move(monkeypatch):
             seen["planes"] += bool(gso.bad)
         return wrapper
 
+    def checked_refresh(state, prefix):
+        held = refresh(state, prefix)
+        one_entry_per_position(held)
+        seen["builds"] += 1
+        return held
+
+    def checked_place(state, k, t):
+        change = place(state, k, t)
+        if change == +1:
+            one_entry_per_position(state.gso)
+            seen["rollbacks"] += 1
+        return change
+
     for name in ("col_addmul", "col_transform2", "cyclic_shift"):
         monkeypatch.setattr(ReducerState, name, checked(getattr(ReducerState, name)))
+    refresh, place = ReducerState.refresh_prefix_gso, red._place_transformed_pair
+    monkeypatch.setattr(ReducerState, "refresh_prefix_gso", checked_refresh)
+    monkeypatch.setattr(red, "_place_transformed_pair", checked_place)
     rng = random.Random(5)
     stacks = []
     for seed in range(16):
@@ -787,6 +809,8 @@ def test_held_gso_is_exact_after_every_move(monkeypatch):
             pass
     # measured: 14 230 moves, 2 205 of them cut the held GSO, 2 743 with planes held
     assert seen["moves"] > 12000 and seen["cuts"] > 1800 and seen["planes"] > 2000, seen
+    # and 4 710 builds, 60 placements rolled back
+    assert seen["builds"] > 4000 and seen["rollbacks"] > 40, seen
 
 
 def test_carried_rows_are_exact(monkeypatch):
@@ -801,7 +825,8 @@ def test_carried_rows_are_exact(monkeypatch):
     take, cleanup = red._take_row, red.cleanup_size_reduce
     seen = collections.Counter()
 
-    def checked_take(state, pos, gso):
+    def checked_take(state, pos):
+        gso = state.gso
         carried = state.carry.get(pos) if gso.upto == pos else None
         if carried is not None:
             w = state.gc[pos]
@@ -809,16 +834,16 @@ def test_carried_rows_are_exact(monkeypatch):
             assert row == gso.lambda_row(w)
             assert rho == gso.scaled_residual(row, w[pos])
             seen[source] += 1
-        return take(state, pos, gso)
+        return take(state, pos)
 
-    def checked_cleanup(state, pos, gso):
-        carried = state.carry.get(pos) if gso.upto == pos else None
+    def checked_cleanup(state, pos):
+        carried = state.carry.get(pos) if state.gso.upto == pos else None
         if carried is None or carried[2] not in red._SETTLED:
-            return cleanup(state, pos, gso)
-        built = copy.copy(state)
+            return cleanup(state, pos)
+        built = copy.copy(state)  # sharing the held GSO, which the clean-up leaves whole
         built.u, built.gc, built.carry = [r[:] for r in state.u], [r[:] for r in state.gc], {}
-        want = cleanup(built, pos, gso)
-        assert cleanup(state, pos, gso) == want
+        want = cleanup(built, pos)
+        assert cleanup(state, pos) == want
         assert (state.u, state.gc) == (built.u, built.gc)
         return want
 
@@ -838,12 +863,12 @@ def test_carried_rows_are_exact(monkeypatch):
 
 def test_carried_rows_halve_the_lambda_row_builds(monkeypatch):
     """On the first 10 criterion 2 inputs under both strategies, building
-    every clean-up's row took 8 312 `_lambda_row` calls (and 26 466
+    every clean-up's row took 8 312 `GsoState.lambda_row` calls (and 26 466
     `nearest_div` calls in the reducer); carrying the rows the moves know
     takes 2 755 (and 17 117, a coefficient that rounds to 0 being no
     longer divided out)."""
     calls = {"rows": 0, "rounding": 0}
-    build, nearest = gram_mod._lambda_row, red.nearest_div
+    build, nearest = GsoState.lambda_row, red.nearest_div
 
     def counted(key, fn):
         def wrapper(*args):
@@ -852,7 +877,7 @@ def test_carried_rows_halve_the_lambda_row_builds(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(gram_mod, "_lambda_row", counted("rows", build))
+    monkeypatch.setattr(GsoState, "lambda_row", counted("rows", build))
     monkeypatch.setattr(red, "nearest_div", counted("rounding", nearest))
     for g in _criterion_2_inputs():
         for params in (ReducerParams(), ReducerParams(sign_strategy=False)):
@@ -873,18 +898,18 @@ def _dense_signature_corpus():
 
 def test_forward_rows_cut_the_lambda_row_builds(monkeypatch):
     """On `_dense_signature_corpus`, the sign strategy on every other
-    input, the reducer made 1 922 `_lambda_row` calls when a definite
+    input, the reducer made 1 922 `GsoState.lambda_row` calls when a definite
     swap carried only the row of the vector it moves back; carrying the
     row of the vector it moves forward too, it makes 1 311.  The guard
     asks for 20 % fewer than the first figure."""
     calls = [0]
-    build = gram_mod._lambda_row
+    build = GsoState.lambda_row
 
     def counted(*args):
         calls[0] += 1
         return build(*args)
 
-    monkeypatch.setattr(gram_mod, "_lambda_row", counted)
+    monkeypatch.setattr(GsoState, "lambda_row", counted)
     swaps = sum(reduce(g, ReducerParams(sign_strategy=i % 2 == 0)).stats.swaps
                 for i, g in enumerate(_dense_signature_corpus()))
     assert swaps == 1631 and 5 * calls[0] <= 4 * 1922, calls
@@ -989,7 +1014,7 @@ def test_rolled_back_placements_restore_the_state(monkeypatch):
             want = changed - 1 if changed and (changed - 1) in bad else changed  # no split plane
         held = refresh(self, prefix)
         assert held.reused == want
-        refreshed[self] = ([row[:] for row in self.gc], held.upto, held.bad)
+        refreshed[self] = ([row[:] for row in self.gc], held.upto, set(held.bad))
         seen["refreshes"] += 1
         return held
 
