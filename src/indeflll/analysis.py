@@ -19,7 +19,7 @@ from fractions import Fraction
 from .errors import InadmissiblePrefixError, InternalInvariantError
 from .gram import GramMatrix, _symmetric_product, auto_gso, mat_det, mat_identity, mat_transpose
 from .numerics import Rational, clear_denominators
-from .reducer import ReducerParams, ReductionResult, reduce
+from .reducer import ReducerParams, ReductionResult, block_kinds, definite_exponent, reduce
 
 
 @dataclass
@@ -294,9 +294,8 @@ def verify_theorem_bound(result: ReductionResult, gram_in: GramMatrix) -> BoundR
     det = abs(gso.det)
     # the GSO read the leading block, so the entry there is an integer
     first_pow = abs(result.first_entry()).numerator ** ell
-    signs = [gso.norm_sign(i) for i in range(ell)]  # 0 inside a plane
-    definite = [p for p in range(ell - 1) if signs[p] == signs[p + 1] != 0]
-    sum_n = sum(ell - 1 - p for p in definite)
+    kinds = block_kinds(gso)
+    sum_n = definite_exponent(kinds, ell)
     # first^ell * p^e * (q(4p - q))^N <= q^e * (4p^2)^N * |det|, with the
     # powers of p and q common to both sides cancelled first: that keeps
     # the integers, and the gcd that normalizes rhs, small
@@ -307,7 +306,8 @@ def verify_theorem_bound(result: ReductionResult, gram_in: GramMatrix) -> BoundR
     rhs_den = p ** (e - kp) * q ** (sum_n - kq) * (4 * p - q) ** sum_n
     lhs, rhs = Fraction(first_pow), Fraction(rhs_num, rhs_den)
     # signature read off the reduced block structure, a plane adding 0
-    sig = abs(signs.count(1) - signs.count(-1))
+    n_plus, n_minus = gso.sign_counts()
+    sig = abs(n_plus - n_minus)
     h = sig * (sig - 1)
     heur_num, heur_den = 4**h * det, 3**h
     return BoundReport(
@@ -320,7 +320,7 @@ def verify_theorem_bound(result: ReductionResult, gram_in: GramMatrix) -> BoundR
         slack=rhs / lhs if first_pow else None,
         heuristic_rhs=Fraction(heur_num, heur_den),
         heuristic_holds=first_pow * heur_den <= heur_num,
-        excess_definite=len(definite) - max(sig - 1, 0),
+        excess_definite=kinds.count("definite") - max(sig - 1, 0),
         signature=sig,
     )
 

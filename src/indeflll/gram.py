@@ -19,11 +19,10 @@ is exact.  The one rational view of these integers is
 projection on the prefix, and its residual norm.  The GSO takes integral
 Grams only.  A state holds each fact once: one list entry per position,
 so its length is `upto`, and one set of plane starts.  A build extends a
-previous state of the same Gram in place, with the potential as a
-running product, and takes each row its caller already knows instead of
-building it.  It compares no rows: whoever changes the Gram cuts the
-state (`GsoState.cut`) where the change begins, as the reducer's basis
-moves do.
+previous state of the same Gram in place and takes each row its caller
+already knows instead of building it.  It compares no rows: whoever
+changes the Gram cuts the state (`GsoState.cut`) where the change
+begins, as the reducer's basis moves do.
 """
 
 from collections.abc import Mapping
@@ -179,9 +178,6 @@ class GramMatrix:
     def __eq__(self, other) -> bool:
         return isinstance(other, GramMatrix) and self.rows == other.rows
 
-    def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.rows))
-
     def __repr__(self) -> str:
         body = "; ".join(" ".join(format_rational(x) for x in row) for row in self.rows)
         return f"GramMatrix[{body}]"
@@ -204,10 +200,7 @@ class GsoState:
     D'_m * b(v_i, v*_m) for m <= i: at a scalar position lam[i][i] =
     dets[i], inside a plane lam[i][i] = 0, and the second position of a
     plane (j, j+1) holds A_j = lam[j+1][j] = D'_j * alpha_j.  `bad` holds
-    the first position of each plane.  pot[i] is the potential (see
-    `potential`) of the prefix through the block of position i,
-    multiplied up as the positions are built, so both positions of a
-    plane hold it after the plane.  `reused` counts the leading positions
+    the first position of each plane.  `reused` counts the leading positions
     a build took over from a previous state instead of computing them.
     Builds and cuts edit the lists and the set in place, and no row is
     ever edited in place.  The state holds the prefix alone: rows of
@@ -218,7 +211,6 @@ class GsoState:
     lam: list[list[int]]
     dets: list[int]
     bad: set[int]
-    pot: list[tuple[int, int]]
     reused: int = field(default=0, compare=False)
 
     @property
@@ -230,11 +222,6 @@ class GsoState:
     def det(self) -> int:
         """Gram determinant of the prefix."""
         return self.dets[-1] if self.dets else 1
-
-    @property
-    def running_potential(self) -> tuple[int, int]:
-        """`potential()` of the prefix, as the builds multiplied it up."""
-        return self.pot[-1] if self.pot else (1, 1)
 
     def is_scalar(self, i: int) -> bool:
         return i not in self.bad and (i - 1) not in self.bad
@@ -266,7 +253,7 @@ class GsoState:
             return
         if first and (first - 1) in self.bad:
             first -= 1
-        del self.lam[first:], self.dets[first:], self.pot[first:]
+        del self.lam[first:], self.dets[first:]
         self.bad.difference_update([j for j in self.bad if j >= first])
 
     # -- integer rows of a vector w, over the integral Gram -----------------
@@ -445,12 +432,11 @@ def auto_gso(
         if not all(map(isinstance, rows[i][: i + 1], repeat(int))):
             raise ValueError("the generalized GSO expects an integral Gram matrix")
     if previous is None:
-        gso = GsoState(lam=[], dets=[], bad=set(), pot=[])
+        gso = GsoState(lam=[], dets=[], bad=set())
     else:
         gso = previous
         gso.cut(upto)
-    lam, dets, bad, pot, keep = gso.lam, gso.dets, gso.bad, gso.pot, gso.upto
-    num, den = pot[-1] if pot else (1, 1)
+    lam, dets, bad, keep = gso.lam, gso.dets, gso.bad, gso.upto
     i = keep
     while i < upto:
         low = rows[i]
@@ -463,8 +449,6 @@ def auto_gso(
         if diag:
             lam.append(row + [diag])
             dets.append(diag)
-            num *= abs(diag)
-            pot.append((num, den))
             i += 1
             continue
         if i + 1 >= upto:
@@ -485,8 +469,6 @@ def auto_gso(
         lam.append(partner + [0])
         pre = dets[-1] if dets else 1
         dets += [-(a * a) // pre] * 2
-        num, den = num * abs(a) ** 3, den * abs(pre)
-        pot += [(num, den)] * 2
         bad.add(i)
         i += 2
     gso.reused = keep

@@ -83,9 +83,6 @@ class Transform2:
         return [[self.m11, self.m12], [self.m21, self.m22]]
 
 
-SWAP = Transform2(0, 1, -1, 0)  # (a, b, c) -> (c, -b, a)
-
-
 @dataclass(frozen=True)
 class BQForm:
     """Coefficients are stored normalized: int when integral, else Fraction."""

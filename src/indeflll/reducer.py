@@ -62,10 +62,8 @@ class ReducerParams:
 # for the vector it moves back and the one it moves forward, a placement
 # for its fresh front, and "kept" for the row a clean-up ended with,
 # filed for the vector that stays against that prefix (a kept front, or
-# the reported vector of the main loop or the baseline).  Rows moved
-# back and kept rows are settled (see `cleanup_size_reduce`).
+# the reported vector of the main loop or the baseline).
 CARRY_SOURCES = ("back", "forward", "front", "kept")
-_SETTLED = ("back", "kept")
 
 
 @dataclass
@@ -109,11 +107,7 @@ class ReductionResult:
 
     def sum_definite_exponent(self) -> int:
         """Sum over positions of the running definite-block count."""
-        total = 0
-        for p, kind in enumerate(self.block_kinds):
-            if kind == "definite":
-                total += self.rank - 1 - p
-        return total
+        return definite_exponent(self.block_kinds, self.rank)
 
     def unit_diagonal_count(self) -> int:
         return sum(1 for i in range(self.reduced.dim) if abs(self.reduced.rows[i][i]) == 1)
@@ -316,22 +310,22 @@ def _size_reduce_below(state: ReducerState, pos: int, row: list[int], top: int) 
             j -= 1
 
 
-def _take_row(state: ReducerState, pos: int) -> tuple[list[int], int, bool]:
-    """(row, rho, settled) of the vector at `pos` against the prefix held
-    in `state.gso`: the row a move carried for it, taken out of
+def _take_row(state: ReducerState, pos: int) -> tuple[list[int], int]:
+    """(row, rho) of the vector at `pos` against the prefix held in
+    `state.gso`: the row a move carried for it, taken out of
     `state.carry`, when that prefix is the positions before it, and
-    otherwise built by Cohen's recursion, not settled.  `state.stats`
-    counts each row by where it came from."""
+    otherwise built by Cohen's recursion.  `state.stats` counts each row
+    by where it came from."""
     gso = state.gso
     carried = state.carry.pop(pos, None) if gso.upto == pos else None
     if carried is not None:
         row, rho, source = carried
         state.stats.rows_carried[source] += 1
-        return row, rho, source in _SETTLED
+        return row, rho
     state.stats.rows_built += 1
     w = state.gc[pos]
     row = gso.lambda_row(w)
-    return row, gso.scaled_residual(row, w[pos]), False
+    return row, gso.scaled_residual(row, w[pos])
 
 
 def cleanup_size_reduce(state: ReducerState, pos: int) -> tuple[list[int], int, bool]:
@@ -345,15 +339,9 @@ def cleanup_size_reduce(state: ReducerState, pos: int) -> tuple[list[int], int, 
     each column operation.  Adding prefix vectors leaves the scaled
     residual rho = D * b(w*, w*) unchanged.  Row and rho are built by
     Cohen's recursion only when no move left them for this vector and
-    prefix in `state.carry` (see `_take_row`).  A settled row, moved back
-    by a definite swap or kept after a clean-up, came out of a clean-up
-    against this prefix or a longer one, so it is nearest-reduced below
-    its top, a fixed point of `_size_reduce_below` (ties round toward
-    zero), and that scan is skipped unless the last-position rule moves
-    the vector; a row carried forward or to a placement's front is
-    scanned as a built one.  Returns the row and rho the vector ends
-    with, which the caller files in `state.carry` for the vector it
-    keeps, and whether the vector is a prefix zero: an integer
+    prefix in `state.carry` (see `_take_row`).  Returns the row and rho
+    the vector ends with, which the caller files in `state.carry` for the
+    vector it keeps, and whether the vector is a prefix zero: an integer
     combination of the prefix plus a vector orthogonal to it and
     isotropic.  Rounding from the last position down takes integral
     coefficients off exactly (with rho = 0 the last-position rule is
@@ -361,16 +349,14 @@ def cleanup_size_reduce(state: ReducerState, pos: int) -> tuple[list[int], int, 
     residual with a zero lambda row, already orthogonal to the prefix.
     """
     gso = state.gso
-    row, rho, settled = _take_row(state, pos)
+    row, rho = _take_row(state, pos)
     top = gso.upto
     if top and gso.is_scalar(top - 1):
         top -= 1
         lam = _cleanup_lambda(*gso.projected_block(top, row[top], rho)[:3])
         if lam:
             _add_prefix_vector(state, pos, row, top, lam)
-            settled = False
-    if not settled:
-        _size_reduce_below(state, pos, row, top)
+    _size_reduce_below(state, pos, row, top)
     return row, rho, rho == 0 and not any(row)
 
 
@@ -421,7 +407,7 @@ def _place_transformed_pair(state: ReducerState, k: int, t: Mat) -> int:
     old = held = carry = None
     if diagonal or antidiagonal:
         old = [[row[prev] for row in u], [row[pos] for row in u]]
-        held, carry = GsoState(gso.lam[:], gso.dets[:], set(gso.bad), gso.pot[:]), dict(state.carry)
+        held, carry = GsoState(gso.lam[:], gso.dets[:], set(gso.bad)), dict(state.carry)
     # the front m11 v_prev + m21 w: its row through prev is m11 lam_prev +
     # m21 lam_w, and its residual there m21^2 times w's, as the v_prev part
     # lies in that prefix
@@ -683,7 +669,7 @@ def _max_bits(rows: list[list[int]]) -> int:
 def _track_potential(state: ReducerState, prefix: int) -> None:
     if prefix < state._pot_max_dim:
         return
-    pot = state.gso.running_potential
+    pot = state.gso.potential()
     if prefix > state._pot_max_dim:
         state._pot_max_dim = prefix
         state._pot_last = pot
@@ -700,15 +686,15 @@ def block_kinds(gso: GsoState) -> list[str]:
     """Kind of each adjacent block (p, p+1) of the prefix held in `gso`:
     hyperbolic-adjacent when either position is in a plane, otherwise
     definite or indefinite by the signs of the two star norms."""
-    kinds = []
-    for p in range(gso.upto - 1):
-        if not (gso.is_scalar(p) and gso.is_scalar(p + 1)):
-            kinds.append("hyperbolic-adjacent")
-        elif gso.norm_sign(p) == gso.norm_sign(p + 1):
-            kinds.append("definite")
-        else:
-            kinds.append("indefinite")
-    return kinds
+    signs = [gso.norm_sign(i) for i in range(gso.upto)]  # 0 inside a plane
+    return ["hyperbolic-adjacent" if 0 in (a, b) else "definite" if a == b else "indefinite"
+            for a, b in zip(signs, signs[1:])]
+
+
+def definite_exponent(kinds: list[str], rank: int) -> int:
+    """Sum N_i of the quality bound for the block kinds of a rank-`rank`
+    prefix: rank - 1 - p for each definite block (p, p+1)."""
+    return sum(rank - 1 - p for p, kind in enumerate(kinds) if kind == "definite")
 
 
 def first_unreduced_block(gso: GsoState) -> int | None:
@@ -769,8 +755,6 @@ def reduce(gram: GramMatrix, params: ReducerParams | None = None) -> ReductionRe
         raise ValueError("reduce expects an integral Gram matrix")
     d = gram.dim
     state = ReducerState(gram, params)
-    if d == 0:
-        return _finalize(state, 0)
     cap = 1000 + 80 * d * d * max(1, _max_bits(gram.rows))
     k = 1
     rank = d
@@ -807,7 +791,7 @@ def reduce(gram: GramMatrix, params: ReducerParams | None = None) -> ReductionRe
         if reported_pos is not None:
             state.stats.position_reports += 1
             state.cyclic_shift(prefix, reported_pos)
-            # settled: the row came out of a clean-up against exactly this prefix
+            # the row came out of a clean-up against exactly this prefix
             state.carry[prefix] = (row, rho, "kept")
             if k == 1:
                 k = 2
@@ -859,8 +843,6 @@ def reduce_baseline(gram: GramMatrix, gamma0: Rational = Fraction(99, 100)) -> R
         raise ValueError("reduce_baseline expects an integral Gram matrix")
     d = gram.dim
     state = ReducerState(gram, params)
-    if d == 0:
-        return _finalize(state, 0)
     cap = 1000 + 80 * d * d * max(1, _max_bits(gram.rows))
     k = 2
     while k <= d:
@@ -869,7 +851,7 @@ def reduce_baseline(gram: GramMatrix, gamma0: Rational = Fraction(99, 100)) -> R
             raise InternalInvariantError(f"baseline loop exceeded {cap} iterations")
         gso = _strict_gso(state, k - 1)
         pos = k - 1
-        row, rho, _ = _take_row(state, pos)
+        row, rho = _take_row(state, pos)
         _size_reduce_below(state, pos, row, k - 1)
         state.carry[pos] = (row, rho, "kept")
         n_prev, _, proj, _ = gso.projected_block(k - 2, row[k - 2], rho)

@@ -19,8 +19,9 @@ from indeflll.numerics import (
     nearest_int,
     sign,
 )
-from indeflll.qform import SWAP, BQForm, Transform2, apply
+from indeflll.qform import BQForm, Transform2, apply
 
+SWAP = Transform2(0, 1, -1, 0)  # (a, b, c) -> (c, -b, a)
 IMPROPER_SWAP = Transform2(0, 1, 1, 0)
 
 

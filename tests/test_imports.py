@@ -1,6 +1,7 @@
 """Every imported name in the library, the tests and the demos is used,
-every function of the library has a caller outside the tests, and every
-parameter of a library function is read by its body."""
+every function and module-level constant of the library has a user
+outside the tests, and every parameter of a library function is read by
+its body."""
 
 import ast
 from pathlib import Path
@@ -8,14 +9,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src/indeflll", "tests", "demos")
 LIBRARY = "src/indeflll"
-# where a reference keeps a library function alive: the library itself,
-# the demos and the benchmark (whose tracing targets name functions in strings)
+# where a reference keeps a library function or constant alive: the library
+# itself, the demos and the benchmark (whose tracing targets name functions
+# in strings)
 USERS = (LIBRARY, "demos", "perfbench")
 # library functions that only the tests call, with the reason each stays
 TEST_ONLY = {
     "Transform2.compose": "the Fraction reference walk in tests/fraction_walk.py composes its moves",
     "GramMatrix.zeros": "the tests build empty and all-zero Grams with it",
-    "GsoState.potential": "the tests check the builds' running product against it",
 }
 
 
@@ -60,11 +61,20 @@ def test_no_unused_imports():
     assert [hit for path in files for hit in unused_imports(path)] == []
 
 
-def defined_functions(path: Path) -> dict[str, list[str]]:
-    """The functions and methods `path` defines, nested ones included, as
-    bare name -> qualified names ("Class.method"); dunder methods, which
-    Python calls itself, are left out."""
+def defined_names(path: Path) -> dict[str, list[str]]:
+    """The functions and methods `path` defines, nested ones included, and
+    the names it assigns at module level, as bare name -> qualified names
+    ("Class.method"); dunder names, which Python reads itself, are left
+    out."""
     out: dict[str, list[str]] = {}
+    tree = ast.parse(path.read_text(), str(path))
+    for stmt in tree.body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else []
+        if isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        for node in (n for t in targets for n in ast.walk(t)):
+            if isinstance(node, ast.Name) and not node.id.startswith("__"):
+                out.setdefault(node.id, []).append(node.id)
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
@@ -78,16 +88,17 @@ def defined_functions(path: Path) -> dict[str, list[str]]:
             else:
                 visit(child, owner)
 
-    visit(ast.parse(path.read_text(), str(path)), "")
+    visit(tree, "")
     return out
 
 
 def referenced_names(path: Path) -> set[str]:
     """Every name `path` reads, attribute names and whole string constants
-    included (so a tracing target or an `__all__` entry counts)."""
+    included (so a tracing target or an `__all__` entry counts); a name
+    that is only assigned is not read."""
     used = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
@@ -96,13 +107,14 @@ def referenced_names(path: Path) -> set[str]:
     return used
 
 
-def functions_without_users(root: Path = ROOT, library: str = LIBRARY, users=USERS) -> list[str]:
-    """Qualified names of the library functions whose bare name nothing
-    under `users` references.  Names are matched bare, so a method shares
-    a reference with any function of the same name."""
+def names_without_users(root: Path = ROOT, library: str = LIBRARY, users=USERS) -> list[str]:
+    """Qualified names of the library functions and module-level constants
+    whose bare name nothing under `users` references.  Names are matched
+    bare, so a method shares a reference with any function of the same
+    name."""
     defined: dict[str, list[str]] = {}
     for path in sorted((root / library).rglob("*.py")):
-        for name, qualified in defined_functions(path).items():
+        for name, qualified in defined_names(path).items():
             defined.setdefault(name, []).extend(qualified)
     used = set().union(*(referenced_names(p) for d in users for p in (root / d).rglob("*.py")))
     return sorted(q for name, qs in defined.items() if name not in used for q in qs)
@@ -112,9 +124,11 @@ def test_scan_finds_functions_without_users(tmp_path):
     (tmp_path / "lib").mkdir()
     (tmp_path / "use").mkdir()
     (tmp_path / "lib" / "m.py").write_text(
+        "LIMIT, SPARE = 3, 4\n"
+        "__all__ = []\n"
         "class A:\n"
         "    def __eq__(self, other): return True\n"
-        "    def called(self): return self.helper()\n"
+        "    def called(self): return self.helper() + LIMIT\n"
         "    def helper(self): return 1\n"
         "    def orphan(self): return 2\n"
         "def named(): pass\n"
@@ -123,13 +137,13 @@ def test_scan_finds_functions_without_users(tmp_path):
         "    return inner\n"
     )
     (tmp_path / "use" / "u.py").write_text("TARGETS = [('x', 'named')]\nA().called()\n")
-    assert functions_without_users(tmp_path, "lib", ("lib", "use")) == ["A.orphan", "lonely"]
+    assert names_without_users(tmp_path, "lib", ("lib", "use")) == ["A.orphan", "SPARE", "lonely"]
 
 
 def test_library_functions_have_users_outside_the_tests():
-    assert functions_without_users() == sorted(TEST_ONLY)
+    assert names_without_users() == sorted(TEST_ONLY)
     # and the tests do call those
-    assert functions_without_users(users=USERS + ("tests",)) == []
+    assert names_without_users(users=USERS + ("tests",)) == []
 
 
 def _first_use(name: str, body: list) -> str | None:

@@ -61,6 +61,9 @@ def test_cmp_with_sqrt_examples():
     assert cmp_with_sqrt(3, 1, 8) > 0
     assert cmp_with_sqrt(2, 1, 4) == 0
     assert cmp_with_sqrt(-1, 1, 2) < 0
+    # with d = 0 or q = 0 the sign is p's, zero included
+    assert cmp_with_sqrt(0, 1, 0) == 0
+    assert cmp_with_sqrt(-3, 5, 0) == -1 and cmp_with_sqrt(Fraction(1, 2), 0, 7) == 1
     with pytest.raises(ValueError):
         cmp_with_sqrt(1, 1, -1)
 

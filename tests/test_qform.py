@@ -9,7 +9,6 @@ import fraction_walk as ref
 from indeflll.numerics import clear_denominators, is_rational_square
 from indeflll.qform import (
     BQForm,
-    SWAP,
     IntegralWalk,
     Transform2,
     apply,
@@ -41,10 +40,14 @@ def test_discriminant_examples():
     assert BQForm(Fraction(1, 2), 1, Fraction(-1, 3)).disc == Fraction(5, 3)
 
 
+def test_form_repr():
+    assert repr(BQForm(Fraction(2, 4), -3, 0)) == "BQForm(1/2, -3, 0)"
+
+
 def test_apply_examples():
     f = BQForm(1, 0, 1)
     assert apply(f, Transform2.identity()).coeffs() == (1, 0, 1)
-    assert apply(BQForm(2, 3, 5), SWAP).coeffs() == (5, -3, 2)
+    assert apply(BQForm(2, 3, 5), ref.SWAP).coeffs() == (5, -3, 2)
     assert apply(BQForm(1, 0, -2), Transform2(1, 1, 0, 1)).coeffs() == (1, 2, -1)
     with pytest.raises(ValueError):
         apply(f, Transform2(2, 0, 0, 1))

@@ -759,7 +759,7 @@ def test_held_gso_is_exact_after_every_move(monkeypatch):
     seen = collections.Counter()
 
     def one_entry_per_position(gso):
-        assert len(gso.lam) == len(gso.dets) == len(gso.pot) == gso.upto
+        assert len(gso.lam) == len(gso.dets) == gso.upto
         assert all(j + 1 < gso.upto for j in gso.bad)
 
     def checked(move):
@@ -818,11 +818,8 @@ def test_carried_rows_are_exact(monkeypatch):
     reduction equals the pair Cohen's recursion builds for that vector
     against that prefix, from each source: the vectors a definite swap
     moves back and forward (in the reducer and the baseline), a
-    placement's fresh front, and a kept front at its next clean-up.  A
-    clean-up that takes a settled row from the state, and so may skip its
-    rescan, leaves U, the Gram and its result as one that builds the
-    row."""
-    take, cleanup = red._take_row, red.cleanup_size_reduce
+    placement's fresh front, and a kept front at its next clean-up."""
+    take = red._take_row
     seen = collections.Counter()
 
     def checked_take(state, pos):
@@ -836,19 +833,7 @@ def test_carried_rows_are_exact(monkeypatch):
             seen[source] += 1
         return take(state, pos)
 
-    def checked_cleanup(state, pos):
-        carried = state.carry.get(pos) if state.gso.upto == pos else None
-        if carried is None or carried[2] not in red._SETTLED:
-            return cleanup(state, pos)
-        built = copy.copy(state)  # sharing the held GSO, which the clean-up leaves whole
-        built.u, built.gc, built.carry = [r[:] for r in state.u], [r[:] for r in state.gc], {}
-        want = cleanup(built, pos)
-        assert cleanup(state, pos) == want
-        assert (state.u, state.gc) == (built.u, built.gc)
-        return want
-
     monkeypatch.setattr(red, "_take_row", checked_take)
-    monkeypatch.setattr(red, "cleanup_size_reduce", checked_cleanup)
     for g in _exactness_corpus() + _criterion_2_inputs():
         for params in (ReducerParams(), ReducerParams(sign_strategy=False)):
             reduce(g, params)
@@ -915,18 +900,35 @@ def test_forward_rows_cut_the_lambda_row_builds(monkeypatch):
     assert swaps == 1631 and 5 * calls[0] <= 4 * 1922, calls
 
 
+def test_zero_dimension_results():
+    for run in (reduce, reduce_baseline):
+        res = run(GramMatrix([]))
+        assert (res.rank, res.block_kinds, res.transform, res.reduced.rows) == (0, [], [], [])
+        assert res.first_entry() == 0 and res.sum_definite_exponent() == 0
+
+
+def test_track_potential_counts_drops_and_rises_at_the_longest_prefix(monkeypatch):
+    """A potential is compared only at the longest prefix seen so far:
+    the first step there sets it, a fall counts a drop and a rise a
+    violation, and a shorter prefix is not read."""
+    values = iter([(5, 1), (9, 2), (14, 3), (2, 1)])
+    monkeypatch.setattr(GsoState, "potential", lambda gso: next(values))
+    state = ReducerState(GramMatrix.identity(3), ReducerParams())
+    state.refresh_prefix_gso(2)
+    for prefix in (2, 2, 1, 2, 2):
+        red._track_potential(state, prefix)
+    assert (state.stats.potential_drops, state.stats.potential_violations) == (2, 1)
+
+
 def test_running_potential_matches_a_fresh_product(monkeypatch):
-    """At every potential step, on the exactness corpus and on scrambled
-    hyperbolic stacks, the potential the builds multiplied up equals
-    `GsoState.potential()` multiplied out afresh, planes included, and
-    each input keeps the potential drops (and no violation) that the
-    fresh product gave it."""
+    """On the exactness corpus and on scrambled hyperbolic stacks, with
+    planes held at many potential steps, each input keeps its pinned
+    potential drops and no violation."""
     track = red._track_potential
     seen = collections.Counter()
 
     def checked(state, prefix):
         gso = state.gso
-        assert gso.running_potential == gso.potential()
         seen["steps"] += 1
         seen["planes"] += bool(gso.bad)
         return track(state, prefix)
