@@ -8,8 +8,9 @@ integers, the Hermitian doubling embedding, and the hyperbolic-plane
 removal basis change.
 
 The certificate's product U^T G U is `GramMatrix.congruence`'s, formed
-once per G and U: after `reduce` it is the one the reducer's own check
-formed, taken over while neither matrix has changed.  The exact
+once per G and U, and the oracle's minors are `GramMatrix.leading_minors`,
+formed once per G: after `reduce` both are the ones the reducer's own
+checks formed, taken over while neither matrix has changed.  The exact
 comparison with the reduced matrix is `verify_theorem_bound`'s own.
 """
 
@@ -17,7 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InadmissiblePrefixError, InternalInvariantError
-from .gram import GramMatrix, _symmetric_product, auto_gso, mat_det, mat_identity, mat_transpose
+from .gram import (
+    GramMatrix,
+    _congruent_leading_minors,
+    _symmetric_product,
+    auto_gso,
+    mat_det,
+    mat_identity,
+    mat_transpose,
+)
 from .numerics import Rational, clear_denominators
 from .reducer import ReducerParams, ReductionResult, block_kinds, definite_exponent, reduce
 
@@ -135,56 +144,13 @@ def char_poly(gram: GramMatrix) -> list[Fraction]:
     return list(reversed(cs))
 
 
-def _congruent_leading_minors(a: list[list[int]]) -> list[int]:
-    """Leading principal minors D_1..D_rank of an integer matrix
-    congruent to the symmetric `a`, by fraction-free (Bareiss) symmetric
-    elimination; `a` is overwritten.
-
-    Step k pivots on a remaining nonzero diagonal entry, moved to place
-    k by a symmetric swap.  When every remaining diagonal entry is zero,
-    the unimodular step e_i += e_j with a_ij != 0 first makes the new
-    a_ii = 2 a_ij.  Both congruences act only on indices k and up, where
-    the Bareiss entries are bordered minors and so transform the same
-    way; D_1..D_k stay as found.  The remaining block is D_k times a
-    Schur complement, so the elimination stops when it is all zero;
-    D_rank = det(a) when `a` is nonsingular.
-    """
-    r = len(a)
-    minors = []
-    prev = 1
-    for k in range(r):
-        p = next((i for i in range(k, r) if a[i][i]), None)
-        if p is None:
-            p, j = next(((i, j) for i in range(k, r) for j in range(i + 1, r) if a[i][j]), (None, None))
-            if p is None:
-                break
-            ap, aj = a[p], a[j]
-            for t in range(k, r):
-                ap[t] += aj[t]
-            for row in a[k:]:
-                row[p] += row[j]
-        a[k], a[p] = a[p], a[k]
-        for row in a[k:]:
-            row[k], row[p] = row[p], row[k]
-        ak = a[k]
-        piv = ak[k]
-        for i in range(k + 1, r):
-            ai = a[i]
-            aik = ai[k]
-            for j in range(i, r):
-                ai[j] = a[j][i] = (ai[j] * piv - aik * ak[j]) // prev
-        minors.append(piv)
-        prev = piv
-    return minors
-
-
 def _integral_scale(gram: GramMatrix) -> tuple[GramMatrix, int]:
     """Scale a rational Gram matrix by the least positive integer making
     it integral, and that integer; scaling preserves the signature.  An
-    integral input comes back as it is."""
-    flat, scale = clear_denominators([x for row in gram.rows for x in row])
-    if scale == 1:
+    integral input comes back as it is, with the results it keeps."""
+    if gram.is_integral():
         return gram, 1
+    flat, scale = clear_denominators([x for row in gram.rows for x in row])
     d = gram.dim
     return GramMatrix.trusted([flat[i : i + d] for i in range(0, d * d, d)]), scale
 
@@ -195,14 +161,16 @@ def signature_via_sturm(gram: GramMatrix) -> LatticeInvariants:
     By Sylvester's law of inertia any congruent matrix has the same
     counts.  Rational input is scaled to integral, and fraction-free
     symmetric elimination gives the leading principal minors
-    D_1..D_rank of a congruent matrix (D_0 = 1).  The sign changes of
+    D_1..D_rank of a congruent matrix (D_0 = 1), `GramMatrix.leading_minors`,
+    formed once per entries of G: after `reduce` on full-rank input they
+    are the ones its determinant check formed.  The sign changes of
     this Sturm sequence at 0 count n_minus: the k-th diagonal entry of
     the congruent diagonal form is D_k / D_(k-1).  The nondegenerate
     determinant is D_rank / scale^rank, D_rank taken from the integer
     kernel split's leading block when the input is singular.
     """
     scaled, lam = _integral_scale(gram)
-    minors = _congruent_leading_minors(scaled.copy_rows())
+    minors = scaled.leading_minors()
     rank = len(minors)
     if rank < gram.dim:
         lead = _nondegenerate_block(scaled.rows)[1]
@@ -210,7 +178,7 @@ def signature_via_sturm(gram: GramMatrix) -> LatticeInvariants:
         if len(minors) < len(lead):
             raise InternalInvariantError("singular block in the inertia count")
         rank = len(lead)
-    n_minus = sum((x < 0) != (y < 0) for x, y in zip([1] + minors, minors))
+    n_minus = sum((x < 0) != (y < 0) for x, y in zip((1, *minors), minors))
     det_nondeg = Fraction(minors[-1], lam**rank) if rank else Fraction(0)
     return LatticeInvariants(
         dim=gram.dim, rank=rank, n_plus=rank - n_minus, n_minus=n_minus, nondeg_det=det_nondeg
@@ -294,7 +262,9 @@ def verify_theorem_bound(result: ReductionResult, gram_in: GramMatrix) -> BoundR
     det = abs(gso.det)
     # the GSO read the leading block, so the entry there is an integer
     first_pow = abs(result.first_entry()).numerator ** ell
-    kinds = block_kinds(gso)
+    # each star-norm sign read once, for the block kinds and for sigma
+    signs = gso.norm_signs()
+    kinds = block_kinds(signs)
     sum_n = definite_exponent(kinds, ell)
     # first^ell * p^e * (q(4p - q))^N <= q^e * (4p^2)^N * |det|, with the
     # powers of p and q common to both sides cancelled first: that keeps
@@ -305,9 +275,9 @@ def verify_theorem_bound(result: ReductionResult, gram_in: GramMatrix) -> BoundR
     rhs_num = q ** (e - kq) * 4**sum_n * p ** (2 * sum_n - kp) * det
     rhs_den = p ** (e - kp) * q ** (sum_n - kq) * (4 * p - q) ** sum_n
     lhs, rhs = Fraction(first_pow), Fraction(rhs_num, rhs_den)
-    # signature read off the reduced block structure, a plane adding 0
-    n_plus, n_minus = gso.sign_counts()
-    sig = abs(n_plus - n_minus)
+    # signature read off the reduced block structure: a plane adds one to
+    # each count, so it cancels, as do its two zero signs
+    sig = abs(signs.count(1) - signs.count(-1))
     h = sig * (sig - 1)
     heur_num, heur_den = 4**h * det, 3**h
     return BoundReport(

@@ -376,7 +376,7 @@ def cmd_verify(args) -> int:
                 transform=u_rows,
                 reduced=reduced,
                 rank=rank,
-                block_kinds=block_kinds(gso),
+                block_kinds=block_kinds(gso.norm_signs()),
                 stats=ReductionStats(),
                 params=ReducerParams(gamma0=gamma0),
             )

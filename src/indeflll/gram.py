@@ -90,6 +90,50 @@ def mat_det(rows: list[list]) -> Fraction:
     return Fraction(sign_flip * work[n - 1][n - 1], den**n)
 
 
+def _congruent_leading_minors(a: list[list[int]]) -> list[int]:
+    """Leading principal minors D_1..D_rank of an integer matrix
+    congruent to the symmetric `a`, by fraction-free (Bareiss) symmetric
+    elimination; `a` is overwritten.
+
+    Step k pivots on a remaining nonzero diagonal entry, moved to place
+    k by a symmetric swap.  When every remaining diagonal entry is zero,
+    the unimodular step e_i += e_j with a_ij != 0 first makes the new
+    a_ii = 2 a_ij.  Both congruences act only on indices k and up, where
+    the Bareiss entries are bordered minors and so transform the same
+    way; D_1..D_k stay as found.  The remaining block is D_k times a
+    Schur complement, so the elimination stops when it is all zero;
+    D_rank = det(a) when `a` is nonsingular, as both moves are
+    unimodular.
+    """
+    r = len(a)
+    minors = []
+    prev = 1
+    for k in range(r):
+        p = next((i for i in range(k, r) if a[i][i]), None)
+        if p is None:
+            p, j = next(((i, j) for i in range(k, r) for j in range(i + 1, r) if a[i][j]), (None, None))
+            if p is None:
+                break
+            ap, aj = a[p], a[j]
+            for t in range(k, r):
+                ap[t] += aj[t]
+            for row in a[k:]:
+                row[p] += row[j]
+        a[k], a[p] = a[p], a[k]
+        for row in a[k:]:
+            row[k], row[p] = row[p], row[k]
+        ak = a[k]
+        piv = ak[k]
+        for i in range(k + 1, r):
+            ai = a[i]
+            aik = ai[k]
+            for j in range(i, r):
+                ai[j] = a[j][i] = (ai[j] * piv - aik * ak[j]) // prev
+        minors.append(piv)
+        prev = piv
+    return minors
+
+
 # ---------------------------------------------------------------------------
 # Gram matrices
 # ---------------------------------------------------------------------------
@@ -98,8 +142,12 @@ def mat_det(rows: list[list]) -> Fraction:
 class GramMatrix:
     """Symmetric square matrix of exact rationals.
 
-    `_memo` holds the last congruence formed from the instance (see
-    `congruence`), or None."""
+    `_memo` holds what was formed from the instance's entries, or None:
+    a snapshot of the rows, as a tuple of tuples, and a dict of the
+    results formed from exactly those entries, the last congruence (see
+    `congruence`) and the leading minors (see `leading_minors`).  Any
+    call that finds the rows differ from the snapshot starts a new dict,
+    so an entry edited in place misses every result."""
 
     __slots__ = ("rows", "_memo")
 
@@ -122,7 +170,7 @@ class GramMatrix:
         caller guarantees a square symmetric matrix of normalized entries
         (the working Gram of a reduction, say) and copies it first if it
         will change while the matrix is in use.  The view starts with no
-        congruence of its own."""
+        results of its own."""
         gram = cls.__new__(cls)
         gram.rows = rows
         gram._memo = None
@@ -150,8 +198,8 @@ class GramMatrix:
         """U^T * G * U for a dim x dim integer matrix U, as a new matrix.
 
         The product is formed once per G and U: the instance keeps its
-        last one, keyed by snapshots of the entries of G and of U, so a
-        second call on equal entries (the certificate that follows
+        last one, keyed by the snapshot of G's entries and one of U's,
+        so a second call on equal entries (the certificate that follows
         `reduce`'s own check) copies it instead of multiplying again,
         and an entry of either edited in place in between misses.  A
         miss forms G U once, as the rows of its transpose U^T G, then
@@ -161,13 +209,37 @@ class GramMatrix:
         n = len(self.rows)
         if len(u) != n or any(len(row) != n for row in u):
             raise ValueError(f"the transform must be {n}x{n}")
-        key = (tuple(map(tuple, self.rows)), tuple(map(tuple, u)))
-        if self._memo is None or self._memo[0] != key:
-            ut = list(zip(*key[1]))
+        memo, key = self._formed(), tuple(map(tuple, u))
+        kept = memo.get("congruence")
+        if kept is None or kept[0] != key:
+            ut = list(zip(*key))
             gu_t = [[sum(map(mul, col, row)) for row in self.rows] for col in ut]
             product = _symmetric_product(ut, gu_t)
-            self._memo = (key, [tuple(map(normalize, row)) for row in product])
-        return GramMatrix.trusted([list(row) for row in self._memo[1]])
+            kept = memo["congruence"] = (key, [tuple(map(normalize, row)) for row in product])
+        return GramMatrix.trusted([list(row) for row in kept[1]])
+
+    def leading_minors(self) -> tuple[int, ...]:
+        """Leading principal minors D_1..D_rank of an integer matrix
+        congruent to this integral Gram (`_congruent_leading_minors`), so
+        D_dim = det G at full rank.  They are formed once per entries and
+        kept under the same snapshot as `congruence`'s product: the
+        signature oracle after `reduce` reads the ones the reducer's own
+        determinant check formed.  A non-integral entry raises
+        ValueError."""
+        memo = self._formed()
+        minors = memo.get("minors")
+        if minors is None:
+            if not self.is_integral():
+                raise ValueError("the leading minors need an integral Gram matrix")
+            minors = memo["minors"] = tuple(_congruent_leading_minors(self.copy_rows()))
+        return minors
+
+    def _formed(self) -> dict:
+        """The results kept for the current entries (see the class)."""
+        key = tuple(map(tuple, self.rows))
+        if self._memo is None or self._memo[0] != key:
+            self._memo = (key, {})
+        return self._memo[1]
 
     def det(self) -> Fraction:
         return mat_det(self.rows)
@@ -237,11 +309,20 @@ class GsoState:
             return 0
         return 1 if (self.dets[i] > 0) == (self.before(i) > 0) else -1
 
+    def norm_signs(self) -> list[int]:
+        """`norm_sign` of every position, in one pass: a scalar position
+        compares the sign of its determinant with the one before it."""
+        bad, prev, out = self.bad, 1, []
+        for i, det in enumerate(self.dets):
+            out.append(0 if i in bad or (i - 1) in bad else 1 if (det > 0) == (prev > 0) else -1)
+            prev = det
+        return out
+
     def sign_counts(self) -> tuple[int, int]:
         """(positive, negative) counts of the prefix: each scalar position
         by the sign of its star norm, each hyperbolic plane once on each
         side."""
-        signs = [self.norm_sign(i) for i in range(self.upto)]
+        signs = self.norm_signs()
         planes = len(self.bad)
         return signs.count(1) + planes, signs.count(-1) + planes
 

@@ -682,11 +682,11 @@ def _track_potential(state: ReducerState, prefix: int) -> None:
     state._pot_last = pot
 
 
-def block_kinds(gso: GsoState) -> list[str]:
-    """Kind of each adjacent block (p, p+1) of the prefix held in `gso`:
+def block_kinds(signs: list[int]) -> list[str]:
+    """Kind of each adjacent block (p, p+1) of a prefix whose star norms
+    have the signs `signs` (`GsoState.norm_signs`, 0 inside a plane):
     hyperbolic-adjacent when either position is in a plane, otherwise
     definite or indefinite by the signs of the two star norms."""
-    signs = [gso.norm_sign(i) for i in range(gso.upto)]  # 0 inside a plane
     return ["hyperbolic-adjacent" if 0 in (a, b) else "definite" if a == b else "indefinite"
             for a, b in zip(signs, signs[1:])]
 
@@ -722,9 +722,12 @@ def _finalize(state: ReducerState, rank: int) -> ReductionResult:
     gso = auto_gso(gram_out, rank, state.gso, state.carry)
     # U^T G U = G' exactly gives det G' = det(U)^2 det G.  At full rank
     # det G' = gso.det is nonzero, so |det U| = 1 exactly when the two
-    # Gram determinants agree, and G's costs less than U's large entries.
+    # Gram determinants agree.  det G is the last of G's leading minors,
+    # which cost less than det U's large entries and are formed once per
+    # G, for the signature oracle too; a singular G has fewer than d.
     if rank == state.d:
-        unimodular = gso.det == mat_det(state.g_in.rows)
+        minors = state.g_in.leading_minors()
+        unimodular = len(minors) == rank and gso.det == (1, *minors)[-1]
     else:
         unimodular = abs(mat_det(state.u)) == 1
     if not unimodular:
@@ -735,7 +738,7 @@ def _finalize(state: ReducerState, rank: int) -> ReductionResult:
         transform=state.u,
         reduced=gram_out,
         rank=rank,
-        block_kinds=block_kinds(gso),
+        block_kinds=block_kinds(gso.norm_signs()),
         stats=state.stats,
         params=state.params,
     )

@@ -8,7 +8,6 @@ import pytest
 from indeflll import analysis
 from indeflll.analysis import (
     LatticeInvariants,
-    _congruent_leading_minors,
     char_poly,
     hermitian_embed,
     kernel_split,
@@ -18,7 +17,7 @@ from indeflll.analysis import (
     verify_theorem_bound,
 )
 from indeflll.errors import InadmissiblePrefixError, InternalInvariantError
-from indeflll.gram import GramMatrix, auto_gso, mat_det, mat_identity, mat_transpose
+from indeflll.gram import GramMatrix, _congruent_leading_minors, auto_gso, mat_det, mat_identity, mat_transpose
 from indeflll.generators import (
     gen_hyperbolic_stack,
     gen_random_symmetric,
@@ -26,7 +25,7 @@ from indeflll.generators import (
     gen_worstcase,
 )
 from indeflll.reducer import ReducerParams, reduce
-from test_gram import count_products
+from test_gram import count_eliminations, count_products
 from test_reducer import mat_mul
 
 # the closing example: diag(1,-1,1,-1) admits a transform of infinite order
@@ -277,6 +276,32 @@ def test_full_rank_input_takes_no_kernel_split(monkeypatch):
     monkeypatch.setattr(analysis, "_nondegenerate_block", lambda rows: calls.append(rows) or split(rows))
     inv = signature_via_sturm(GramMatrix([[1, 1, 0], [1, 1, 0], [0, 0, -2]]))
     assert (inv.rank, inv.n_plus, inv.n_minus, inv.nondeg_det, len(calls)) == (2, 1, 1, -2, 1)
+
+
+def test_sturm_oracle_after_reduce_runs_no_elimination(monkeypatch):
+    """After `reduce` on full-rank input the reducer's determinant check
+    has formed G's leading minors, and the certificate and the oracle read
+    them: no elimination runs after the reduction.  Below full rank the
+    reducer checks det U and the oracle eliminates G and the leading
+    block of its kernel split, once each."""
+    calls = count_eliminations(monkeypatch)
+    full = [
+        gen_worstcase(5).congruence(gen_random_unimodular(10, 30, 0)),
+        gen_hyperbolic_stack(3, [1, 2, -2]).congruence(gen_random_unimodular(9, 20, 5)),
+        gen_random_symmetric(7, 30, 11),
+    ]
+    for g in full:
+        res = reduce(g)
+        assert (res.rank, calls) == (g.dim, [1])
+        verify_theorem_bound(res, g)
+        inv = signature_via_sturm(g)
+        assert calls == [1]
+        assert inv == signature_via_sturm(GramMatrix(g.copy_rows())) and calls == [2]
+        calls[0] = 0
+    g = _rank_deficient(random.Random(74), 6, 4, 3)
+    res = reduce(g)
+    assert res.rank < g.dim and calls == [0]
+    assert signature_via_sturm(g).rank == res.rank and calls == [2]
 
 
 def test_singular_split_block_still_raises(monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import fraction_gso as ref
-from indeflll import gram as gram_module
+from indeflll import analysis, gram as gram_module
 from indeflll.errors import InadmissiblePrefixError, LatticeError
 from indeflll.generators import gen_hyperbolic_stack, gen_random_unimodular, gen_worstcase
 from indeflll.gram import (
@@ -15,7 +15,7 @@ from indeflll.gram import (
     mat_transpose,
 )
 from indeflll.reducer import ReducerState, cleanup_size_reduce, reduce, reduce_baseline
-from test_reducer import _exactness_corpus, mat_mul
+from test_reducer import _criterion_2_inputs, _exactness_corpus, mat_mul
 
 
 def test_gram_matrix_validation():
@@ -410,6 +410,56 @@ def test_congruence_returns_a_fresh_matrix():
     first.rows[1] = [0, 0]
     again = g.congruence(u)
     assert again.rows == want and again is not first
+
+
+def count_eliminations(monkeypatch) -> list[int]:
+    """A one-item counter of the symmetric eliminations run, counted at
+    `gram._congruent_leading_minors` (the signature oracle's binding of
+    it included)."""
+    calls = [0]
+    eliminate = gram_module._congruent_leading_minors
+
+    def counted(a):
+        calls[0] += 1
+        return eliminate(a)
+
+    monkeypatch.setattr(gram_module, "_congruent_leading_minors", counted)
+    monkeypatch.setattr(analysis, "_congruent_leading_minors", counted)
+    return calls
+
+
+def test_leading_minors_are_formed_once_per_entries(monkeypatch):
+    eliminations, products = count_eliminations(monkeypatch), count_products(monkeypatch)
+    g = GramMatrix([[2, 1, 0], [1, -3, 4], [0, 4, 5]])
+    u = [[1, 2, 0], [0, 1, 0], [1, -1, 1]]
+    minors = g.leading_minors()
+    assert minors == (2, -7, -67) and minors[-1] == mat_det(g.rows)
+    g.congruence(u)
+    assert g.leading_minors() == minors and g.congruence(u) and (eliminations, products) == ([1], [1])
+    # a distinct matrix with equal entries keeps no minors of the first
+    assert GramMatrix(g.copy_rows()).leading_minors() == minors and eliminations == [2]
+    # an entry edited in place misses both results kept under the one snapshot
+    g.rows[2][2] = -5
+    assert g.leading_minors() == (2, -7, 3) == (2, -7, mat_det(g.rows)) and eliminations == [3]
+    assert g.congruence(u).rows == mat_mul(mat_transpose(u), mat_mul(g.rows, u)) and products == [2]
+    assert g.leading_minors() == (2, -7, 3) and eliminations == [3]
+    with pytest.raises(ValueError, match="integral"):
+        GramMatrix([[Fraction(1, 2), 0], [0, 1]]).leading_minors()
+
+
+def test_last_leading_minor_is_the_determinant():
+    """D_dim of the shared elimination is det G, with `mat_det`'s Bareiss
+    elimination as the independent reference, and a singular G has fewer
+    minors than its dimension."""
+    singular = 0
+    for g in _exactness_corpus() + _criterion_2_inputs():
+        minors, det = g.leading_minors(), mat_det(g.rows)
+        if det:
+            assert len(minors) == g.dim and minors[-1] == det, g
+        else:
+            assert len(minors) < g.dim, g
+            singular += 1
+    assert singular == 8
 
 
 def _flagged_prefix(rng, d):
