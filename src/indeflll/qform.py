@@ -311,30 +311,45 @@ class IntegralWalk:
             self.steps += 1
             yield f, t
 
-    def scan(self, f: Form, steps: int, accept: Callable[[Form], bool]) -> tuple[Form, Mat] | None:
+    def scan(
+        self,
+        f: Form,
+        steps: int,
+        accept: Callable[[Form], bool],
+        fallback: Callable[[Form], bool] | None = None,
+    ) -> tuple[Form, Mat] | None:
         """The first form `accept` takes among up to `steps` cycle moves on
-        from f, with its transform; None when there is none or a form
-        repeats first (the move is deterministic, so the cycle would only
-        come round again).  Each move is counted in `steps` as `cycle`
-        counts it, but only the transform returned is composed."""
+        from f, with its transform, or else the first form `fallback`
+        takes; None when neither takes one before the walk ends or a form
+        repeats (the move is deterministic, so the cycle would only come
+        round again).  The cycle is walked once for both.  Each move is
+        counted in `steps` as `cycle` counts it, but only the transform
+        returned is composed."""
         r = self.root
         seen, path = {f}, []
+        hit = None  # the form to return and the number of moves to it
         for _ in range(steps):
             move = _cycle_move(f, r)
             if move is None:
-                return None
+                break
             f, step = move
             self.steps += 1
             path.append(step)
             if f in seen:
-                return None
+                break
             if accept(f):
-                t = _ID
-                for m in path:
-                    t = _mul(t, m)
-                return f, t
+                hit = f, len(path)
+                break
+            if hit is None and fallback is not None and fallback(f):
+                hit = f, len(path)
             seen.add(f)
-        return None
+        if hit is None:
+            return None
+        f, n = hit
+        t = _ID
+        for m in path[:n]:
+            t = _mul(t, m)
+        return f, t
 
     def boundary(self, f: Form, t: Mat) -> tuple[BQForm, Transform2]:
         """f and t as the input's own form and transform."""

@@ -525,7 +525,11 @@ def _indefinite_candidates(
     coefficient (they repair an unreduced block without raising the
     potential).  Reduced input: cycle steps only, gated on a strict
     gamma0 gain with the right sign, up to the first repeated form (the
-    move is deterministic, so only non-gains would follow).  Candidates
+    move is deterministic, so only non-gains would follow).  Under the
+    sign strategy a walk with no right-sign gain falls back to its first
+    gain of either sign when disc < 4 gamma0 a0^2; without that fallback
+    the block kept its lead, and the quality bound failed on inputs such
+    as [[-2,-2,-2],[-2,0,1],[-2,1,1]].  Candidates
     are the walk's own (form, transform) int tuples: forms of its integral
     scaling `walk.start`, and transforms as (m11, m12, m21, m22).
     """
@@ -536,11 +540,16 @@ def _indefinite_candidates(
     def sign_ok(a: int) -> bool:
         return want_sign is None or a * want_sign <= 0
 
-    def gamma_gain(f) -> bool:  # |a| < gamma0 * a0, in integers
-        return abs(f[0]) * gain_den < gain_bound and sign_ok(f[0])
+    def gain(f) -> bool:  # |a| < gamma0 * a0, in integers
+        return abs(f[0]) * gain_den < gain_bound
+
+    def gamma_gain(f) -> bool:
+        return gain(f) and sign_ok(f[0])
 
     if walk.is_reduced(start):
-        found = walk.scan(start, max_extra, gamma_gain)
+        # disc < 4 gamma0 a0^2, in integers
+        short = want_sign is not None and walk.disc * gain_den < 4 * gain_bound * a0
+        found = walk.scan(start, max_extra, gamma_gain, gain if short else None)
         return [found] if found is not None else []
 
     # unreduced input: walk to the first reduced form, noting the escape
@@ -616,7 +625,11 @@ def plane_reduce(state: ReducerState, k: int, incoming_pair: bool) -> int:
 
     Three configurations: a prefix plane followed by a reported vector,
     a scalar vector followed by a fresh plane, and two adjacent planes.
-    On any move k is set to point before the block that moved back.
+    On any move k is set to point before the block that moved back.  The
+    reported vector's row and rho are filed in `state.carry`, as the main
+    loop files them; it is never a prefix zero, so rho = 0 makes it
+    adherent, and the plane moves back so that the vector meets the
+    prefix before it.
     """
     # gamma_h * x against y, for the integer Gram entries x and y, as
     # gh_num * x against gh_den * y
@@ -625,6 +638,7 @@ def plane_reduce(state: ReducerState, k: int, incoming_pair: bool) -> int:
     if not incoming_pair:
         # plane at (k-3, k-2) 0-based, reported vector at k-1
         p0, p1, v = k - 3, k - 2, k - 1
+        rho = state.carry[v][1]
         cross = state.gc[p0][p1]
         alpha = state.gc[p0][v]
         beta = state.gc[p1][v]
@@ -632,7 +646,7 @@ def plane_reduce(state: ReducerState, k: int, incoming_pair: bool) -> int:
         if alpha == 0 and beta != 0:
             state.cyclic_shift(p0, p1)
             alpha, beta = beta, alpha
-        if alpha != 0 or gh_den * abs(norm) < gh_num * abs(cross):
+        if alpha != 0 or rho == 0 or gh_den * abs(norm) < gh_num * abs(cross):
             state.cyclic_shift(p0, v)
             return k - 2
         return k + 1

@@ -192,7 +192,9 @@ def indefinite_candidates(
 ) -> list[tuple[BQForm, Transform2]]:
     """The candidate search as it was, with its walk written out; it walks
     the reduced-input cycle for all max_extra steps, without the stop at
-    the first repeated form."""
+    the first repeated form.  A reduced input with no right-sign gain
+    under the sign strategy falls back to the first gain of either sign
+    when disc < 4 gamma0 a0^2."""
     scale = lcm(*[x.denominator for x in form.coeffs()])
     if scale != 1:
         form = scale_form(form, scale)
@@ -204,15 +206,19 @@ def indefinite_candidates(
 
     if is_reduced(form):
         f, t = form, Transform2.identity()
+        either = []
         for _ in range(max_extra):
             move = cycle_move(f)
             if move is None:
                 break
             f, step = move
             t = t.compose(step)
-            if abs(f.a) < gamma0 * a0 and sign_ok(f.a):
-                return [(f, t)]
-        return []
+            if abs(f.a) < gamma0 * a0:
+                if sign_ok(f.a):
+                    return [(f, t)]
+                either = either or [(f, t)]
+        # no right-sign gain: the first gain of either sign, when disc < 4 gamma0 a0^2
+        return either if disc < 4 * gamma0 * a0 * a0 else []
 
     f, t = form, Transform2.identity()
     escape = None

@@ -417,7 +417,7 @@ def _bound_corpus():
     yield GramMatrix([[1, 2], [2, 4]])  # rank 1
     yield GramMatrix([[0, 4], [4, 0]])  # isotropic front vector
     yield gen_hyperbolic_stack(2, [3, -2])
-    yield GramMatrix([[-2, -2, -2], [-2, 0, 1], [-2, 1, 1]])  # fault (a): the bound fails
+    yield GramMatrix([[-2, -2, -2], [-2, 0, 1], [-2, 1, 1]])  # box/68, the bound failed under fault (a)
     yield gen_worstcase(5).congruence(gen_random_unimodular(10, 30, 0))
     for n, alphas, useed in ((1, [2], 21), (2, [1, -3], 22), (3, [2, 1, -2], 23)):
         yield gen_hyperbolic_stack(n, alphas).congruence(gen_random_unimodular(3 * n, 10, useed))
@@ -443,6 +443,13 @@ def test_bound_report_matches_the_fraction_formula():
                 seen["isotropic front"] += res.rank >= 2 and res.reduced.rows[0][0] == 0
                 seen["singular"] += 0 < res.rank < g.dim
                 seen["fails"] += not rep.holds
+    # no reduction fails the bound, so a congruent but unreduced result
+    # keeps the failing path covered: box/68 as its own result, U = I
+    g = GramMatrix([[-2, -2, -2], [-2, 0, 1], [-2, 1, 1]])
+    res = replace(reduce(g), transform=mat_identity(3), reduced=g)
+    rep = verify_theorem_bound(res, g)
+    assert tuple(getattr(rep, f) for f in fields) == _reference_bound(res, g)
+    seen["fails"] += not rep.holds
     assert all(seen.values()), seen
     res = reduce(GramMatrix([[2, 1], [1, -3]]))
     for gamma0 in (Fraction(1, 4), Fraction(1, 5)):
@@ -467,15 +474,16 @@ def test_bound_report_counts_excess_definite_blocks():
 
 
 def test_verify_theorem_bound_reads_the_blocks_off_the_gram():
-    """On the box/68 reproducer the bound fails (lhs 8 against about 6.37),
-    and no edit of the result's block kinds or rank makes it hold: the
-    definite blocks come from the reduced Gram, and a rank with nonzero
-    rows past it is refused.  Both edits used to read holds=True, with
-    Sigma N_i = 3, and with lhs = rhs = 2."""
+    """On box/68 taken as its own result (U = I, congruent but not
+    reduced) the bound fails (lhs 8 against about 6.37), and no edit of
+    the result's block kinds or rank makes it hold: the definite blocks
+    come from the reduced Gram, and a rank with nonzero rows past it is
+    refused.  Both edits used to read holds=True, with Sigma N_i = 3, and
+    with lhs = rhs = 2."""
     g = GramMatrix([[-2, -2, -2], [-2, 0, 1], [-2, 1, 1]])
-    res = reduce(g)
+    res = replace(reduce(g), transform=mat_identity(3), reduced=g)
     rep = verify_theorem_bound(res, g)
-    assert (rep.holds, rep.lhs, rep.sum_definite) == (False, 8, 0)
+    assert (rep.holds, rep.lhs, rep.sum_definite, rep.rhs) == (False, 8, 0, 6 / Fraction(99, 100) ** 6)
     assert verify_theorem_bound(replace(res, block_kinds=["definite", "definite"]), g) == rep
     with pytest.raises(ValueError, match="nonzero row past its rank 1"):
         verify_theorem_bound(replace(res, rank=1, block_kinds=[]), g)

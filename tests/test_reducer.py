@@ -309,6 +309,7 @@ def test_vector_coupled_to_plane_moves_in_front():
     g = GramMatrix([[0, 2, 3], [2, 0, 1], [3, 1, 3]])
     st = ReducerState(g, ReducerParams())
     st.refresh_prefix_gso(2)
+    _clean_and_file(st, 2)
     new_k = plane_reduce(st, 3, incoming_pair=False)
     assert new_k == 1  # vector moved in front of the plane
     r = reduce(g)
@@ -349,6 +350,7 @@ def test_plane_vector_boundary_no_move():
     g = GramMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     st = ReducerState(g, params)
     st.refresh_prefix_gso(2)
+    _clean_and_file(st, 2)
     assert plane_reduce(st, 3, incoming_pair=False) == 4
     # vector then plane, same weights
     g2 = GramMatrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
@@ -363,6 +365,7 @@ def test_plane_then_vector_with_coupling_destroys_plane():
     g = GramMatrix([[0, 2, 1], [2, 0, 0], [1, 0, 3]])
     st = ReducerState(g, ReducerParams())
     st.refresh_prefix_gso(2)
+    _clean_and_file(st, 2)
     new_k = plane_reduce(st, 3, incoming_pair=False)
     assert new_k == 1
     assert st.gc[0][0] == 3  # the vector now leads
@@ -593,8 +596,8 @@ def test_outputs_are_pinned():
                 rows.update(stats.pop("rows_carried"))
                 out = (r.reduced.rows, r.transform, r.rank, r.block_kinds, tuple(stats.values()))
             digest.update(repr(out).encode())
-    assert digest.hexdigest() == "0ef24992dc00f03788ee8b869a6a255479bdb3b0a64888b03c6cd6c4b3fda7c3"
-    assert rows == {"built": 6729, "front": 3338, "kept": 3244, "back": 1649, "forward": 835}, rows
+    assert digest.hexdigest() == "bb674ee44afbd9e369713bc94cca9faa5669e7feca328191b9279597e9f0b350"
+    assert rows == {"built": 6734, "front": 3342, "kept": 3250, "back": 1677, "forward": 850}, rows
 
 
 @pytest.fixture
@@ -645,29 +648,26 @@ def test_incremental_prefix_gso_is_exact(checked_refresh):
     assert 3 * checked_refresh["computed"] < checked_refresh["positions"]
 
 
-def test_incremental_prefix_gso_keeps_fault_b(checked_refresh, monkeypatch):
-    """Each refusal of fault (b) keeps its message and index, those a
+def test_incremental_prefix_gso_keeps_fault_b(checked_refresh):
+    """A refresh over an inadmissible prefix keeps the message and index a
     fresh build gives (see `checked_refresh`).  The refusing build has
     taken the held state over and left it half extended, so the state
-    holds no GSO afterwards."""
-    refresh, states = ReducerState.refresh_prefix_gso, []
-
-    def recording(self, prefix):
-        states.append(self)
-        return refresh(self, prefix)
-
-    monkeypatch.setattr(ReducerState, "refresh_prefix_gso", recording)
-    for stack, sign_strategy, index in (
-        ((4, [-3, -3, 5, -3], 20, 6602), True, 5),
-        ((4, [-3, -3, 5, -3], 20, 6602), False, 5),
-        ((5, [3, 1, -1, -2, 5], 20, 7333), True, 6),
-        ((5, [5, -2, 2, -1, -3], 20, 7877), False, 13),
+    holds no GSO afterwards.  The prefixes are built inadmissible on
+    purpose behind an admissible one held first: the adherent vector after
+    a plane that fault (b) left unintegrated, and a zero star norm whose
+    partner is no hyperbolic pair."""
+    for rows, held, prefix, index, message in (
+        ([[4, 0, 0, 2], [0, 0, 1, 0], [0, 1, 0, 0], [2, 0, 0, 1]], 3, 4, 3,
+         "isolated isotropic star vector at position 3"),
+        ([[1, 0, 0], [0, 0, 0], [0, 0, 1]], 1, 3, 1, "positions 1, 2 do not form a hyperbolic pair"),
     ):
+        state = ReducerState(GramMatrix(rows), ReducerParams())
+        state.refresh_prefix_gso(held)
         with pytest.raises(InadmissiblePrefixError) as exc:
-            reduce(_scrambled_stack(*stack), ReducerParams(sign_strategy=sign_strategy))
-        assert exc.value.index == index
-        assert str(exc.value) == f"inadmissible prefix: isolated isotropic star vector at position {index}"
-        assert states[-1].gso is None
+            state.refresh_prefix_gso(prefix)
+        assert (exc.value.index, str(exc.value)) == (index, f"inadmissible prefix: {message}")
+        assert state.gso is None
+    assert checked_refresh["refreshes"] == 2
 
 
 def test_gso_and_size_reduction_create_no_fraction(monkeypatch):
@@ -885,8 +885,9 @@ def test_forward_rows_cut_the_lambda_row_builds(monkeypatch):
     """On `_dense_signature_corpus`, the sign strategy on every other
     input, the reducer made 1 922 `GsoState.lambda_row` calls when a definite
     swap carried only the row of the vector it moves back; carrying the
-    row of the vector it moves forward too, it makes 1 311.  The guard
-    asks for 20 % fewer than the first figure."""
+    row of the vector it moves forward too, it made 1 311 over 1 631
+    swaps, and with the sign strategy's either-sign fallback 1 313 over
+    1 622.  The guard asks for 20 % fewer than the first figure."""
     calls = [0]
     build = GsoState.lambda_row
 
@@ -897,7 +898,7 @@ def test_forward_rows_cut_the_lambda_row_builds(monkeypatch):
     monkeypatch.setattr(GsoState, "lambda_row", counted)
     swaps = sum(reduce(g, ReducerParams(sign_strategy=i % 2 == 0)).stats.swaps
                 for i, g in enumerate(_dense_signature_corpus()))
-    assert swaps == 1631 and 5 * calls[0] <= 4 * 1922, calls
+    assert swaps == 1622 and 5 * calls[0] <= 4 * 1922, calls
 
 
 def test_zero_dimension_results():
@@ -947,10 +948,10 @@ def test_running_potential_matches_a_fresh_product(monkeypatch):
             assert stats.potential_violations == 0
             drops.append(stats.potential_drops)
     pinned = [  # the exactness corpus, then the stacks, each under both strategies
-        27, 38, 38, 37, 14, 14, 10, 28, 30, 46, 1, 2, 2, 2, 3, 3, 2, 2, 5, 5, 12, 15, 4, 4,
-        8, 7, 1, 1, 0, 0, 1, 1, 1, 1, 2, 2, 4, 4, 0, 0, 0, 0,
-        6, 6, 14, 6, 10, 11, 5, 5, 8, 11, 16, 16, 8, 6, 12, 10, 11, 13, 7, 7, 8, 8, 4, 5,
-        6, 8, 6, 5, 5, 5, 3, 2, 13, 16, 9, 10, 0, 0, 3, 4, 12, 14, 5, 6, 4, 4, 9, 11,
+        29, 38, 39, 37, 14, 14, 10, 28, 30, 46, 1, 2, 2, 2, 3, 3, 2, 2, 5, 5, 12, 15, 4, 4,
+        9, 7, 1, 1, 0, 0, 1, 1, 1, 1, 2, 2, 4, 4, 0, 0, 0, 0,
+        6, 6, 14, 6, 10, 11, 5, 5, 8, 11, 16, 16, 8, 6, 9, 10, 11, 13, 7, 7, 8, 8, 4, 5,
+        6, 8, 4, 5, 5, 5, 3, 2, 12, 16, 8, 10, 0, 0, 3, 4, 12, 14, 5, 6, 4, 4, 8, 11,
     ]
     assert drops == pinned
     assert seen["steps"] > 3000 and seen["planes"] > 500, seen
@@ -1080,15 +1081,19 @@ def _composing_candidates(walk, gamma0, max_extra, want_sign):
     start = walk.start
     if not walk.is_reduced(start):
         return red._indefinite_candidates(walk, gamma0, max_extra, want_sign)
-    bound = gamma0.numerator * abs(start[0])
-    seen = {start}
+    a0 = abs(start[0])
+    bound = gamma0.numerator * a0
+    seen, either = {start}, []
     for f, t in walk.cycle(start, max_extra):
         if f in seen:
             break
-        if abs(f[0]) * gamma0.denominator < bound and (want_sign is None or f[0] * want_sign <= 0):
-            return [(f, t)]
+        if abs(f[0]) * gamma0.denominator < bound:
+            if want_sign is None or f[0] * want_sign <= 0:
+                return [(f, t)]
+            either = either or [(f, t)]
         seen.add(f)
-    return []
+    # under the sign strategy the first gain of either sign, when disc < 4 gamma0 a0^2
+    return either if walk.disc * gamma0.denominator < 4 * bound * a0 else []
 
 
 def test_candidates_match_fraction_walk(recorded_blocks):
@@ -1216,14 +1221,12 @@ def test_transform_and_gram_bits_are_reported():
 
 
 def test_small_box_certificates():
-    """Every certificate on every 2x2 matrix in [-3, 3] under both
-    strategies, each with gamma_h = gamma0 and gamma_h = 1, and the
-    baseline, and on every 7th 3x3 matrix in [-2, 2] without the sign
-    strategy (both gamma_h) and under the baseline: congruence,
+    """Every certificate on every 2x2 matrix in [-3, 3] and on every 7th
+    3x3 matrix in [-2, 2], under both strategies, each with
+    gamma_h = gamma0 and gamma_h = 1, and the baseline: congruence,
     |det U| = 1, the input's rank, an exactly zero tail and the bound,
     plus reduced blocks except for the baseline, which does not promise
-    them and may only stop at an isotropic vector.  The 3x3 stride joins
-    the sign strategy when fault (a) is fixed."""
+    them and may only stop at an isotropic vector."""
     two = [[[a, b], [b, c]] for a, b, c in itertools.product(range(-3, 4), repeat=3)]
     three = [
         [[a, b, c], [b, e, f], [c, f, h]]
@@ -1233,12 +1236,12 @@ def test_small_box_certificates():
     sign, plain = ReducerParams(), ReducerParams(sign_strategy=False)
     sign_h1, plain_h1 = ReducerParams(gamma_h=1), ReducerParams(gamma_h=1, sign_strategy=False)
     isotropic = []
-    for inputs, strategies in ((two, (sign, plain, sign_h1, plain_h1)), (three, (plain, plain_h1))):
+    for inputs in (two, three):
         stopped = 0
         for rows in inputs:
             g = GramMatrix(rows)
             rank = kernel_split(g).rank
-            for params in (*strategies, None):  # None: the baseline
+            for params in (sign, plain, sign_h1, plain_h1, None):  # None: the baseline
                 try:
                     r = reduce(g, params) if params else reduce_baseline(g)
                 except IsotropicVectorError:
@@ -1256,18 +1259,19 @@ def test_small_box_certificates():
     assert (len(two), len(three), isotropic) == (343, 2233, [79, 951])
 
 
-# Known faults of the reducer, kept as exact reproducers until they are
-# fixed.  Fault (a) is the sign gate of the indefinite candidates and
-# needs the sign strategy.  Fault (b) hits the reducer with the strategy
-# on or off: an adherent vector after a prefix plane is never integrated,
-# which leaves an inadmissible prefix.  A scrambled stack also fails the
-# bound under the sign strategy.  The inputs that fault (c), a plane
-# moved in front of a scalar and never compared with the scalar before
-# it, used to break now pass, and stay as regression tests.
+# Former faults of the reducer, kept as regression tests.  Fault (a) was
+# the sign gate of the indefinite candidates under the sign strategy: a
+# reduced block with no right-sign gain took no gain at all, and now
+# takes the first gain of either sign when disc < 4 gamma0 a0^2.  Fault
+# (b) hit with the strategy on or off: an adherent vector after a prefix
+# plane was never integrated, which left an inadmissible prefix; the plane
+# now moves back when the vector's scaled residual is zero.  Fault (c), a
+# plane moved in front of a scalar and never compared with the scalar
+# before it, is fixed too.
 
 
-@pytest.mark.xfail(strict=True, reason="fault (a): the sign gate drops the gamma0-gain candidate")
-def test_known_fault_bound_under_sign_strategy():
+def test_box_68_bound_under_sign_strategy():
+    # fault (a): |first|^3 was 8 against a bound near 6.37
     g = GramMatrix([[-2, -2, -2], [-2, 0, 1], [-2, 1, 1]])
     assert verify_theorem_bound(reduce(g), g).holds
 
@@ -1280,7 +1284,6 @@ def _bound_holds(g: GramMatrix, sign_strategy: bool) -> bool:
     return verify_theorem_bound(reduce(g, ReducerParams(sign_strategy=sign_strategy)), g).holds
 
 
-@pytest.mark.xfail(strict=True, reason="fault (b): an adherent vector after a prefix plane")
 @pytest.mark.parametrize(
     "stack, sign_strategy",
     [
@@ -1291,18 +1294,50 @@ def _bound_holds(g: GramMatrix, sign_strategy: bool) -> bool:
     ],
     ids=["6602-sign", "6602-plain", "7333-sign", "7877-plain"],
 )
-def test_known_fault_inadmissible_prefix(stack, sign_strategy):
+def test_adherent_vector_after_a_plane_keeps_an_admissible_prefix(stack, sign_strategy):
+    # fault (b): each raised "isolated isotropic star vector" at the position noted
     g = _scrambled_stack(*stack)
-    try:
-        reduce(g, ReducerParams(sign_strategy=sign_strategy))
-    except InadmissiblePrefixError:
-        pytest.fail("InadmissiblePrefixError on a scrambled hyperbolic stack")
+    r = reduce(g, ReducerParams(sign_strategy=sign_strategy))
+    assert verify_theorem_bound(r, g).holds and reduced_blocks_ok(r)
 
 
-@pytest.mark.xfail(strict=True, reason="the bound fails on a scrambled hyperbolic stack")
-def test_known_fault_bound_on_scrambled_stack_under_sign_strategy():
-    # |first|^6 = 64 against a bound near 50.26
+def test_stack_7690_bound_under_sign_strategy():
+    # |first|^6 was 64 against a bound near 50.26
     assert _bound_holds(_scrambled_stack(2, [2, 2], 10, 7690), True)
+
+
+def test_draw_3776_bound_under_sign_strategy():
+    # fault (a) in the random draws of `random.Random(12)`: the bound failed
+    g = GramMatrix([[-3, 3, 0, 3, 2], [3, 2, -2, 3, -2], [0, -2, 0, -1, -2], [3, 3, -1, 2, 3], [2, -2, -2, 3, 2]])
+    assert _bound_holds(g, True)
+
+
+@pytest.mark.parametrize("sign_strategy", [True, False], ids=["sign", "plain"])
+def test_draw_22891_keeps_an_admissible_prefix(sign_strategy):
+    # fault (b) in the same draws: it raised "isolated isotropic star vector at position 5"
+    g = GramMatrix([
+        [-1, -1, 2, -1, -1, -1],
+        [-1, -1, 0, 3, 1, 3],
+        [2, 0, -3, 0, 1, 3],
+        [-1, 3, 0, -1, 2, 0],
+        [-1, 1, 1, 2, 0, -1],
+        [-1, 3, 3, 0, -1, 1],
+    ])
+    r = reduce(g, ReducerParams(sign_strategy=sign_strategy))
+    assert verify_theorem_bound(r, g).holds and reduced_blocks_ok(r)
+
+
+def test_adherent_vector_after_a_plane_moves_the_plane_back():
+    # v3 = v0 / 2 plus an isotropic vector orthogonal to the plane (v1, v2):
+    # the clean-up leaves it adherent (rho = 0, a nonzero row), and the plane
+    # moves back although |norm| = |cross| would keep it under gamma_h < 1
+    g = GramMatrix([[4, 0, 0, 2], [0, 0, 1, 0], [0, 1, 0, 0], [2, 0, 0, 1]])
+    st = ReducerState(g, ReducerParams())
+    st.refresh_prefix_gso(3)
+    row, rho = _clean_and_file(st, 3)
+    assert rho == 0 and any(row)
+    assert plane_reduce(st, 4, incoming_pair=False) == 2
+    assert st.gc[1][1:3] == [1, 0] and st.gc[2][2:] == [0, 1]  # the vector, then the plane
 
 
 @pytest.mark.parametrize(
@@ -1339,8 +1374,8 @@ def test_bound_on_scrambled_stack(sign_strategy):
 
 def test_scrambled_stack_sample_fails_only_where_pinned():
     """Every 5th seed of the scrambled-stack sample 6000-7999 and the
-    seeds of the known failures, under both strategies: the failures are
-    exactly the pinned ones, so a new failure and a fix both show."""
+    seeds of the former failures, under both strategies: none fails, so
+    a new failure shows."""
     failures = set()
     for seed in sorted({*range(6000, 8000, 5), 6602, 7333, 7690, 7877}):
         rnd = random.Random(seed)
@@ -1355,10 +1390,4 @@ def test_scrambled_stack_sample_fails_only_where_pinned():
                 continue
             if not verify_theorem_bound(r, g).holds:
                 failures.add((seed, sign_strategy, "bound"))
-    assert failures == {
-        (6602, True, "raise"),
-        (6602, False, "raise"),
-        (7333, True, "raise"),
-        (7690, True, "bound"),
-        (7877, False, "raise"),
-    }
+    assert failures == set()
